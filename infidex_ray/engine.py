@@ -182,6 +182,13 @@ class ShardedDfLookup:
                 parts.append((min(mins), max(maxs), p))
         return cls(parts, col or "term")
 
+    def keep_parsed(self, previous) -> None:
+        """Take over ``previous``'s parsed arrays for the part files both
+        lookups list: a delta append only adds parts, never rewrites one."""
+        if isinstance(previous, ShardedDfLookup):
+            paths = {p for _, _, p in self.parts}
+            self._cache.update((p, a) for p, a in previous._cache.items() if p in paths)
+
     def _load(self, path: str) -> tuple[np.ndarray, np.ndarray]:
         hit = self._cache.get(path)
         if hit is None:
@@ -575,25 +582,44 @@ class Engine:
             json.dump(sorted(self.deleted), f)
 
     def add_documents(self, docs, fields=None) -> None:
-        """Incremental add: writes a delta segment + merged stats, then
-        refreshes this engine in place (reference finishes incremental adds
-        with a full stats rebuild, SearchEngine.cs:194-206)."""
-        from .build import append_to_index
+        """Incremental add: write one delta segment plus its stats parts,
+        then refresh this engine in place (DeltaIndex/IndexMerger: a new
+        doc-range partition and a global stats refresh, IndexMerger.cs:55-92).
 
-        append_to_index(self.index_dir, docs, self.cfg, fields=fields)
-        fresh = Engine.load(self.index_dir, self.cfg)
-        self.segments = fresh.segments
-        self.searchers = fresh.searchers
-        self._seg_map = fresh._seg_map
-        self.df_lookup = fresh.df_lookup
-        self.word_df = fresh.word_df
-        self.total_docs = fresh.total_docs
-        self.avgdl = fresh.avgdl
-        self._wordmatchers = None
-        self._shorts = None
-        for attr in ("_key_index", "_doc_prep_cache"):
-            if hasattr(self, attr):
-                delattr(self, attr)
+        Only the new delta segment is opened, as a one-segment shard of the
+        updated index; its global id is its manifest position. Kept as they
+        are, because they depend only on immutable segment files: every
+        loaded segment and its stage-1 searcher (with its LD1 fuzzy cache),
+        the word matchers, short-query scanners, coverage doc-prep cache
+        and key index built so far — the delta is appended to each of these
+        that exists. Refreshed: ``total_docs`` and ``avgdl`` from the
+        manifest, both df lookups (a sharded lookup keeps the parsed arrays
+        of the parts it already read), and every searcher's plan memo,
+        whose postings carry the old plan's idf. So an add costs the delta
+        segment plus the stats parts, not the whole index."""
+        from . import build
+
+        manifest = build.append_to_index(self.index_dir, docs, self.cfg, fields=fields)
+        si = len(manifest["segments"]) - 1
+        delta = Engine.load(self.index_dir, self.cfg, segment_indices=[si])
+        (seg,) = delta.segments
+        for s in self.searchers:
+            s.clear_plan_memo()
+        self.segments.append(seg)
+        self.searchers.extend(delta.searchers)
+        self._seg_map[si] = seg
+        if getattr(self, "_shorts", None) is not None:
+            self._shorts.extend(delta.shorts)
+        key_index = getattr(self, "_key_index", None)
+        if key_index is not None:  # a later segment wins a repeated key
+            key_index.update((k, (si, lid)) for lid, k in enumerate(seg.doc_keys.tolist()))
+        for name in ("df_lookup", "word_df"):
+            lookup = getattr(delta, name)
+            if isinstance(lookup, ShardedDfLookup):
+                lookup.keep_parsed(getattr(self, name))
+            setattr(self, name, lookup)
+        self.total_docs = delta.total_docs
+        self.avgdl = delta.avgdl
 
     def _coverage_stage(self, q, stage1_results, coverage_depth, top_k, deadline=None):
         from .query import pipeline as qp

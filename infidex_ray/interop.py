@@ -138,6 +138,9 @@ class _Reader:
         return len(self.d) - self.pos
 
 
+_I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
+
+
 class _Writer:
     """Little-endian byte assembler with C# BinaryWriter semantics
     (IndexPersistence.Save uses BinaryWriter, :33-101)."""
@@ -152,6 +155,8 @@ class _Writer:
         self.b += struct.pack("<I", v & 0xFFFFFFFF)
 
     def i32(self, v: int) -> None:
+        if not _I32_MIN <= v <= _I32_MAX:
+            raise Infdx2Error(f"{v} does not fit an INFDX2 int32 field")
         self.b += struct.pack("<i", v)
 
     def i64(self, v: int) -> None:
@@ -212,8 +217,13 @@ def build_infdx2(
         n = len(doc_ids)
         tw.i32(n)
         if n:
+            ids = np.asarray(doc_ids, dtype=np.int64)
+            if ids.min() < _I32_MIN or ids.max() > _I32_MAX:
+                # the format is int32 throughout: a silent wrap would write
+                # a corrupt file whose checksums still pass
+                raise Infdx2Error(f"term {text!r}: a posting doc id does not fit int32")
             rec = np.empty(n, dtype=_POSTING_DTYPE)
-            rec["d"] = np.asarray(doc_ids, dtype=np.int64).astype(np.int32)
+            rec["d"] = ids.astype(np.int32)
             rec["w"] = np.asarray(weights, dtype=np.uint8)
             tw.raw(rec.tobytes())
     blob.i32(n_terms)

@@ -515,6 +515,12 @@ class SegmentStage1:
         self._plan_memo_key = None
         self._plan_memo: tuple | None = None
 
+    def clear_plan_memo(self) -> None:
+        """Drop the memoized plan: its postings carry the plan's idf, which
+        goes stale when the global stats change (an incremental add)."""
+        self._plan_memo_key = None
+        self._plan_memo = None
+
     @staticmethod
     def _plan_key(plan: QueryPlan):
         return (

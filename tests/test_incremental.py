@@ -287,3 +287,116 @@ def test_rebuild_prunes_stale_layout_segments(ray_session, tmp_path):
     assert not os.path.isdir(os.path.join(seg_root, "seg-deadbeefdeadbeef"))
     hits = eng2.search("alpha beta", top_k=5)
     assert hits
+
+
+# --- incremental refresh == fresh load ---------------------------------------
+_WORDS = (
+    "harbor quantum lantern meadow copper violet summit ember glacier orchid "
+    "falcon prairie cobalt willow thunder marble saffron canyon velvet beacon"
+).split()
+
+# two-word, typo, ≤3 chars, single char (each short shape once on base words
+# and once on a word only the added batches carry), and last the exact query
+# issued just before each add, whose words every added batch carries
+_REFRESH_QUERIES = (
+    "copper summit", "lantrn medow", "emb", "zep", "v", "z", "harbor quantum",
+)
+
+
+def _corpus(n: int, seed: int, start_key: int = 1) -> list[tuple[int, str]]:
+    import random
+
+    rng = random.Random(seed)
+    return [
+        (start_key + i, " ".join(rng.choice(_WORDS) for _ in range(rng.randint(3, 12))))
+        for i in range(n)
+    ]
+
+
+def _hits(eng, q, cov):
+    return [
+        (h.doc_key, h.score, h.tiebreaker)
+        for h in eng.search(q, top_k=10, enable_coverage=cov)
+    ]
+
+
+@pytest.fixture(params=["single_file_stats", "sharded_stats"])
+def refresh_index(request, tmp_path):
+    """A 3-segment index in both stats layouts: the single-file df table
+    (rewritten in place by an add) and the distributed build's sharded part
+    directories (an add appends a part)."""
+    out = str(tmp_path / "refresh_idx")
+    docs = _corpus(240, seed=7)
+    if request.param == "single_file_stats":
+        build_index_local(docs, out, n_segments=3)
+    else:
+        request.getfixturevalue("ray_session")
+        import ray.data
+
+        Engine.build(
+            ray.data.from_items([{"doc_key": k, "text": t} for k, t in docs]),
+            out, EngineConfig(target_docs_per_segment=80),
+            text_column="text", key_column="doc_key",
+        )
+    return out
+
+
+def test_incremental_refresh_matches_fresh_load(refresh_index):
+    """After each add, the refreshed engine answers exactly like a fresh
+    load: every per-segment cache and plan memo was warmed first, so a
+    stale idf, df part, key index or scanner would show up here."""
+    eng = Engine.load(refresh_index)
+    for step in range(4):
+        for q in _REFRESH_QUERIES:  # warm caches + plan memos before the add
+            for cov in (True, False):
+                eng.search(q, top_k=10, enable_coverage=cov)
+        eng.get_document(1)
+        batch = _corpus(6, seed=100 + step, start_key=1000 + 10 * step)
+        batch = [(k, f"{t} harbor quantum") for k, t in batch[:-1]] + [
+            (batch[-1][0], "zephyr harbor quantum")
+        ]
+        if step == 2:  # re-add an existing key: the later segment wins
+            batch.append((5, "harbor quantum replacement meadow"))
+        eng.add_documents(batch)
+        fresh = Engine.load(refresh_index)
+        # the query issued just before the add goes first, so a plan memo
+        # left over from before the add would be reused
+        for q in reversed(_REFRESH_QUERIES):
+            for cov in (True, False):
+                assert _hits(eng, q, cov) == _hits(fresh, q, cov), (step, q, cov)
+        for key in (batch[0][0], 5, 1):
+            assert eng.get_document(key) == fresh.get_document(key), (step, key)
+        assert eng.get_statistics() == fresh.get_statistics()
+        assert (eng.total_docs, eng.avgdl) == (fresh.total_docs, fresh.avgdl)
+
+
+def test_incremental_add_opens_only_the_delta(tmp_path, monkeypatch):
+    """One add followed by one search opens exactly one segment and builds
+    at most one word matcher (the delta's); the unchanged segments keep
+    theirs."""
+    from infidex_ray import engine as engine_mod
+    from infidex_ray.query.wordmatch import SegmentWordMatcher
+
+    out = str(tmp_path / "count_idx")
+    build_index_local(_corpus(240, seed=11), out, n_segments=3)
+    eng = Engine.load(out)
+    assert eng.search("harbor quantum", top_k=10)  # builds every segment's matcher
+    assert len(eng._wordmatchers) == 3
+
+    calls = {"read_segment": 0, "word_matcher": 0}
+    real_read, real_init = engine_mod.read_segment, SegmentWordMatcher.__init__
+
+    def counting_read(*a, **kw):
+        calls["read_segment"] += 1
+        return real_read(*a, **kw)
+
+    def counting_init(self, *a, **kw):
+        calls["word_matcher"] += 1
+        real_init(self, *a, **kw)
+
+    monkeypatch.setattr(engine_mod, "read_segment", counting_read)
+    monkeypatch.setattr(SegmentWordMatcher, "__init__", counting_init)
+    eng.add_documents([(5000, "harbor quantum lantern")])
+    assert eng.search("harbor quantum", top_k=10)
+    assert calls["read_segment"] == 1
+    assert calls["word_matcher"] <= 1

@@ -250,6 +250,18 @@ def test_build_infdx2_matches_independent_writer():
     assert ours == ref
 
 
+@pytest.mark.parametrize("where", ["posting", "document"])
+def test_build_infdx2_rejects_doc_id_outside_int32(where):
+    """INFDX2 doc ids are int32: 2**31 must fail loudly, not wrap into a
+    corrupt file whose checksums still pass."""
+    big = 2**31
+    docs = [(big if where == "document" else 0, 100, "alpha", "a", 0, -1, False)]
+    ids = np.array([big if where == "posting" else 0], dtype=np.int64)
+    terms = [("alp", 1, ids, np.array([1], dtype=np.uint8))]
+    with pytest.raises(Infdx2Error, match="int32"):
+        build_infdx2(docs, terms)
+
+
 def test_export_preserves_stop_term_header_skew(tmp_path):
     """Reference files write header term_count INCLUDING stop terms the
     blob omits (WriteTerms filters df>0) — the skewed header must

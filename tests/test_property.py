@@ -502,3 +502,66 @@ def test_rank_search_bucket_narrowing(values, k_raw, nb):
                 break
             cum += c
     assert lo == int(np.sort(vals)[k - 1])
+
+
+# --- cross-surface differential (ROADMAP item 5): incremental refresh -------
+_REFRESH_WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf")
+# two-word, typo (LD1 of "alpha"), ≤3 chars, single char, three-word
+_REFRESH_QUERIES = ("alpha bravo", "alpa", "ech", "g", "charlie delta echo")
+_refresh_text = st.lists(st.sampled_from(_REFRESH_WORDS), min_size=1, max_size=6).map(" ".join)
+# keys 1..30 overlap the base corpus's, so some adds re-add an existing key
+_refresh_step = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.lists(st.tuples(st.integers(1, 30), _refresh_text), min_size=1, max_size=4),
+    ),
+    st.tuples(st.just("delete"), st.lists(st.integers(1, 30), min_size=1, max_size=3)),
+)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.lists(_refresh_text, min_size=2, max_size=12),
+    st.lists(_refresh_step, min_size=1, max_size=4),
+    st.integers(1, 2),
+)
+def test_incremental_refresh_equals_fresh_load(corpus, steps, n_segments):
+    """Interleaved add_documents / delete_documents on a live engine: after
+    every step its results equal a freshly loaded engine's, with coverage
+    on and off, and so do stored-document lookups. Queries run right
+    before each step, so every cache and plan memo the refresh keeps is
+    warm."""
+    import tempfile
+
+    from infidex_ray.build import build_index_local
+    from infidex_ray.engine import Engine
+
+    def hits(eng, q, cov):
+        return [
+            (h.doc_key, h.score, h.tiebreaker)
+            for h in eng.search(q, top_k=10, enable_coverage=cov)
+        ]
+
+    with tempfile.TemporaryDirectory() as out:
+        build_index_local(list(enumerate(corpus, start=1)), out, n_segments=n_segments)
+        eng = Engine.load(out)
+        for kind, arg in steps:
+            for q in _REFRESH_QUERIES:
+                for cov in (True, False):
+                    eng.search(q, top_k=10, enable_coverage=cov)
+            if kind == "add":
+                eng.add_documents(arg)
+            else:
+                eng.delete_documents(arg)
+            fresh = Engine.load(out)
+            for q in reversed(_REFRESH_QUERIES):
+                for cov in (True, False):
+                    assert hits(eng, q, cov) == hits(fresh, q, cov), (kind, q, cov)
+            assert eng.get_statistics() == fresh.get_statistics()
+            for key in range(1, 31):
+                assert eng.get_document(key) == fresh.get_document(key), key
