@@ -105,7 +105,11 @@ def _build_index(num_cpus: int, out_dir: str) -> dict:
     # build with task packing; 96 is the joint optimum
     seg_docs = 5000
     n_segments = max(1, -(-WEBPAGES_ROWS // seg_docs))
-    ds = ray.data.read_parquet(WEBPAGES_PATH, override_num_blocks=n_segments)
+    # build_index reads only the text and key columns (no store_columns /
+    # text_fields), so the read projects to them
+    ds = ray.data.read_parquet(
+        WEBPAGES_PATH, columns=["url", "text"], override_num_blocks=n_segments
+    )
     t0 = time.perf_counter()
     # web pages are long → chunk into ~200-char overlapping segments
     # (reference config-400 AutoSegmentationSetup(200, 0.2))

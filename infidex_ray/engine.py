@@ -496,9 +496,9 @@ class Engine:
         can_ngrams, has_mixed, long_words_text = analyze_query(q, cfg)
         coverage_depth = cfg.coverage_depth
 
-        # overlap hook: the distributed executor fires the (stage-1-
-        # independent) WordMatcher candidate computation on the shard actors
-        # here, so it runs concurrently with the stage-1 fan-out
+        # overlap hook: the distributed executor records the coverage query
+        # here, so its coverage context is prepared while the stage-1
+        # fan-out is in flight
         self._pre_stage1(q, coverage_on and can_ngrams)
 
         if not can_ngrams:

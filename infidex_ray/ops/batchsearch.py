@@ -260,17 +260,15 @@ class _ShardFuzzyActor:
     terms (global fuzzy df = Σ shard cardinalities — segments are
     doc-disjoint, engine.py::_fuzzy_global_df)."""
 
-    def __init__(self, index_dir: str, shard_indices: list, query_col: str):
+    def __init__(self, index_dir: str, shard_indices: list):
         from ..engine import Engine
 
         self.eng = Engine.load(index_dir, segment_indices=list(shard_indices))
         self.stats = _StatsOnly(index_dir)
-        self.query_col = query_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out_q, out_t, out_c = [], [], []
-        for raw in batch[self.query_col].to_pylist():
-            raw = raw or ""  # null query rows: same coalesce as base_q
+        for raw in batch["query"].to_pylist():
             tq = self.stats.stage1_query(self.stats.norm_query(raw))
             if tq is None:
                 continue
@@ -304,7 +302,7 @@ class _ShardCountsActor:
         self.stats = _StatsOnly(index_dir)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as _np
+        from ..query.stage1 import sum_counts
 
         qs = batch["query"].to_pylist()
         fj = batch["fuzzy_json"].to_pylist()
@@ -317,16 +315,7 @@ class _ShardCountsActor:
             if plan is None or plan.n_levels == 1:
                 vec = []  # level fixed at 1, no cardinality round needed
             else:
-                width = 0
-                acc = _np.zeros(0, dtype=_np.int64)
-                for s in self.eng.searchers:
-                    c = s.phase_a(plan)
-                    if len(c) > width:
-                        grown = _np.zeros(len(c), dtype=_np.int64)
-                        grown[:width] = acc
-                        acc, width = grown, len(c)
-                    acc[: len(c)] += c
-                vec = acc.tolist()
+                vec = sum_counts([s.phase_a(plan) for s in self.eng.searchers]).tolist()
             out["query"].append(raw)
             out["fuzzy_json"].append(f)
             out["counts"].append(vec)
@@ -454,12 +443,12 @@ def batch_search_sharded(
     (all words below the min index size) emit NO rows — run those
     through :func:`batch_search` (full pipeline) instead. Output:
     ``(query, rank, doc_id, score)`` with ONE result set per DISTINCT
-    query string (the per-query merge aggregates by text; duplicate
-    query-log rows collapse — join the output back on ``query`` to
-    re-attach frequencies, or use :func:`batch_search`, which preserves
-    row multiplicity). ``score_mode`` as in :func:`batch_search`.
+    query string (duplicate query-log rows collapse before the first
+    round — join the output back on ``query`` to re-attach frequencies,
+    or use :func:`batch_search`, which preserves row multiplicity).
+    ``score_mode`` as in :func:`batch_search`.
 
-    Scale: queries materialize once and fan out to S shard pools per
+    Scale: distinct queries materialize once and fan out to S shard pools per
     round; only O(probe terms), O(4 counts) and O(S × depth) entry rows
     per query ever cross; every merge is a coarse query-slice groupby
     (vectorized per-slice work, never a per-query Ray group)."""
@@ -489,8 +478,6 @@ def batch_search_sharded(
     if num_merge_slices is None:
         num_merge_slices = _default_num_slices()
 
-    qmat = queries_ds.materialize()
-
     def _union(dss):
         out = dss[0]
         for d in dss[1:]:
@@ -502,12 +489,35 @@ def batch_search_sharded(
             "slice", pa.array(_slice_hash_strings(t["query"], num_merge_slices))
         )
 
+    def query_text(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        # null query rows coalesce to "" (sorted() in the merges cannot
+        # compare None to str; batch_search does the same)
+        q = pc.fill_null(t[query_col].cast(pa.string()), "")
+        return _q_slice(pa.table({"query": q}))
+
+    def distinct(g: pa.Table) -> pa.Table:
+        return pa.table(
+            {"query": pa.array(sorted(set(g["query"].to_pylist())), pa.string())}
+        )
+
+    # ONE row per distinct query before any fan-out: fuse_fuzzy sums one
+    # row per (shard, term), so a query repeated d times in the log would
+    # otherwise get d× its global fuzzy df
+    qmat = (
+        queries_ds.map_batches(query_text, batch_format="pyarrow")
+        .groupby("slice")
+        .map_groups(distinct, batch_format="pyarrow")
+        .materialize()
+    )
+
     # ---- round 1: global fuzzy dfs --------------------------------------
     fuzzy_rows = _union(
         [
             qmat.map_batches(
                 _ShardFuzzyActor,
-                fn_constructor_args=(index_dir, sh, query_col),
+                fn_constructor_args=(index_dir, sh),
                 batch_format="pyarrow",
                 batch_size=batch_size,
                 concurrency=concurrency,
@@ -517,13 +527,9 @@ def batch_search_sharded(
     )
 
     def base_q(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table(
             {
-                # null query rows coalesce to "" (sorted(agg) in the merge
-                # cannot compare None to str; batch_search does the same)
-                "query": pc.fill_null(t[query_col].cast(pa.string()), ""),
+                "query": t["query"],
                 "term": pa.nulls(len(t), pa.string()),
                 "cnt": pa.nulls(len(t), pa.int64()),
             }
@@ -586,17 +592,9 @@ def batch_search_sharded(
         i = 0
         while i < len(order):
             j = i
-            width = 0
-            vec = np.zeros(0, dtype=np.int64)
             while j < len(order) and qs[order[j]] == qs[order[i]]:
-                c = cs[order[j]] or []
-                if len(c) > width:
-                    grown = np.zeros(len(c), dtype=np.int64)
-                    grown[:width] = vec
-                    vec, width = grown, len(c)
-                if c:
-                    vec[: len(c)] += np.asarray(c, dtype=np.int64)
                 j += 1
+            vec = s1.sum_counts([cs[t] for t in order[i:j]])
             q, f = qs[order[i]], fj[order[i]]
             tq = stats.stage1_query(stats.norm_query(q))
             if tq is not None:

@@ -8,10 +8,17 @@ docmap, word-matcher tables, doc-prep caches — all per-actor state built in
 
 * stage 1: the two-phase tier protocol (phase A counts → global decide →
   phase B scoring) — identical math to the in-process engine, so results are
-  rank-identical regardless of shard count;
-* coverage: the driver computes the candidate plan (wm cap, doc-key index)
-  and ships per-shard job slices; every doc's jobs land on the shard owning
-  its segment, preserving the reference's memo semantics;
+  rank-identical regardless of shard count. A single-level plan runs
+  ``phase_b`` alone; any other plan runs one ``phase_ab`` round (counts plus
+  speculative scoring at a guessed level) and a corrective ``phase_b`` round
+  only when the global decision differs from the guess;
+* coverage: one ``cov_fused`` round (WordMatcher split + candidate scoring
+  per shard), plus a ``run_jobs`` top-up when the speculative unique budget
+  under-covers the global unique cap. The three-round ``wm_scan`` →
+  ``run_jobs`` path runs only where the fused round cannot be exact: the
+  lexical prescreen, no word matcher, fewer than 2 stage-1 hits, or a query
+  over 255 characters. Every doc's jobs land on the shard owning its
+  segment, preserving the reference's memo semantics;
 * short queries: per-shard scans with two small synchronization points
   (fuzzy-fallback gate, global max raw score); per-query scratch state stays
   inside the actor so only small aggregates cross the wire.
@@ -75,12 +82,7 @@ class IndexShardActor:
         return [self.fuzzy_df(t) for t in texts]
 
     def phase_a(self, plan) -> list[int]:
-        vecs = [s.phase_a(plan) for s in self.engine.searchers]
-        width = max((len(v) for v in vecs), default=0)
-        total = np.zeros(width, dtype=np.int64)
-        for v in vecs:
-            total[: len(v)] += v
-        return total.tolist()
+        return s1.sum_counts([s.phase_a(plan) for s in self.engine.searchers]).tolist()
 
     def phase_b(self, plan, level: int, top_k: int, avgdl: float):
         per = [s.phase_b(plan, level, top_k, avgdl) for s in self.engine.searchers]
@@ -107,133 +109,20 @@ class IndexShardActor:
         per = self.phase_b(plan, guess_level, top_k, avgdl)
         return counts, per
 
-    def fused_ab(self, plan, ctx, packed):
-        """SINGLE-round warm path: phase_a counts + speculative phase_b at
-        the guessed level + WordMatcher candidate computation + speculative
-        coverage COMPONENTS for this shard's local top candidates — one
-        actor RTT where the old protocol paid two (phase_ab, cov_fused).
-
-        Correctness layering (every speculation driver-checked, with the
-        old two-round path as the fallback — rank identity by
-        construction):
-        * stage-1: identical to phase_ab (corrective round on level miss);
-        * coverage components are bm25-INDEPENDENT
-          (fusion.fusion_components) — the driver blends the GLOBAL
-          norm_bm25 via fusion_finish, bit-identical to actor-side
-          fusion_calculate;
-        * a shard's contribution to the global top-``cdepth`` is a PREFIX
-          of its local rank order (the global cut is monotone per shard),
-          so components for the first ``spec_budget`` local candidates
-          cover the shard's survivors with high probability; the driver
-          falls back to the cov_fused round when any survivor is missing;
-        * the global top-2 docs (the 2-slot LCS memo, MEMO_HEIGHT) are
-          always some shard's LOCAL top-2 (the global #1/#2 are their own
-          shard's #1/#2), so the lcs-variant components computed here for
-          the local top-2 cover them;
-        * wm overlap classification is per-(si, lid) membership of this
-          shard's wm candidate set — the driver intersects with the global
-          top; the unique-wm stream is only non-empty when the global page
-          is NOT full, and the driver falls back to cov_fused then.
-
-        ``packed`` = (guess, top_k, avgdl, q, qid, spec_budget). Returns
-        (counts, packed_per, comp_main, comp_lcs, memo_local, n_wm_total,
-        wm_flags)."""
-        guess, top_k, avgdl, q, qid, spec_budget = packed
-        counts = self.phase_a(plan)
-        per = self.phase_b(plan, guess, top_k, avgdl)
-        pre = None
-        stash = getattr(self, "_wm_stash", None)
-        if qid is not None and stash is not None and stash[0] == qid:
-            pre = stash[1]
-            self._wm_stash = None
-        wm_ids = pre if pre is not None else qp.wm_candidates(self.engine, q)
-        n_wm_total = sum(len(v) for v in wm_ids.values())
-        comp_main: list = []
-        comp_lcs: list = []
-        memo_local: dict = {}
-        wm_flags: list = []
-        if per is not None and len(per[0]):
-            _sc, ky, _tb, si_a, lid_a = per
-            n = int(min(spec_budget, len(ky)))
-            best_chunk: dict[int, tuple[int, int]] = {}
-            for k, s, l in zip(ky.tolist(), si_a.tolist(), lid_a.tolist()):
-                best_chunk.setdefault(int(k), (int(s), int(l)))
-            jobs = [
-                (int(si_a[i]), int(lid_a[i]), 0.0, -1) for i in range(n)
-            ]
-            comp_main, _m = qp.process_candidates(
-                self.engine, ctx, jobs, best_chunk, components=True
-            )
-            lcs_jobs = [
-                (int(si_a[i]), int(lid_a[i]), 0.0, i)
-                for i in range(min(2, len(ky)))
-            ]
-            comp_lcs, memo_local = qp.process_candidates(
-                self.engine, ctx, lcs_jobs, best_chunk, components=True
-            )
-            wm_sets = {si: set(ids.tolist()) for si, ids in wm_ids.items()}
-            for i in range(n):
-                ids = wm_sets.get(int(si_a[i]))
-                wm_flags.append(
-                    bool(ids is not None and int(lid_a[i]) in ids)
-                )
-        return (
-            counts, per, comp_main, comp_lcs, memo_local, n_wm_total,
-            wm_flags,
-        )
-
     # ---- coverage -----------------------------------------------------
-    def wm_prefetch(self, qid: str, norm_query: str) -> None:
-        """Fire-ahead half of the WordMatcher lookup: compute the per-segment
-        candidate ids NOW (concurrently with the stage-1 fan-out — actor
-        tasks execute serially in submission order, so a later wm_scan with
-        the same qid is guaranteed to see the stash)."""
-        self._wm_stash = (qid, qp.wm_candidates(self.engine, norm_query))
-
-    def wm_scan(self, norm_query: str, tfidf_lids, cap: int, qid: str | None = None):
-        pre = None
-        stash = getattr(self, "_wm_stash", None)
-        if qid is not None and stash is not None and stash[0] == qid:
-            pre = stash[1]
-            self._wm_stash = None
-        return qp.wm_scan(self.engine, norm_query, tfidf_lids, cap, precomputed=pre)
+    def wm_scan(self, norm_query: str, tfidf_lids, cap: int):
+        return qp.wm_scan(self.engine, norm_query, tfidf_lids, cap)
 
     def cov_fused(self, ctx, packed):
-        """``packed`` = (norm_query, s1_jobs, tfidf_lids, cap, spec_budget,
-        memo_keys, qid, budget_s) as ONE tuple (fixed per-argument
-        ``.remote()`` serialization cost — see phase_ab); ``ctx`` stays a
-        top-level arg so its ObjectRef auto-derefs."""
-        (
-            norm_query,
-            s1_jobs,
-            tfidf_lids,
-            cap,
-            spec_budget,
-            memo_keys,
-            qid,
-            budget_s,
-        ) = packed
-        return self._cov_fused_impl(
-            ctx, norm_query, s1_jobs, tfidf_lids, cap, spec_budget,
-            memo_keys, qid, budget_s,
-        )
-
-    def _cov_fused_impl(
-        self,
-        ctx,
-        norm_query: str,
-        s1_jobs: list,
-        tfidf_lids,
-        cap: int,
-        spec_budget: int,
-        memo_keys: dict,
-        qid: str | None = None,
-        budget_s: float | None = None,
-    ):
         """Fused coverage round: WordMatcher split + candidate scoring in ONE
         actor RTT (the old protocol paid separate wm_scan and run_jobs
         fan-outs; on a loaded host each 16-way fan-out costs 20-40 ms, so the
         round count IS the latency floor).
+
+        ``packed`` = (norm_query, s1_jobs, tfidf_lids, cap, spec_budget,
+        memo_keys, budget_s) as ONE tuple (fixed per-argument ``.remote()``
+        serialization cost — see phase_ab); ``ctx`` stays a top-level arg so
+        its ObjectRef auto-derefs.
 
         ``s1_jobs`` = this shard's stage-1 jobs ``(si, lid, norm_bm25, di)``
         in global rank order. The shard classifies its wm candidates against
@@ -264,14 +153,10 @@ class IndexShardActor:
         when the budget expires mid-scan."""
         import time as _time
 
+        norm_query, s1_jobs, tfidf_lids, cap, spec_budget, memo_keys, budget_s = packed
         deadline = _time.monotonic() + budget_s if budget_s is not None else None
-        pre = None
-        stash = getattr(self, "_wm_stash", None)
-        if qid is not None and stash is not None and stash[0] == qid:
-            pre = stash[1]
-            self._wm_stash = None
         n_total, overlapping, unique = qp.wm_scan(
-            self.engine, norm_query, tfidf_lids, cap, precomputed=pre
+            self.engine, norm_query, tfidf_lids, cap
         )
         key_di: dict[int, int] = dict(memo_keys)
         best_chunk: dict[int, tuple[int, int]] = {}
@@ -385,9 +270,11 @@ class DistributedEngine(Engine):
 
         self._qid_prefix = _uuid.uuid4().hex[:8]
         self._qid = itertools.count()
-        # (plan_key, top_k) → last globally decided candidate level, enabling
-        # the fused speculative phase_ab round on repeat plans
+        # (plan_key, top_k) → last globally decided candidate level: the
+        # phase_ab guess for a repeat plan; a cold plan guesses the session's
+        # last decided level (every decided level is ≥ 1)
         self._level_memo: dict = {}
+        self._default_level = 1
 
     def shutdown(self) -> None:
         """Tear down the shard actor pool (SearchEngine.Dispose parity for
@@ -512,30 +399,9 @@ class DistributedEngine(Engine):
         return [cache[t] for t in texts]
 
     def _pre_stage1(self, q: str, coverage_likely: bool) -> None:
-        """Fire the WordMatcher candidate computation on every shard BEFORE
-        the stage-1 fan-out — actor tasks run serially in submission order,
-        so the later wm_scan(qid=...) is ordered after the prefetch on each
-        actor and reuses its stash. Saves the wm probe compute from the
-        critical path (it is independent of stage-1 results)."""
-        self._wm_qid = None
+        """Record the coverage query so ``stage1`` can prepare its context
+        while the stage-1 fan-out is in flight."""
         self._cov_q = q if coverage_likely else None
-        if not (coverage_likely and self.cfg.enable_word_matcher):
-            return
-        # OFF by default since the fused protocol: the prefetch can only hide
-        # wm compute inside the driver's ~5-10 ms plan-prep window, but costs
-        # a whole extra 16-way submission fan-out (~0.9 ms driver CPU per
-        # actor call). Interleaved A/B on the 480k-page index, 96 samples,
-        # rank-identity asserted per query: p50 114.9→84.9 ms (−26 %),
-        # p90 219→166 ms with the prefetch off. INFIDEX_WM_PREFETCH=1
-        # re-enables it (the old default) for word-table-heavy corpora.
-        if os.environ.get("INFIDEX_WM_PREFETCH", "0") != "1":
-            return
-        import uuid
-
-        qid = uuid.uuid4().hex
-        for a in self.actors:
-            a.wm_prefetch.remote(qid, q)  # fire-and-forget; ordering by actor queue
-        self._wm_qid = qid
 
     def stage1(self, norm_lower_query: str, top_k: int):
         infos = s1.prepare_query_terms(
@@ -562,98 +428,39 @@ class DistributedEngine(Engine):
             self._overlap_ctx_prep()
             per = ray.get(refs)
             return s1.merge_packed(per, top_k)
+        # fused counts + speculative scoring at a guessed level in ONE round;
+        # the speculative results are used only when the global decision
+        # matches the guess, so ranks are identical to the two-round protocol
+        # (corrective phase_b round on a miss). A cold plan guesses the
+        # session's last decided level, clamped to the plan — decided levels
+        # are heavily skewed in practice, so the guess usually holds
         memo_key = (s1.SegmentStage1._plan_key(plan), top_k)
         guess = self._level_memo.get(memo_key)
         if guess is None:
-            # cold plan: speculate with the session's last decided level —
-            # decided levels are heavily skewed in practice, so this usually
-            # saves the phase-A round; a miss pays exactly the old cold cost
-            # (corrective phase_b) and ranks are identical either way
-            guess = getattr(self, "_default_level", None)
-            if guess is not None and not (1 <= guess <= plan.n_levels):
-                guess = None
-        self._fused_stash = None
-        cov_q = getattr(self, "_cov_q", None)
-        one_rtt = (
-            guess is not None
-            and cov_q is not None
-            and self.cfg.enable_word_matcher
-            and not self.cfg.coverage.enable_lexical_prescreen
-            and len(cov_q) <= 255
-            # OPT-IN (INFIDEX_1RTT=1): on a real multi-node cluster the
-            # round COUNT is the latency floor (fan-out sync ≫ per-shard
-            # compute), so collapsing 2 warm RTTs to 1 halves it. On this
-            # single-node sandbox the fan-out costs ~3 ms while the fused
-            # round SERIALIZES stage-1 + wm + coverage compute that the
-            # two-round protocol pipelines — interleaved A/B read p50
-            # 33-38 ms both ways (noise), so the default stays the
-            # two-round path here. Rank identity across the toggle is
-            # asserted by tests/test_executor.py::test_one_rtt_*.
-            and os.environ.get("INFIDEX_1RTT", "0") == "1"
-        )
-        if one_rtt:
-            # SINGLE-round warm path: the fused_ab round also carries wm +
-            # speculative coverage components (see IndexShardActor.fused_ab
-            # for the correctness layering); every speculation is checked
-            # on the driver with the cov_fused round as the fallback, so
-            # ranks are identical to the two-round protocol.
-            _ctx, ctx_ref = self._ctx_for(cov_q)
-            budget = int(
-                os.environ.get("INFIDEX_1RTT_BUDGET", "0")
-            ) or max(64, -(-2 * top_k // max(1, len(self.actors))))
-            packed = (
-                guess, top_k, self.avgdl, cov_q,
-                getattr(self, "_wm_qid", None), budget,
-            )
-            refs = [
-                a.fused_ab.remote(plan_ref, ctx_ref, packed)
-                for a in self.actors
-            ]
-            outs_f = ray.get(refs)
-            count_vecs = [o[0] for o in outs_f]
-            per = [o[1] for o in outs_f]
-        elif guess is not None:
-            # warm path: fused counts + speculative scoring in ONE round;
-            # the speculative results are used only when the global decision
-            # matches the guess, so ranks are identical to the two-round
-            # protocol (corrective round on a miss)
-            packed = (guess, top_k, self.avgdl)
-            refs = [
-                a.phase_ab.remote(plan_ref, packed) for a in self.actors
-            ]
-            self._overlap_ctx_prep()
-            outs = ray.get(refs)
-            count_vecs = [o[0] for o in outs]
-            per = [o[1] for o in outs]
-            outs_f = None
-        else:
-            refs = [a.phase_a.remote(plan_ref) for a in self.actors]
-            self._overlap_ctx_prep()
-            count_vecs = ray.get(refs)
-            per = None
-            outs_f = None
-        width = max((len(c) for c in count_vecs), default=0)
-        if width == 0:
+            guess = min(self._default_level, plan.n_levels)
+        refs = [
+            a.phase_ab.remote(plan_ref, (guess, top_k, self.avgdl))
+            for a in self.actors
+        ]
+        self._overlap_ctx_prep()
+        outs = ray.get(refs)
+        total = s1.sum_counts([o[0] for o in outs])
+        if len(total) == 0:
             return []
-        total = np.zeros(width, dtype=np.int64)
-        for c in count_vecs:
-            total[: len(c)] += c
         level = s1.decide_level(plan, total, top_k)
         if len(self._level_memo) >= 256:  # bounded: drop an arbitrary entry
             self._level_memo.pop(next(iter(self._level_memo)))
         self._level_memo[memo_key] = level
         self._default_level = level
-        if per is None or level != guess:
+        if level == guess:
+            per = [o[1] for o in outs]
+        else:
             per = ray.get(
                 [
                     a.phase_b.remote(plan_ref, level, top_k, self.avgdl)
                     for a in self.actors
                 ]
             )
-        elif one_rtt and outs_f is not None:
-            # stage-1 speculation held → the coverage components are for
-            # the decided level; stash them for _coverage_stage
-            self._fused_stash = (cov_q, outs_f)
         return s1.merge_packed(per, top_k)
 
     # per-shard speculative budget for unique wm candidates in the fused
@@ -695,105 +502,11 @@ class DistributedEngine(Engine):
             and len(stage1_results) >= 2
             and len(q) <= 255  # min(lcs, 255) memo clamp is the identity
         ):
-            ok, res = self._coverage_from_stash(
-                q, stage1_results, coverage_depth, top_k
-            )
-            if ok:
-                return res
             return self._coverage_fused(
                 q, stage1_results, coverage_depth, top_k, deadline
             )
         return self._coverage_unfused(
             q, stage1_results, coverage_depth, top_k, deadline
-        )
-
-    def _coverage_from_stash(self, q, stage1_results, coverage_depth, top_k):
-        """Consume the fused_ab round's speculative coverage components —
-        ZERO additional RTTs when every check holds. Returns (ok, result);
-        ok=False means the stash can't serve this query exactly and the
-        caller must run the cov_fused round (the unchanged two-round
-        protocol), so ranks are identical by construction.
-
-        Exactness checks, in order: stash is for this query and the
-        decided level; the global page is FULL (otherwise the unique-wm
-        stream could be non-empty, which the stash doesn't carry); every
-        global survivor carries a component row (per-shard spec budget was
-        enough — survivors per shard are a prefix of its local order);
-        the global top-2 docs have lcs-variant rows (always true: the
-        global #1/#2 are their own shard's local #1/#2).
-
-        Score assembly mirrors cov_fused exactly: per candidate the
-        bm25-independent components finish with the GLOBAL norm
-        (fusion_finish ≡ fusion_calculate's tail, parity-tested); wm
-        overlap rows re-finish the SAME components with base 0.0 (the
-        feat_cache identity the fused protocol already relies on); the
-        truncation memo comes from the lcs-variant rows of the top-2."""
-        from .fusion import fusion_finish
-
-        stash = getattr(self, "_fused_stash", None)
-        self._fused_stash = None
-        if stash is None or stash[0] != q:
-            return False, None
-        outs = stash[1]
-        top = stage1_results[:coverage_depth]
-        if len(top) < coverage_depth:
-            return False, None  # unique wm candidates could matter
-        comp_of: dict[tuple[int, int], tuple] = {}
-        flag_of: dict[tuple[int, int], bool] = {}
-        lcs_comp_of_key: dict[int, tuple] = {}
-        lcs_memo_of_key: dict[int, list] = {}
-        n_wm_total = 0
-        for o in outs:
-            _c, per, comp_main, comp_lcs, memo_local, n_t, wm_flags = o
-            n_wm_total += n_t
-            if per is None or not len(per[0]):
-                continue
-            _sc, _ky, _tb, si_a, lid_a = per
-            for i, row in enumerate(comp_main):
-                loc = (int(si_a[i]), int(lid_a[i]))
-                comp_of[loc] = row
-                flag_of[loc] = bool(wm_flags[i]) if i < len(wm_flags) else False
-            for j, row in enumerate(comp_lcs):
-                lcs_comp_of_key[row[5]] = row
-                if j in memo_local:
-                    lcs_memo_of_key[row[5]] = memo_local[j]
-        doc_index: dict[int, int] = {}
-        for e in top:
-            if not (len(e) >= 5 and e[3] >= 0 and e[4] >= 0):
-                return False, None  # no chunk location → can't map comps
-            if (e[3], e[4]) not in comp_of:
-                return False, None  # under-speculated shard → fallback
-            if e[1] not in doc_index:
-                doc_index[e[1]] = len(doc_index)
-        memo: dict[int, list[int]] = {}
-        for key, di in doc_index.items():
-            if di >= qp.MEMO_HEIGHT:
-                continue
-            entry = lcs_memo_of_key.get(key)
-            if entry is None:
-                return False, None  # lcs variant missing (shouldn't happen)
-            memo[di] = entry
-        max_tfidf = top[0][0] if top else 1.0
-        results: list[tuple[float, int, int, int]] = []
-        for e in top:
-            loc = (e[3], e[4])
-            key = e[1]
-            di = doc_index[key]
-            row = (
-                lcs_comp_of_key[key]
-                if di < qp.MEMO_HEIGHT and key in lcs_comp_of_key
-                else comp_of[loc]
-            )
-            p, sp, cr, hp, tb, _key, wh = row
-            nb = e[0] / max_tfidf if max_tfidf > 0 else 0.0
-            if flag_of.get(loc):
-                # wm-overlap job for the same chunk: identical features,
-                # base 0.0 (cov_fused's feat_cache sharing, made explicit)
-                results.append((fusion_finish(p, sp, cr, hp, 0.0), key, tb, wh))
-            results.append((fusion_finish(p, sp, cr, hp, nb), key, tb, wh))
-        return True, qp.finalize_coverage(
-            self.cfg.coverage, results, memo, doc_index, n_wm_total,
-            coverage_depth, top_k,
         )
 
     def _coverage_fused(self, q, stage1_results, coverage_depth, top_k, deadline=None):
@@ -825,7 +538,6 @@ class DistributedEngine(Engine):
         budget_s = None if deadline is None else deadline - _time.monotonic()
         if budget_s is not None and budget_s <= 0:
             raise qp.DeadlineExceeded
-        qid = getattr(self, "_wm_qid", None)
         # speculation pays only when the unique cap (depth − overlap) can be
         # big: with a FULL stage-1 page the overlap is ~always == depth on
         # web-scale corpora (every top candidate contains a query word), so
@@ -845,8 +557,7 @@ class DistributedEngine(Engine):
                     ctx_ref,
                     (
                         q, jobs_by_shard[ai], lids_by_shard[ai],
-                        coverage_depth, spec_budget, memo_keys,
-                        qid, budget_s,
+                        coverage_depth, spec_budget, memo_keys, budget_s,
                     ),
                 )
                 for ai, a in enumerate(self.actors)
@@ -956,7 +667,6 @@ class DistributedEngine(Engine):
                         if self.shard_of_seg.get(si) == ai
                     },
                     coverage_depth,
-                    qid=getattr(self, "_wm_qid", None),
                 )
                 for ai, a in enumerate(self.actors)
             ]
@@ -1055,7 +765,7 @@ class DistributedEngine(Engine):
         """One transparent retry on shard-actor death: actors restart
         automatically (max_restarts=-1) and reload their slice + persisted
         tombstones from disk in ``__init__``; every piece of cross-RTT
-        state (stage-1 scratch, wm stash, short-query state) is per-query,
+        state (stage-1 scratch, short-query state) is per-query,
         so re-running the whole query from scratch is rank-identical. The
         restart itself takes seconds (index reload), so retries back off
         until the pool is reachable again (bounded at ~30 s)."""

@@ -38,47 +38,11 @@ def _multi_term_tier(is_prefix_last_strong, lexical_prefix_last, is_perfect_doc,
     return 0
 
 
-def fusion_finish(
-    precedence: int,
-    semantic_pre: float,
-    coverage_ratio: float,
-    has_partial: bool,
-    bm25_score: float,
-) -> float:
-    """The ONLY bm25-dependent step of fusion scoring, split out so shard
-    actors can compute every other component without knowing the GLOBAL
-    max stage-1 score (norm_bm25 = score / global_max): the final semantic
-    blend (`_semantic_score`'s tail), the [0, 0.999] clamp, and the
-    precedence add — operation-for-operation identical to
-    :func:`fusion_calculate` (parity test in tests/test_coverage.py)."""
-    semantic = semantic_pre
-    coverage_gap = 1.0 - coverage_ratio
-    if has_partial and bm25_score >= coverage_gap:
-        semantic = coverage_ratio * semantic + coverage_gap * bm25_score
-    semantic = min(max(semantic, 0.0), 0.999)
-    return float(precedence) + semantic
-
-
 def _semantic_score(
     f: CoverageFeatures, is_single_term: bool, bm25_score: float, coverage_ratio: float
 ) -> float:
-    """FusionScorer.ComputeSemanticScore (:313-361) — the pre-blend value
-    (:func:`_semantic_pre`) plus the bm25 blend tail (the same two steps
-    :func:`fusion_finish` applies, minus the clamp that lives in
-    fusion_calculate/finish)."""
-    semantic = _semantic_pre(f, is_single_term, coverage_ratio)
-    has_partial = 0.0 < coverage_ratio < 1.0
-    coverage_gap = 1.0 - coverage_ratio
-    if has_partial and bm25_score >= coverage_gap:
-        semantic = coverage_ratio * semantic + coverage_gap * bm25_score
-    return semantic
-
-
-def _semantic_pre(
-    f: CoverageFeatures, is_single_term: bool, coverage_ratio: float
-) -> float:
-    """Everything of ComputeSemanticScore BEFORE the bm25 blend — depends
-    only on coverage features, never on the (global) stage-1 score."""
+    """FusionScorer.ComputeSemanticScore (:313-361); the [0, 0.999] clamp
+    lives in :func:`fusion_calculate`."""
     avg_ci = f.sum_ci / f.terms_count if f.terms_count > 0 else 0.0
     has_partial = 0.0 < coverage_ratio < 1.0
 
@@ -112,6 +76,9 @@ def _semantic_pre(
             if match_density > 0.0:
                 semantic += (1.0 - semantic) * match_density
 
+    coverage_gap = 1.0 - coverage_ratio
+    if has_partial and bm25_score >= coverage_gap:
+        semantic = coverage_ratio * semantic + coverage_gap * bm25_score
     return semantic
 
 
@@ -122,21 +89,7 @@ def fusion_calculate(
     bm25_score: float,
 ) -> tuple[float, int]:
     """Returns (score, tiebreaker). Score = precedence integer + semantic
-    fraction clamped to [0, 0.999] (FusionScorer.Calculate, :19-236).
-    Implemented as components + finish so the single-round executor can
-    ship bm25-independent components and blend the global norm on the
-    driver (bit-identical split, parity-tested)."""
-    p, sp, cr, hp, tb = fusion_components(query_text, document_text, f)
-    return fusion_finish(p, sp, cr, hp, bm25_score), tb
-
-
-def fusion_components(
-    query_text: str,
-    document_text: str,
-    f: CoverageFeatures,
-) -> tuple[int, float, float, bool, int]:
-    """All bm25-INDEPENDENT parts of FusionScorer.Calculate: returns
-    (precedence, semantic_pre, coverage_ratio, has_partial, tiebreaker)."""
+    fraction clamped to [0, 0.999] (FusionScorer.Calculate, :19-236)."""
     n = (
         f.fusion.unfiltered_query_token_count
         if f.fusion.unfiltered_query_token_count > 0
@@ -255,11 +208,12 @@ def fusion_components(
                 if missing_info_ratio < term_gap:
                     precedence |= 8
 
-    semantic_pre = _semantic_pre(f, is_single_term, coverage_ratio)
+    semantic = _semantic_score(f, is_single_term, bm25_score, coverage_ratio)
+    semantic = min(max(semantic, 0.0), 0.999)
 
     tiebreaker = 0
     if n >= 2 and len(document_text) > 0:
         focus = min(1.0, len(query_text) / len(document_text))
         tiebreaker = int(focus * 255.0)
 
-    return precedence, semantic_pre, coverage_ratio, has_partial, tiebreaker
+    return float(precedence) + semantic, tiebreaker

@@ -21,7 +21,7 @@ in-process engine and the actor-pool executor call; shards run
 from __future__ import annotations
 
 from . import coverage as cov
-from .fusion import fusion_calculate, fusion_components
+from .fusion import fusion_calculate
 from .metrics import lcs_containment
 
 # The reference's LCS/wordHits memo is a Span2D(2, N) guarded by
@@ -116,37 +116,11 @@ def _key_index_for(engine):
     return idx
 
 
-def wm_candidates(engine, norm_query: str) -> dict[int, "np.ndarray"]:
-    """The EXPENSIVE half of the WordMatcher lookup: per-segment candidate
-    ids for the query words (exact ∪ LD1 ∪ affix probes). Independent of
-    the stage-1 result, so the executor fires it CONCURRENTLY with the
-    stage-1 fan-out and only the cheap split waits for stage 1."""
-    import numpy as np
-
-    cfg = engine.cfg
-    from ..analyzer import _word_splitter
-
-    splitter = _word_splitter(cfg.delimiters)
-    query_words = [w for w in splitter.split(norm_query) if w]
-    out: dict[int, np.ndarray] = {}
-    for seg in engine.segments:
-        wm = _word_matcher_for(engine, seg.seg_id)
-        ids = wm.candidates_for_query(query_words, cfg.coverage.cover_prefix_suffix)
-        if getattr(engine, "deleted", None) and len(ids):
-            keep = ~np.isin(
-                seg.doc_keys[ids], np.fromiter(engine.deleted, dtype=np.int64)
-            )
-            ids = ids[keep]
-        out[seg.seg_id] = ids
-    return out
-
-
 def wm_scan(
     engine,
     norm_query: str,
     tfidf_lids_by_seg: dict[int, "np.ndarray"],
     cap: int,
-    precomputed: dict[int, "np.ndarray"] | None = None,
 ) -> tuple[int, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """WordMatcherLookup over this engine/shard's segments, split against the
     stage-1 candidate set. Returns (total candidate count,
@@ -158,16 +132,22 @@ def wm_scan(
     the corpus and must never leave the shard."""
     import numpy as np
 
-    per_seg = (
-        precomputed if precomputed is not None else wm_candidates(engine, norm_query)
-    )
+    from ..analyzer import _word_splitter
+
+    cfg = engine.cfg
+    splitter = _word_splitter(cfg.delimiters)
+    query_words = [w for w in splitter.split(norm_query) if w]
     n_total = 0
     overlapping: list[tuple[int, int, int]] = []
     unique: list[tuple[int, int, int]] = []
     for seg in engine.segments:
-        ids = per_seg.get(seg.seg_id)
-        if ids is None:
-            ids = np.empty(0, dtype=np.int64)
+        wm = _word_matcher_for(engine, seg.seg_id)
+        ids = wm.candidates_for_query(query_words, cfg.coverage.cover_prefix_suffix)
+        if getattr(engine, "deleted", None) and len(ids):
+            keep = ~np.isin(
+                seg.doc_keys[ids], np.fromiter(engine.deleted, dtype=np.int64)
+            )
+            ids = ids[keep]
         n_total += len(ids)
         if not len(ids):
             continue
@@ -200,7 +180,6 @@ def process_candidates(
     jobs: list[tuple[int, int, float, int]],
     best_chunk: dict[int, tuple[int, int]],
     deadline: float | None = None,
-    components: bool = False,
 ) -> tuple[list, dict[int, list[int]]]:
     """Shard-local candidate scoring (SearchPipeline.ProcessCandidate,
     :449-522). ``jobs`` = (si, lid, base_score, doc_index) in processing
@@ -208,11 +187,6 @@ def process_candidates(
     so the 2-slot LCS/wordHits memo semantics hold locally.
 
     Returns ([(score, key, tiebreaker, word_hits)], {doc_index<2: [lcs, wh]}).
-    With ``components=True`` the rows are instead the bm25-INDEPENDENT
-    fusion components ``(precedence, semantic_pre, coverage_ratio,
-    has_partial, tiebreaker, key, word_hits)`` and base_score is ignored —
-    the single-round executor finishes the blend driver-side with the
-    GLOBAL norm (fusion.fusion_finish; bit-identical by construction).
     """
     setup = engine.cfg.coverage
     delimiters = frozenset(engine.cfg.delimiters)
@@ -265,19 +239,12 @@ def process_candidates(
                 doc_prep=prep,
             )
             feat_cache[feat_key] = features
-        if components:
-            p, sp, cr, hp, tb = fusion_components(ctx.query, doc_text, features)
-            row = (p, sp, cr, hp, tb, key, features.word_hits)
-        else:
-            score, tiebreaker = fusion_calculate(
-                ctx.query, doc_text, features, base_score
-            )
-            row = (score, key, tiebreaker, features.word_hits)
+        score, tiebreaker = fusion_calculate(ctx.query, doc_text, features, base_score)
         if 0 <= di < MEMO_HEIGHT:
             m = memo.setdefault(di, [0, 0])
             if m[1] == 0:
                 m[1] = min(features.word_hits, 255)
-        results.append(row)
+        results.append((score, key, tiebreaker, features.word_hits))
     return results, memo
 
 

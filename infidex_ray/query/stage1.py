@@ -197,6 +197,15 @@ def build_plan(infos: list[QueryTermInfo]) -> QueryPlan | None:
     return QueryPlan(ordered, "tiered", selective_ranks=selective)
 
 
+def sum_counts(vecs) -> np.ndarray:
+    """Σ of ragged phase-A cardinality vectors (per segment or per shard) —
+    a shorter vector contributes 0 to the levels it lacks."""
+    total = np.zeros(max((len(v) for v in vecs), default=0), dtype=np.int64)
+    for v in vecs:
+        total[: len(v)] += np.asarray(v, dtype=np.int64)
+    return total
+
+
 def decide_level(plan: QueryPlan, counts: np.ndarray, top_k: int) -> int:
     """Given the GLOBAL cumulative cardinality vector (Σ over segments of the
     phase-A counts), pick the inclusion level per the reference's cutoffs.
@@ -719,13 +728,9 @@ def run_stage1(
         # disjunctive plans — skips a whole fan-out in the executor)
         level = 1
     else:
-        count_vecs = [s.phase_a(plan) for s in searchers]
-        width = max((len(c) for c in count_vecs), default=0)
-        if width == 0:
+        total = sum_counts([s.phase_a(plan) for s in searchers])
+        if len(total) == 0:
             return []
-        total = np.zeros(width, dtype=np.int64)
-        for c in count_vecs:
-            total[: len(c)] += c
         level = decide_level(plan, total, top_k)
     per_seg = [s.phase_b(plan, level, top_k, avgdl) for s in searchers]
     return consolidate(merge_topk(per_seg, top_k))

@@ -66,11 +66,21 @@ def test_distributed_delete(dist_pair):
 
 
 def test_distributed_repeat_queries_speculative_path(dist_pair):
-    """Repeat queries exercise the fused speculative phase_ab round (the
-    level memo only activates on the second submission of a plan): results
-    must be bit-identical across three consecutive runs AND identical to the
+    """Every multi-level plan runs the fused speculative phase_ab round: a
+    cold plan guesses the session's last decided level (1 at the start,
+    clamped to the plan), a repeat plan its memoized level. Results must be
+    bit-identical across three consecutive runs AND identical to the
     in-process engine, whether the level guess hits or misses."""
     eng, deng = dist_pair
+    # cold pass: no memo entry, default level reset → first guess is 1
+    deng._level_memo.clear()
+    deng._default_level = 1
+    for q in QUERIES:
+        got = [(h.doc_key, round(h.score, 6), h.tiebreaker)
+               for h in deng.search(q, top_k=10)]
+        ref = [(h.doc_key, round(h.score, 6), h.tiebreaker)
+               for h in eng.search(q, top_k=10)]
+        assert got == ref, f"cold guess broke rank identity for {q!r}"
     for q in QUERIES:
         runs = [
             [(h.doc_key, round(h.score, 6), h.tiebreaker)
@@ -146,19 +156,6 @@ def test_fused_coverage_under_speculation_identity(dist_pair, monkeypatch):
             b = [(h.doc_key, round(h.score, 6), h.tiebreaker)
                  for h in deng.search(q, top_k=10)]
             assert a == b, (budget, q)
-
-
-def test_wm_prefetch_env_path_identity(dist_pair, monkeypatch):
-    """INFIDEX_WM_PREFETCH=1 re-enables the pre-stage-1 WordMatcher fan-out
-    (off by default since the fused protocol); results must be identical —
-    the prefetch only precomputes what cov_fused would compute inline."""
-    _, deng = dist_pair
-    for q in QUERIES:
-        monkeypatch.setenv("INFIDEX_WM_PREFETCH", "1")
-        a = [(h.doc_key, round(h.score, 6), h.tiebreaker) for h in deng.search(q, top_k=10)]
-        monkeypatch.setenv("INFIDEX_WM_PREFETCH", "0")
-        b = [(h.doc_key, round(h.score, 6), h.tiebreaker) for h in deng.search(q, top_k=10)]
-        assert a == b, f"prefetch toggle mismatch for {q!r}"
 
 
 def test_shard_actor_restart_mid_serving(dist_pair):
@@ -287,12 +284,11 @@ def test_distributed_get_document_and_statistics(ray_session, tmp_path):
         deng.shutdown()
 
 
-def test_one_rtt_rank_identity_full_page(ray_session, tmp_path, monkeypatch):
-    """The opt-in single-round protocol (INFIDEX_1RTT=1, fused_ab +
-    _coverage_from_stash) must be rank-identical to the two-round path on
-    a corpus whose stage-1 page is FULL (the stash-eligible regime), for
-    clean, typo, and repeated queries — and the stash must actually serve
-    (not silently fall back)."""
+def test_full_page_coverage_rank_identity(ray_session, tmp_path):
+    """On a corpus whose stage-1 page is FULL, the fused coverage round runs
+    with no speculative unique budget (spec_budget = 0): the distributed
+    engine must match the in-process engine on (doc, score) for clean,
+    typo, and repeated queries."""
     import ray.data
 
     from infidex_ray.build import build_index
@@ -306,37 +302,32 @@ def test_one_rtt_rank_identity_full_page(ray_session, tmp_path, monkeypatch):
         rows.append(
             {"doc_id": k, "text": f"shared corpus {body} tail{k % 13} u{k}"}
         )
-    out = str(tmp_path / "idx1rtt")
+    out = str(tmp_path / "idxfullpage")
     cfg = EngineConfig(target_docs_per_segment=200, coverage_depth=500)
     build_index(
         ray.data.from_items(rows), out, cfg,
         text_column="text", key_column="doc_id",
     )
+    eng = Engine.load(out)
     deng = DistributedEngine.connect(out, num_shards=2, warm=False)
     try:
-        served = {"n": 0}
-        orig = deng._coverage_from_stash
+        full_pages = {"n": 0}
+        orig = deng._coverage_fused
 
-        def counting(q, s1, cd, tk):
-            ok, res = orig(q, s1, cd, tk)
-            served["n"] += ok
-            return ok, res
+        def counting(q, s1, cd, tk, deadline=None):
+            full_pages["n"] += len(s1) >= cd
+            return orig(q, s1, cd, tk, deadline)
 
-        deng._coverage_from_stash = counting
+        deng._coverage_fused = counting
         panel = [
             "shared corpus", "alpha beta gamma", "corpus omega",
             "shraed corpus",  # typo → fuzzy terms
             "alpha beta gamma",  # repeat (warm level memo)
         ]
-        for q in panel:  # warm pass (level memo)
-            monkeypatch.setenv("INFIDEX_1RTT", "0")
-            deng.search(q, top_k=10)
         for q in panel:
-            monkeypatch.setenv("INFIDEX_1RTT", "0")
-            a = [(h.doc_key, h.score) for h in deng.search(q, top_k=10)]
-            monkeypatch.setenv("INFIDEX_1RTT", "1")
+            a = [(h.doc_key, h.score) for h in eng.search(q, top_k=10)]
             b = [(h.doc_key, h.score) for h in deng.search(q, top_k=10)]
             assert a == b, f"query {q!r}: {a[:4]} != {b[:4]}"
-        assert served["n"] >= 3  # the single-round path actually ran
+        assert full_pages["n"] >= 3  # the full-page fused round actually ran
     finally:
         deng.shutdown()

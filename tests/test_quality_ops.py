@@ -337,7 +337,9 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
     """The 3-round sharded protocol (global fuzzy dfs → global
     decide_level → phase-B merge in run_stage1's flatten order) must be
     rank- AND score-identical to whole-index stage-1 search, including
-    typo queries (fuzzy round) and tombstones (post-merge filter)."""
+    typo queries (fuzzy round), duplicate queries (one fuzzy df per
+    distinct query, one result set each) and tombstones (post-merge
+    filter)."""
     import ray.data
 
     from infidex_ray.build import build_index_local
@@ -383,6 +385,10 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
         "zephyrs vex",
         "sphinx quartz",
         "wolves quack",
+        "qick fux",  # duplicates: the typo query x3, another typo x2
+        "zephyrs vexx",
+        "qick fux",
+        "zephyrs vexx",
     ]
     qds = ray.data.from_arrow(pa.table({"query": pa.array(queries)}))
     for n_shards in (1, 3):  # degenerate single shard + uneven 2/1/1
