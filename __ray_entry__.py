@@ -345,8 +345,9 @@ def _q_batch_search_sharded(sf_dir: str):
     """Shard-parallel batch scoring (ops/batchsearch.py::
     batch_search_sharded): each actor holds only an index SHARD; the
     exact global stage-1 protocol (fuzzy-df round → decide_level round →
-    phase-B merge in run_stage1's flatten order) runs as three streaming
-    Dataset rounds. Same stage-1 panel oracle as search_topk_bm25."""
+    phase-B round merged per query like the serving executor) runs as
+    three streaming Dataset rounds. Same stage-1 panel oracle as
+    search_topk_bm25."""
     import ray.data
 
     from infidex_ray.ops.batchsearch import batch_search_sharded

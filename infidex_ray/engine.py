@@ -421,25 +421,47 @@ class Engine:
         return cls.load(extract_dir, cfg)
 
     # ----------------------------------------------------------------- search
-    def _fuzzy_global_df(self, text: str) -> int:
-        """Global cardinality of the LD1 union = Σ per-segment cardinalities
-        (segments are doc-disjoint; VectorModel.ExpandMissingTerm sums the
-        per-segment lists into one bitmap)."""
-        return sum(s.fuzzy_union(text)[1] for s in self.searchers)
+    def _fuzzy_global_df_batch(self, texts: list[str]) -> list[int]:
+        """Global cardinality of each term's LD1 union = Σ per-segment
+        cardinalities (segments are doc-disjoint; VectorModel.ExpandMissingTerm
+        sums the per-segment lists into one bitmap)."""
+        return [sum(s.fuzzy_union(t)[1] for s in self.searchers) for t in texts]
+
+    def prep_query(self, query_text: str) -> tuple[str, str | None]:
+        """search_ex's query prep: normalize, lower, synonym-canonicalize
+        (SearchEngine.cs:279-286), then route (QueryAnalyzer.cs:10-55).
+        Returns ``(q, tfidf_query)``; ``tfidf_query`` is the text stage 1
+        scores, or None when ``q`` is empty or no word reaches the min
+        index size (the short/single-char path)."""
+        from .analyzer import normalize_with
+
+        cfg = self.cfg
+        q = normalize_with(cfg.normalizer, query_text.strip(), is_query=True).lower()
+        if self.synonym_map is not None:
+            q = self.synonym_map.canonicalize_text(q, frozenset(cfg.delimiters))
+        if not q:
+            return q, None
+        can_ngrams, has_mixed, long_words_text = analyze_query(q, cfg)
+        if not can_ngrams:
+            return q, None
+        tfidf_query = long_words_text if has_mixed else q
+        return q, tfidf_query if tfidf_query.strip() else q
+
+    def plan(self, tfidf_query: str, fuzzy_df_batch) -> s1.QueryPlan | None:
+        """The stage-1 plan of a prepared query under this engine's global
+        stats. ``fuzzy_df_batch`` maps the query's unknown terms (df 0,
+        length ≥ 4) to their global LD1 union df in one call."""
+        infos = s1.prepare_query_terms(
+            tfidf_query, self.cfg, self.df_lookup, self.total_docs, self.avgdl,
+            fuzzy_df_batch,
+        )
+        return s1.build_plan(infos)
 
     def stage1(
         self, norm_lower_query: str, top_k: int
     ) -> list[tuple[float, int, int]]:
         """Stage-1 BM25 over all segments + heap merge + consolidation."""
-        infos = s1.prepare_query_terms(
-            norm_lower_query,
-            self.cfg,
-            self.df_lookup,
-            self.total_docs,
-            self.avgdl,
-            fuzzy_df_fn=self._fuzzy_global_df,
-        )
-        plan = s1.build_plan(infos)
+        plan = self.plan(norm_lower_query, self._fuzzy_global_df_batch)
         return s1.run_stage1(self.searchers, plan, top_k, self.avgdl)
 
     @property
@@ -484,16 +506,11 @@ class Engine:
             ms = max(0, min(int(timeout_ms), 10000))
             deadline = time.monotonic() + ms / 1000.0
         cfg = self.cfg
-        from .analyzer import normalize_with
-
-        q = normalize_with(cfg.normalizer, query_text.strip(), is_query=True).lower()
-        if self.synonym_map is not None:  # SearchEngine.cs:279-286
-            q = self.synonym_map.canonicalize_text(q, frozenset(cfg.delimiters))
+        q, tfidf_query = self.prep_query(query_text)
         if not q:
             return [], False
         coverage_on = cfg.enable_coverage if enable_coverage is None else enable_coverage
-
-        can_ngrams, has_mixed, long_words_text = analyze_query(q, cfg)
+        can_ngrams = tfidf_query is not None
         coverage_depth = cfg.coverage_depth
 
         # overlap hook: the distributed executor records the coverage query
@@ -508,9 +525,6 @@ class Engine:
                 stage1_results = self._run_short_query(q)
             stage1_results = s1.consolidate(stage1_results)
         else:
-            tfidf_query = long_words_text if has_mixed else q
-            if not tfidf_query.strip():
-                tfidf_query = q
             stage1_results = self.stage1(tfidf_query, coverage_depth)
 
         if self.deleted:  # soft-delete tombstones (TombstoneTracker semantics)
@@ -831,6 +845,39 @@ class Engine:
             if fc
         }
 
+    def bm25_terms(self, query_text: str, fuzzy_df_batch) -> tuple[list, list]:
+        """bm25_all_scores' term resolution: the query normalized and lowered
+        WITHOUT synonym canonicalization, tokenized with the default
+        tokenizer flags, each distinct term with its float64 idf. Terms
+        absent from the dictionary (df 0, length ≥ 4) take their LD1 union
+        df from ``fuzzy_df_batch`` (one call), or are dropped when it is
+        None. Returns ``(terms, fuzzy_terms)``, both (term, idf) lists."""
+        from .analyzer import normalize_with, tokenize_for_search
+
+        cfg = self.cfg
+        q = normalize_with(cfg.normalizer, query_text.strip(), is_query=True).lower()
+        tokens = sorted(
+            set(
+                tokenize_for_search(
+                    q, cfg.index_sizes, cfg.start_pad_size, cfg.stop_pad_size, cfg.delimiters
+                )
+            )
+        )
+        dfs = [self.df_lookup(t) for t in tokens]
+        need = [t for t, df in zip(tokens, dfs) if df == 0 and len(t) >= 4]
+        fuzzy_dfs = (
+            dict(zip(need, fuzzy_df_batch(need))) if need and fuzzy_df_batch else {}
+        )
+        terms, fuzzy_terms = [], []
+        for t, df in zip(tokens, dfs):
+            into = terms
+            if df == 0:
+                df, into = fuzzy_dfs.get(t, 0), fuzzy_terms
+            if 0 < df <= cfg.stop_term_limit:
+                idf = float(np.log((self.total_docs - df + 0.5) / (df + 0.5) + 1.0))
+                into.append((t, idf))
+        return terms, fuzzy_terms
+
     def bm25_all_scores(
         self,
         query_text: str,
@@ -843,41 +890,23 @@ class Engine:
         dictionary (df=0, len ≥ 4) contribute their LD1 virtual-term
         postings (tf=1, df = global union cardinality) exactly like
         stage-1's fuzzy expansion — the float64 mirror of the score the
-        search path accumulates in float32. Returns (doc_key, score) rows."""
-        from .analyzer import normalize_with, tokenize_for_search
+        search path accumulates in float32. Returns (doc_key, score) rows.
 
-        cfg = self.cfg
-        q = normalize_with(cfg.normalizer, query_text.strip(), is_query=True).lower()
-        tokens = sorted(
-            set(
-                tokenize_for_search(
-                    q, cfg.index_sizes, cfg.start_pad_size, cfg.stop_pad_size, cfg.delimiters
-                )
-            )
-        )
-        terms = []
-        fuzzy_terms = []
-        for t in tokens:
-            df = self.df_lookup(t)
-            if df == 0 and include_fuzzy and len(t) >= 4:
-                # fuzzy_df_overrides: a SHARD engine scoring with the
-                # INDEX-global LD1 union cardinality (its own sum covers
-                # only its segments — ops.batchsearch.batch_search_sharded
-                # round 1 supplies the global value)
-                fdf = (
-                    fuzzy_df_overrides[t]
-                    if fuzzy_df_overrides is not None and t in fuzzy_df_overrides
-                    else self._fuzzy_global_df(t)
-                )
-                if 0 < fdf <= cfg.stop_term_limit:
-                    idf = float(
-                        np.log((self.total_docs - fdf + 0.5) / (fdf + 0.5) + 1.0)
-                    )
-                    fuzzy_terms.append((t, idf))
-                continue
-            if 0 < df <= cfg.stop_term_limit:
-                idf = float(np.log((self.total_docs - df + 0.5) / (df + 0.5) + 1.0))
-                terms.append((t, idf))
+        ``fuzzy_df_overrides`` lets a SHARD engine score with INDEX-global
+        LD1 union dfs (its own sum covers only its segments):
+        ``ops.batchsearch.batch_search_sharded`` sums them across shards in
+        its first round, through this same ``bm25_terms`` probe."""
+        fuzzy = None
+        if include_fuzzy:
+            over = fuzzy_df_overrides or {}
+
+            def fuzzy(need):
+                return [
+                    over[t] if t in over else self._fuzzy_global_df_batch([t])[0]
+                    for t in need
+                ]
+
+        terms, fuzzy_terms = self.bm25_terms(query_text, fuzzy)
         out: list[tuple[int, float]] = []
         avgdl = self.avgdl if self.avgdl > 0 else 1.0
         for si, seg in enumerate(self.segments):

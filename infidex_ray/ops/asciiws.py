@@ -27,6 +27,18 @@ def split_ascii_ws(text: str) -> list[str]:
     return [w for w in ASCII_WS_RE.split(text) if w]
 
 
+def query_terms(text: str) -> list[str]:
+    """Sorted distinct tokens of one query string, ASCII-ws split and
+    lowered with Arrow ``utf8_lower`` — the same fold as the corpus side
+    (``flat_tokens_arrow(lower_text=True)``) and DuckDB ``lower``.
+    Python's ``str.lower`` differs: it folds "İ" to "i̇", Arrow to "i"."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    tokens = pa.array(split_ascii_ws(text or ""), pa.string())
+    return sorted(set(pc.utf8_lower(tokens).to_pylist()))
+
+
 def flat_tokens_arrow(col, lower_text: bool = False):
     """Batch tokenization kernel shared by percolate / snippets /
     spell_suggest: RE2 ASCII-ws split of a string column → ``(flat

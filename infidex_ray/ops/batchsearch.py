@@ -56,10 +56,7 @@ class _SearchActor:
                 out["rank"].append(r + 1)
                 out["doc_id"].append(hit.doc_key)
                 if self.score_mode == "float64_sql":
-                    s = smap[hit.doc_key]
-                    s = float(
-                        np.floor(abs(s) * 1e4 + 0.5) * np.sign(s) / 1e4
-                    )
+                    s = _round4(smap[hit.doc_key])
                 else:
                     s = float(hit.score)
                 out["score"].append(s)
@@ -122,125 +119,9 @@ def batch_search(
     )
 
 
-class _StatsOnly:
-    """Plan context from the index's STATS files only — no segment opens.
-
-    Everything the stage-1 plan pipeline needs before touching postings is
-    index-global: tokenizer config (manifest), term df (stats parquet),
-    total_docs/avgdl (stats.json), synonyms. Merge-stage actors use this
-    to rebuild plans and run ``decide_level`` without holding any shard."""
-
-    def __init__(self, index_dir: str):
-        import json
-        import os
-
-        from ..engine import config_from_manifest, load_df_lookup
-
-        with open(os.path.join(index_dir, "manifest.json")) as f:
-            manifest = json.load(f)
-        self.cfg = config_from_manifest(manifest)
-        self.df_lookup = load_df_lookup(index_dir, "df")
-        st = manifest["stats"]
-        self.total_docs = st["total_docs"]
-        self.avgdl = st["avg_doc_len"]
-        self.synonym_map = self.cfg.synonym_map()
-        self._delims = frozenset(self.cfg.delimiters)
-        tomb = os.path.join(index_dir, "tombstones.json")
-        self.deleted: frozenset = frozenset()
-        if os.path.exists(tomb):
-            with open(tomb) as f:
-                self.deleted = frozenset(json.load(f))
-
-    def norm_query(self, query_text: str) -> str:
-        """search_ex's query prep (engine.py:481-487): normalize, synonym
-        canonicalization, lower."""
-        from ..analyzer import normalize_with
-
-        q = normalize_with(
-            self.cfg.normalizer, (query_text or "").strip(), is_query=True
-        ).lower()
-        if self.synonym_map is not None:
-            q = self.synonym_map.canonicalize_text(q, self._delims)
-        return q
-
-    def stage1_query(self, q_norm: str) -> str | None:
-        """The tf-idf query text stage 1 scores, or None when the query
-        routes to the short/single-char path (engine.py:489-505) — out of
-        scope for the sharded stage-1 op."""
-        from ..engine import analyze_query
-
-        if not q_norm:
-            return None
-        can_ngrams, has_mixed, long_words_text = analyze_query(q_norm, self.cfg)
-        if not can_ngrams:
-            return None
-        t = long_words_text if has_mixed else q_norm
-        return t if t.strip() else q_norm
-
-    def fuzzy_probe_terms(self, tfidf_query: str) -> list[str]:
-        """Terms whose LD1 fuzzy df must be summed across shards: global
-        df == 0 and length ≥ 4 (stage1.prepare_query_terms:140-145)."""
-        from ..analyzer import tokenize_for_search
-
-        cfg = self.cfg
-        tokens = tokenize_for_search(
-            tfidf_query,
-            cfg.index_sizes,
-            cfg.start_pad_size,
-            cfg.stop_pad_size,
-            cfg.delimiters,
-            cfg.high_resolution_mode,
-        )
-        seen = []
-        done = set()
-        for t in tokens:
-            if t in done:
-                continue
-            done.add(t)
-            if len(t) >= 4 and self.df_lookup(t) == 0:
-                seen.append(t)
-        return seen
-
-    def bm25_probe_terms(self, raw_query: str) -> list[str]:
-        """Fuzzy probe terms under bm25_all_scores' OWN tokenization
-        (engine.py:818-833: normalize WITHOUT synonym canonicalization,
-        default tokenizer flags) — the float64_sql scorer can reach OOV
-        terms the stage-1 plan never probes (mixed-word drops, synonym
-        canonical forms), and a shard falling back to its LOCAL fuzzy df
-        for them would skew score64 with the shard count."""
-        from ..analyzer import normalize_with, tokenize_for_search
-
-        cfg = self.cfg
-        q = normalize_with(
-            cfg.normalizer, (raw_query or "").strip(), is_query=True
-        ).lower()
-        tokens = sorted(
-            set(
-                tokenize_for_search(
-                    q,
-                    cfg.index_sizes,
-                    cfg.start_pad_size,
-                    cfg.stop_pad_size,
-                    cfg.delimiters,
-                )
-            )
-        )
-        return [
-            t for t in tokens if len(t) >= 4 and self.df_lookup(t) == 0
-        ]
-
-    def plan(self, tfidf_query: str, fuzzy_map: dict):
-        from ..query import stage1 as s1
-
-        infos = s1.prepare_query_terms(
-            tfidf_query,
-            self.cfg,
-            self.df_lookup,
-            self.total_docs,
-            self.avgdl,
-            fuzzy_df_fn=lambda t: fuzzy_map.get(t, 0),
-        )
-        return s1.build_plan(infos)
+def _round4(v: float) -> float:
+    """Round half away from zero to 4 places (the SQL oracle's ``round``)."""
+    return float(np.floor(abs(v) * 1e4 + 0.5) * np.sign(v) / 1e4)
 
 
 def _fuzzy_json(fuzzy_map: dict) -> str:
@@ -255,64 +136,91 @@ def _fuzzy_from_json(s: str) -> dict:
     return dict(json.loads(s)) if s else {}
 
 
-class _ShardFuzzyActor:
-    """Round 1: per-shard LD1 fuzzy-union cardinalities for the probe
-    terms (global fuzzy df = Σ shard cardinalities — segments are
-    doc-disjoint, engine.py::_fuzzy_global_df)."""
+def _plan(eng, query: str, fuzzy_json: str):
+    """The query's stage-1 plan under round 1's global fuzzy dfs, or None
+    (short/single-char route, or no scorable term)."""
+    tfidf_query = eng.prep_query(query)[1]
+    if tfidf_query is None:
+        return None
+    fuzzy = _fuzzy_from_json(fuzzy_json)
+    return eng.plan(tfidf_query, lambda need: [fuzzy.get(t, 0) for t in need])
 
-    def __init__(self, index_dir: str, shard_indices: list):
+
+def _by_query(g: pa.Table, *ties: str):
+    """Yield ``(query, row indices)`` once per distinct query of ``g``, the
+    rows ordered by the ``ties`` columns within a query."""
+    qs = np.asarray(g["query"].to_pylist(), dtype=object)
+    if len(qs) == 0:
+        return
+    keys = [g[c].to_numpy(zero_copy_only=False) for c in reversed(ties)]
+    order = np.lexsort((*keys, qs))
+    sq = qs[order]
+    for idx in np.split(order, np.flatnonzero(sq[1:] != sq[:-1]) + 1):
+        yield qs[idx[0]], idx
+
+
+class _ShardActor:
+    """One index shard (a contiguous segment range), opened once per actor
+    — the shared state of the three :func:`batch_search_sharded` rounds."""
+
+    def __init__(self, index_dir: str, shard_indices: list, score_mode: str):
         from ..engine import Engine
 
         self.eng = Engine.load(index_dir, segment_indices=list(shard_indices))
-        self.stats = _StatsOnly(index_dir)
+        self.score_mode = score_mode
+
+
+class _ShardFuzzyActor(_ShardActor):
+    """Round 1: this shard's LD1 fuzzy-union cardinality of every unknown
+    term a query probes (global fuzzy df = Σ shard cardinalities —
+    segments are doc-disjoint, Engine._fuzzy_global_df_batch)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_t, out_c = [], [], []
+        out_q, out_f = [], []
         for raw in batch["query"].to_pylist():
-            tq = self.stats.stage1_query(self.stats.norm_query(raw))
-            if tq is None:
+            tfidf_query = self.eng.prep_query(raw)[1]
+            if tfidf_query is None:
                 continue
-            # union of the PLAN's probe set and the float64 scorer's —
-            # both tokenizations' OOV terms need the GLOBAL fuzzy df
-            probes = set(self.stats.fuzzy_probe_terms(tq))
-            probes.update(self.stats.bm25_probe_terms(raw))
-            for term in sorted(probes):
-                out_q.append(raw)
-                out_t.append(term)
-                out_c.append(
-                    sum(s.fuzzy_union(term)[1] for s in self.eng.searchers)
-                )
+            local: dict = {}
+
+            def probe(need):
+                cnts = self.eng._fuzzy_global_df_batch(need)
+                local.update(zip(need, cnts))
+                return cnts
+
+            # the probe set is whatever the hooks ask for: the plan's
+            # unknown terms and, for float64 scores, the SQL scorer's (its
+            # own tokenization reaches terms the plan never probes, and a
+            # shard's LOCAL fuzzy df for them would skew score64 with the
+            # shard count)
+            self.eng.plan(tfidf_query, probe)
+            if self.score_mode == "float64_sql":
+                self.eng.bm25_terms(raw, probe)
+            out_q.append(raw)
+            out_f.append(_fuzzy_json(local))
         return pa.table(
             {
                 "query": pa.array(out_q, pa.string()),
-                "term": pa.array(out_t, pa.string()),
-                "cnt": pa.array(out_c, pa.int64()),
+                "fuzzy_json": pa.array(out_f, pa.string()),
             }
         )
 
 
-class _ShardCountsActor:
-    """Round 2: per-shard cumulative candidate-set cardinalities for each
-    query's plan (stage1.SegmentStage1.phase_a), padded to 4 levels."""
-
-    def __init__(self, index_dir: str, shard_indices: list):
-        from ..engine import Engine
-
-        self.eng = Engine.load(index_dir, segment_indices=list(shard_indices))
-        self.stats = _StatsOnly(index_dir)
+class _ShardCountsActor(_ShardActor):
+    """Round 2: this shard's cumulative candidate-set cardinalities for
+    each query's plan (stage1.SegmentStage1.phase_a)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..query.stage1 import sum_counts
 
-        qs = batch["query"].to_pylist()
-        fj = batch["fuzzy_json"].to_pylist()
         out = {"query": [], "fuzzy_json": [], "counts": []}
-        for raw, f in zip(qs, fj):
-            tq = self.stats.stage1_query(self.stats.norm_query(raw))
-            if tq is None:
+        for raw, f in zip(
+            batch["query"].to_pylist(), batch["fuzzy_json"].to_pylist()
+        ):
+            plan = _plan(self.eng, raw, f)
+            if plan is None:
                 continue
-            plan = self.stats.plan(tq, _fuzzy_from_json(f))
-            if plan is None or plan.n_levels == 1:
+            if plan.n_levels == 1:
                 vec = []  # level fixed at 1, no cardinality round needed
             else:
                 vec = sum_counts([s.phase_a(plan) for s in self.eng.searchers]).tolist()
@@ -328,82 +236,64 @@ class _ShardCountsActor:
         )
 
 
-class _ShardScoreActor:
-    """Round 3: per-shard phase-B scoring at the globally decided level;
-    ships per-SEGMENT entry lists with (seg_id, pos) so the final merge
-    reproduces run_stage1's flatten order exactly."""
+# round-3 wire format: stage1.pack_topk's columns + the row's output score
+_PACKED_SCHEMA = pa.schema(
+    [
+        ("query", pa.string()),
+        ("score", pa.float64()),
+        ("key", pa.int64()),
+        ("tb", pa.int64()),
+        ("seg", pa.int64()),
+        ("lid", pa.int64()),
+        ("score64", pa.float64()),
+    ]
+)
+_PACKED = tuple(_PACKED_SCHEMA.names[1:])
 
-    def __init__(
-        self, index_dir: str, shard_indices: list, depth: int, score_mode: str
-    ):
-        from ..engine import Engine
 
-        self.eng = Engine.load(index_dir, segment_indices=list(shard_indices))
-        self.stats = _StatsOnly(index_dir)
-        self.depth = depth
-        self.score_mode = score_mode
+class _ShardScoreActor(_ShardActor):
+    """Round 3: phase B at the globally decided level on every segment of
+    the shard, merged to the shard's top-``coverage_depth``
+    (stage1.pack_topk) plus each row's output score (``score64``)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {
-            "query": [],
-            "seg_id": [],
-            "pos": [],
-            "score32": [],
-            "key": [],
-            "tb": [],
-            "score64": [],
-        }
+        from ..query import stage1 as s1
+
+        eng = self.eng
+        depth = eng.cfg.coverage_depth
+        qs, parts = [], []
         for raw, f, level in zip(
             batch["query"].to_pylist(),
             batch["fuzzy_json"].to_pylist(),
             batch["level"].to_pylist(),
         ):
-            qn = self.stats.norm_query(raw)
-            tq = self.stats.stage1_query(qn)
-            if tq is None:
-                continue
-            plan = self.stats.plan(tq, _fuzzy_from_json(f))
+            plan = _plan(eng, raw, f)
             if plan is None:
                 continue
-            smap = None
+            # tombstoned entries ship too — the engine filters AFTER the
+            # depth-truncating merge (Engine.search_ex), so filtering here
+            # would let live entries the whole-index path truncated away
+            # sneak back in; the final merge filters
+            packed = s1.pack_topk(
+                [s.phase_b(plan, int(level), depth, eng.avgdl) for s in eng.searchers],
+                depth,
+            )
             if self.score_mode == "float64_sql":
                 smap = dict(
-                    self.eng.bm25_all_scores(
-                        raw,
-                        include_fuzzy=True,
-                        fuzzy_df_overrides=_fuzzy_from_json(f),
+                    eng.bm25_all_scores(
+                        raw, include_fuzzy=True, fuzzy_df_overrides=_fuzzy_from_json(f)
                     )
                 )
-            for s in self.eng.searchers:
-                # NOTE: tombstoned entries ship too — the engine filters
-                # AFTER the depth-truncating merge (engine.py:509-510), so
-                # filtering here would let live entries the whole-index
-                # path truncated away sneak back in; final_merge filters.
-                entries = s.phase_b(plan, int(level), self.depth, self.stats.avgdl)
-                for pos, e in enumerate(entries):
-                    out["query"].append(raw)
-                    out["seg_id"].append(e[3])
-                    out["pos"].append(pos)
-                    out["score32"].append(np.float32(e[0]))
-                    out["key"].append(e[1])
-                    out["tb"].append(e[2])
-                    if smap is not None:
-                        v = smap[e[1]]
-                        out["score64"].append(
-                            float(np.floor(abs(v) * 1e4 + 0.5) * np.sign(v) / 1e4)
-                        )
-                    else:
-                        out["score64"].append(float(e[0]))
-        return pa.table(
-            {
-                "query": pa.array(out["query"], pa.string()),
-                "seg_id": pa.array(out["seg_id"], pa.int32()),
-                "pos": pa.array(out["pos"], pa.int32()),
-                "score32": pa.array(out["score32"], pa.float32()),
-                "key": pa.array(out["key"], pa.int64()),
-                "tb": pa.array(out["tb"], pa.int64()),
-                "score64": pa.array(out["score64"], pa.float64()),
-            }
+                s64 = np.array([_round4(smap[k]) for k in packed[1].tolist()])
+            else:
+                s64 = packed[0]
+            qs.extend([raw] * len(s64))
+            parts.append((*packed, s64))
+        if not parts:
+            return _PACKED_SCHEMA.empty_table()
+        cols = [np.concatenate(c) for c in zip(*parts)]
+        return pa.Table.from_arrays(
+            [pa.array(qs, pa.string()), *map(pa.array, cols)], schema=_PACKED_SCHEMA
         )
 
 
@@ -416,7 +306,6 @@ def batch_search_sharded(
     score_mode: str = "engine",
     concurrency=(1, 4),
     batch_size: int = 256,
-    num_merge_slices: int | None = None,
 ):
     """Shard-parallel batch scoring — the BIG-INDEX form of
     :func:`batch_search`: instead of every actor holding the whole index
@@ -426,18 +315,19 @@ def batch_search_sharded(
     whole-index ``Engine.search(q, enable_coverage=False)`` because the
     full global stage-1 protocol runs as three Dataset rounds — the same
     information flow as the serving executor, re-expressed as streaming
-    map_batches stages instead of per-query driver RTTs:
+    map_batches stages instead of per-query driver RTTs. Every round
+    prepares the query and builds its plan through the engine's own
+    ``Engine.prep_query`` / ``Engine.plan``:
 
     1. fuzzy round: per-shard LD1 union cardinalities for terms with
-       global df = 0 (summed per query — a shard-local fuzzy df would
-       change the PLAN, engine.py::_fuzzy_global_df);
+       global df = 0, summed per query (a shard-local fuzzy df would
+       change the PLAN, Engine._fuzzy_global_df_batch);
     2. counts round: per-shard ``phase_a`` candidate cardinalities →
        summed per query → ONE global ``decide_level`` (a shard-local
        level would change the candidate SET, stage1.py:200-223);
-    3. score round: per-shard ``phase_b`` at the decided level →
-       per-segment entry lists merged in run_stage1's exact flatten
-       order (entries carry (seg_id, pos)) → ``merge_topk`` +
-       ``consolidate`` per query.
+    3. score round: per-shard ``phase_b`` at the decided level, packed
+       to the shard's top-depth (``stage1.pack_topk``) → ``merge_packed``
+       per query, the serving executor's merge.
 
     Stage-1 scope only: queries that route to the short/single-char path
     (all words below the min index size) emit NO rows — run those
@@ -452,18 +342,19 @@ def batch_search_sharded(
     round; only O(probe terms), O(4 counts) and O(S × depth) entry rows
     per query ever cross; every merge is a coarse query-slice groupby
     (vectorized per-slice work, never a per-query Ray group)."""
-    import json as _json
-    import os as _os
+    import json
+    import os
 
+    import pyarrow.compute as pc
+
+    from ..engine import Engine, config_from_manifest
     from ..query import stage1 as s1
     from .dedup import _default_num_slices, _slice_hash_strings
 
     if score_mode not in ("engine", "float64_sql"):
         raise ValueError(f"unknown score_mode {score_mode!r}")
-    from ..engine import config_from_manifest
-
-    with open(_os.path.join(index_dir, "manifest.json")) as f:
-        manifest = _json.load(f)
+    with open(os.path.join(index_dir, "manifest.json")) as f:
+        manifest = json.load(f)
     n_segments = len(manifest["segments"])
     depth = config_from_manifest(manifest).coverage_depth
     if n_shards is None:
@@ -475,27 +366,47 @@ def batch_search_sharded(
         for i in range(n_shards)
         if bounds[i] < bounds[i + 1]
     ]
-    if num_merge_slices is None:
-        num_merge_slices = _default_num_slices()
+    num_slices = _default_num_slices()
 
-    def _union(dss):
-        out = dss[0]
-        for d in dss[1:]:
-            out = out.union(d)
-        return out
+    def fan_out(ds, actor):
+        """One actor pool per shard over ``ds``; the union of their rows."""
+        parts = [
+            ds.map_batches(
+                actor,
+                fn_constructor_args=(index_dir, sh, score_mode),
+                batch_format="pyarrow",
+                batch_size=batch_size,
+                concurrency=concurrency,
+            )
+            for sh in shards
+        ]
+        return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
-    def _q_slice(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "slice", pa.array(_slice_hash_strings(t["query"], num_merge_slices))
+    def per_query(ds, fn):
+        """``fn`` over coarse query slices: every row of a query meets in
+        one group."""
+
+        def add_slice(t: pa.Table) -> pa.Table:
+            return t.append_column(
+                "slice", pa.array(_slice_hash_strings(t["query"], num_slices))
+            )
+
+        return (
+            ds.map_batches(add_slice, batch_format="pyarrow")
+            .groupby("slice")
+            .map_groups(fn, batch_format="pyarrow")
         )
 
-    def query_text(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    stats: list = []  # per merge task: a zero-segment engine (global stats)
 
-        # null query rows coalesce to "" (sorted() in the merges cannot
-        # compare None to str; batch_search does the same)
-        q = pc.fill_null(t[query_col].cast(pa.string()), "")
-        return _q_slice(pa.table({"query": q}))
+    def stats_engine():
+        if not stats:
+            stats.append(Engine.load(index_dir, segment_indices=[]))
+        return stats[0]
+
+    def query_text(t: pa.Table) -> pa.Table:
+        # null query rows coalesce to "" (batch_search does the same)
+        return pa.table({"query": pc.fill_null(t[query_col].cast(pa.string()), "")})
 
     def distinct(g: pa.Table) -> pa.Table:
         return pa.table(
@@ -503,112 +414,49 @@ def batch_search_sharded(
         )
 
     # ONE row per distinct query before any fan-out: fuse_fuzzy sums one
-    # row per (shard, term), so a query repeated d times in the log would
+    # map per shard, so a query repeated d times in the log would
     # otherwise get d× its global fuzzy df
-    qmat = (
-        queries_ds.map_batches(query_text, batch_format="pyarrow")
-        .groupby("slice")
-        .map_groups(distinct, batch_format="pyarrow")
-        .materialize()
-    )
+    qmat = per_query(
+        queries_ds.map_batches(query_text, batch_format="pyarrow"), distinct
+    ).materialize()
 
     # ---- round 1: global fuzzy dfs --------------------------------------
-    fuzzy_rows = _union(
-        [
-            qmat.map_batches(
-                _ShardFuzzyActor,
-                fn_constructor_args=(index_dir, sh),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=concurrency,
-            )
-            for sh in shards
-        ]
-    )
-
-    def base_q(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "query": t["query"],
-                "term": pa.nulls(len(t), pa.string()),
-                "cnt": pa.nulls(len(t), pa.int64()),
-            }
-        )
-
-    with_base = fuzzy_rows.union(qmat.map_batches(base_q, batch_format="pyarrow"))
-
     def fuse_fuzzy(g: pa.Table) -> pa.Table:
-        """Per query: Σ cnt per term → fuzzy_json (base rows keep queries
-        with no probes present)."""
-        qs = np.asarray(g["query"].to_pylist(), dtype=object)
-        terms = g["term"].to_pylist()
-        cnts = g["cnt"].to_pylist()
-        agg: dict = {}
-        for q, t, c in zip(qs, terms, cnts):
-            m = agg.setdefault(q, {})
-            if t is not None:
-                m[t] = m.get(t, 0) + int(c)
-        keys = sorted(agg)
+        from collections import Counter
+
+        fj = g["fuzzy_json"].to_pylist()
+        out_q, out_f = [], []
+        for q, idx in _by_query(g):
+            total: Counter = Counter()
+            for t in idx:
+                total.update(_fuzzy_from_json(fj[t]))
+            out_q.append(q)
+            out_f.append(_fuzzy_json(total))
         return pa.table(
             {
-                "query": pa.array(keys, pa.string()),
-                "fuzzy_json": pa.array(
-                    [_fuzzy_json(agg[k]) for k in keys], pa.string()
-                ),
+                "query": pa.array(out_q, pa.string()),
+                "fuzzy_json": pa.array(out_f, pa.string()),
             }
         )
 
-    q_fuzzy = (
-        with_base.map_batches(_q_slice, batch_format="pyarrow")
-        .groupby("slice")
-        .map_groups(fuse_fuzzy, batch_format="pyarrow")
-        .materialize()
-    )
+    q_fuzzy = per_query(fan_out(qmat, _ShardFuzzyActor), fuse_fuzzy).materialize()
 
     # ---- round 2: global level decision ---------------------------------
-    counts_rows = _union(
-        [
-            q_fuzzy.map_batches(
-                _ShardCountsActor,
-                fn_constructor_args=(index_dir, sh),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=concurrency,
-            )
-            for sh in shards
-        ]
-    )
-    stats_ref = [None]  # per merge-actor lazy _StatsOnly
-
     def decide(g: pa.Table) -> pa.Table:
-        if stats_ref[0] is None:
-            stats_ref[0] = _StatsOnly(index_dir)
-        stats = stats_ref[0]
-        qs = np.asarray(g["query"].to_pylist(), dtype=object)
         fj = g["fuzzy_json"].to_pylist()
         cs = g["counts"].to_pylist()
-        order = np.argsort(qs, kind="stable")
         out_q, out_f, out_l = [], [], []
-        i = 0
-        while i < len(order):
-            j = i
-            while j < len(order) and qs[order[j]] == qs[order[i]]:
-                j += 1
-            vec = s1.sum_counts([cs[t] for t in order[i:j]])
-            q, f = qs[order[i]], fj[order[i]]
-            tq = stats.stage1_query(stats.norm_query(q))
-            if tq is not None:
-                plan = stats.plan(tq, _fuzzy_from_json(f))
-                if plan is not None:
-                    level = (
-                        1
-                        if plan.n_levels == 1
-                        else s1.decide_level(plan, vec, depth)
-                    )
-                    out_q.append(q)
-                    out_f.append(f)
-                    out_l.append(int(level))
-            i = j
+        for q, idx in _by_query(g):
+            f = fj[idx[0]]
+            plan = _plan(stats_engine(), q, f)
+            level = (
+                1
+                if plan.n_levels == 1
+                else s1.decide_level(plan, s1.sum_counts([cs[t] for t in idx]), depth)
+            )
+            out_q.append(q)
+            out_f.append(f)
+            out_l.append(int(level))
         return pa.table(
             {
                 "query": pa.array(out_q, pa.string()),
@@ -617,72 +465,24 @@ def batch_search_sharded(
             }
         )
 
-    q_level = (
-        counts_rows.map_batches(_q_slice, batch_format="pyarrow")
-        .groupby("slice")
-        .map_groups(decide, batch_format="pyarrow")
-        .materialize()
-    )
+    q_level = per_query(fan_out(q_fuzzy, _ShardCountsActor), decide).materialize()
 
-    # ---- round 3: phase B + exact merge ---------------------------------
-    hits = _union(
-        [
-            q_level.map_batches(
-                _ShardScoreActor,
-                fn_constructor_args=(index_dir, sh, depth, score_mode),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=concurrency,
-            )
-            for sh in shards
-        ]
-    )
-
-    merge_state = [None]  # lazy per-task tombstone set
-
+    # ---- round 3: phase B + packed merge --------------------------------
     def final_merge(g: pa.Table) -> pa.Table:
-        if merge_state[0] is None:
-            merge_state[0] = _StatsOnly(index_dir).deleted
-        deleted = merge_state[0]
-        qs = np.asarray(g["query"].to_pylist(), dtype=object)
-        seg = g["seg_id"].to_numpy(zero_copy_only=False)
-        pos = g["pos"].to_numpy(zero_copy_only=False)
-        s32 = g["score32"].to_numpy(zero_copy_only=False)
-        key = g["key"].to_numpy(zero_copy_only=False)
-        tb = g["tb"].to_numpy(zero_copy_only=False)
-        s64 = g["score64"].to_numpy(zero_copy_only=False)
+        deleted = stats_engine().deleted
+        cols = [g[c].to_numpy(zero_copy_only=False) for c in _PACKED]
         out = {"query": [], "rank": [], "doc_id": [], "score": []}
-        order = np.lexsort((pos, seg, qs))
-        i = 0
-        while i < len(order):
-            j = i
-            while j < len(order) and qs[order[j]] == qs[order[i]]:
-                j += 1
-            idx = order[i:j]  # run_stage1's flatten order: seg asc, pos asc
-            entries = [
-                (float(s32[t]), int(key[t]), int(tb[t]), int(seg[t]), -1)
-                for t in idx
-            ]
-            final = s1.consolidate(s1.merge_topk([entries], depth))
-            if deleted:  # engine filters AFTER the depth merge (:509-510)
+        # rows in (seg, lid) order: exactly-tied entries keep the
+        # whole-index flatten order through merge_packed's stable sort
+        for q, idx in _by_query(g, "seg", "lid"):
+            final = s1.merge_packed([[c[idx] for c in cols]], depth)
+            if deleted:  # the engine filters AFTER the depth merge
                 final = [e for e in final if e[1] not in deleted]
-            # score64 keyed by the FULL entry identity (key, seg, f32
-            # score, tb): a multi-chunk doc puts several rows per (key,
-            # seg) in idx and consolidate ranks by the BEST chunk — a
-            # plain (key, seg) map iterated pos-ascending would keep the
-            # WORST chunk's engine-mode score (entries are score-desc)
-            sc = {
-                (int(key[t]), int(seg[t]), float(s32[t]), int(tb[t])): float(
-                    s64[t]
-                )
-                for t in idx
-            }
             for r, e in enumerate(final[:top_k]):
-                out["query"].append(qs[order[i]])
+                out["query"].append(q)
                 out["rank"].append(r + 1)
                 out["doc_id"].append(e[1])
-                out["score"].append(sc[(e[1], e[3], e[0], e[2])])
-            i = j
+                out["score"].append(e[5])
         return pa.table(
             {
                 "query": pa.array(out["query"], pa.string()),
@@ -692,8 +492,4 @@ def batch_search_sharded(
             }
         )
 
-    return (
-        hits.map_batches(_q_slice, batch_format="pyarrow")
-        .groupby("slice")
-        .map_groups(final_merge, batch_format="pyarrow")
-    )
+    return per_query(fan_out(q_level, _ShardScoreActor), final_merge)

@@ -493,11 +493,9 @@ def spell_suggest(
     import pyarrow.compute as pc
     import ray
 
-    from .asciiws import split_ascii_ws
+    from .asciiws import query_terms
 
-    tokens = sorted(
-        {t.lower() for q in queries for t in split_ascii_ws(q or "")}
-    )
+    tokens = sorted({t for q in queries for t in query_terms(q)})
     if not tokens:
         raise ValueError("queries must contain at least one token")
     tok_bytes = [t.encode("utf-8") for t in tokens]

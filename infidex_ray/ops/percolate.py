@@ -31,14 +31,14 @@ def percolate(
     """Match every doc against the stored ``(query_id, query_text)`` list;
     returns ``(query_id, doc_id)`` rows for every query whose terms ALL
     appear in the doc's token set. Queries with no terms match nothing."""
-    from .asciiws import flat_tokens_arrow, split_ascii_ws, vocab_positions
+    from .asciiws import flat_tokens_arrow, query_terms, vocab_positions
 
     qids: list[int] = []
     qterms: list[list[str]] = []
     for qid, text in queries:
-        # ASCII-ws split (NOT str.split(): Unicode-whitespace divergence
-        # from the RE2 oracle — the round-3 driver-FAIL class)
-        terms = sorted({t.lower() for t in split_ascii_ws(text or "")})
+        # ASCII-ws split + Arrow case fold (NOT str.split()/str.lower():
+        # Unicode-whitespace and "İ" divergences from the SQL oracle)
+        terms = query_terms(text)
         if terms:
             qids.append(int(qid))
             qterms.append(terms)

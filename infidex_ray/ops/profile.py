@@ -31,7 +31,16 @@ def _exact_distinct(one, col_name: str, num_slices: int | None = None) -> int:
         num_slices = _default_num_slices()
 
     def uniq_partial(batch: pa.Table) -> pa.Table:
-        v = batch[col_name].drop_null().combine_chunks().unique()
+        v = batch[col_name].drop_null().combine_chunks()
+        if pa.types.is_floating(v.type):
+            # SQL count(DISTINCT) semantics: -0.0 == 0.0 and every NaN
+            # payload is one NaN — Arrow unique (and the bit mix below)
+            # keeps each apart
+            x = v.to_numpy(zero_copy_only=False)
+            x = np.where(np.isnan(x), np.nan, x)
+            x[x == 0] = 0.0
+            v = pa.array(x, v.type)
+        v = v.unique()
         # vectorized slice assignment (balance only — distinctness stays
         # on the real values): byte hash for strings, multiply-mix for
         # fixed-width numerics, str() fallback for exotic types

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .asciiws import flat_tokens_arrow, split_ascii_ws, vocab_positions
+from .asciiws import flat_tokens_arrow, query_terms, vocab_positions
 
 _WS_PAT = "[\t\n\x0b\x0c\r ]+"
 
@@ -39,7 +39,7 @@ def snippet_extract(
     start_token is 1-based."""
     import pyarrow.compute as pc
 
-    terms = sorted({t.lower() for t in split_ascii_ws(query or "")})
+    terms = query_terms(query)
     if not terms:
         raise ValueError("query must contain at least one token")
     if window < 1:

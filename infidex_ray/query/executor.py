@@ -75,11 +75,8 @@ class IndexShardActor:
         return self.engine.total_docs
 
     # ---- stage 1 ------------------------------------------------------
-    def fuzzy_df(self, text: str) -> int:
-        return sum(s.fuzzy_union(text)[1] for s in self.engine.searchers)
-
     def fuzzy_df_batch(self, texts: list[str]) -> list[int]:
-        return [self.fuzzy_df(t) for t in texts]
+        return self.engine._fuzzy_global_df_batch(texts)
 
     def phase_a(self, plan) -> list[int]:
         return s1.sum_counts([s.phase_a(plan) for s in self.engine.searchers]).tolist()
@@ -365,9 +362,6 @@ class DistributedEngine(Engine):
         return eng
 
     # ---- overridden primitives ---------------------------------------
-    def _fuzzy_global_df(self, text: str) -> int:
-        return sum(ray.get([a.fuzzy_df.remote(text) for a in self.actors]))
-
     def _fuzzy_global_df_batch(self, texts: list[str]) -> list[int]:
         """All unknown terms probed in ONE fan-out round (per-term rounds
         made a two-typo query pay two sequential ~30 ms RTTs). The coverage
@@ -404,12 +398,7 @@ class DistributedEngine(Engine):
         self._cov_q = q if coverage_likely else None
 
     def stage1(self, norm_lower_query: str, top_k: int):
-        infos = s1.prepare_query_terms(
-            norm_lower_query, self.cfg, self.df_lookup, self.total_docs, self.avgdl,
-            fuzzy_df_fn=self._fuzzy_global_df,
-            fuzzy_df_batch_fn=self._fuzzy_global_df_batch,
-        )
-        plan = s1.build_plan(infos)
+        plan = self.plan(norm_lower_query, self._fuzzy_global_df_batch)
         if plan is None:
             return []
         # plans pickle to ~1-2 KB / ~0.2 ms (profiled on the bench panel):

@@ -108,12 +108,14 @@ def prepare_query_terms(
     df_lookup,
     total_docs: int,
     avgdl: float,
-    fuzzy_df_fn=None,
     fuzzy_df_batch_fn=None,
 ) -> list[QueryTermInfo]:
     """Tokenize the (normalized+lowered) query, dedupe into unique terms with
     occurrence counts and global df, compute idf/maxScore
-    (VectorModel.SearchWithMaxScore gather phase, VectorModel.cs:376-530)."""
+    (VectorModel.SearchWithMaxScore gather phase, VectorModel.cs:376-530).
+    ``fuzzy_df_batch_fn`` maps every unknown term (global df 0, length ≥ 4)
+    to its LD1 union df in ONE call — a multi-typo query would otherwise
+    pay one fan-out RTT per unknown term on a distributed engine."""
     tokens = tokenize_for_search(
         query_text,
         cfg.index_sizes,
@@ -134,23 +136,10 @@ def prepare_query_terms(
 
     avgdl32 = np.float32(avgdl if avgdl > 0 else 1.0)
     dfs = [int(df_lookup(text) or 0) for text, _ in uniq]
-    # batch the fuzzy-df probes: a multi-typo query would otherwise pay one
-    # fan-out RTT PER unknown term on a distributed engine
+    need = [text for (text, _), df in zip(uniq, dfs) if df == 0 and len(text) >= 4]
     fuzzy_dfs: dict[str, int] = {}
-    if fuzzy_df_batch_fn is not None or fuzzy_df_fn is not None:
-        need = [
-            text
-            for (text, _), df in zip(uniq, dfs)
-            if df == 0 and len(text) >= 4
-        ]
-        if need:
-            if fuzzy_df_batch_fn is not None:
-                fuzzy_dfs = {
-                    t: int(v or 0)
-                    for t, v in zip(need, fuzzy_df_batch_fn(need))
-                }
-            else:
-                fuzzy_dfs = {t: int(fuzzy_df_fn(t) or 0) for t in need}
+    if need and fuzzy_df_batch_fn is not None:
+        fuzzy_dfs = {t: int(v or 0) for t, v in zip(need, fuzzy_df_batch_fn(need))}
     out: list[QueryTermInfo] = []
     for (text, occ), df in zip(uniq, dfs):
         is_fuzzy = False
@@ -460,23 +449,18 @@ def merge_packed(parts: list, k: int) -> list[tuple]:
     Equivalent to ``consolidate(merge_topk(...))`` — the lexsort is stable,
     so ties keep concatenation (= shard) order exactly like the tuple path,
     and first-occurrence-per-key on the rank-ordered top-k IS the
-    best-entry-per-key rule."""
+    best-entry-per-key rule. Columns after the five ``pack_topk`` ones
+    (a per-row payload) ride along into each kept tuple."""
     parts = [p for p in parts if p is not None and len(p[0])]
     if not parts:
         return []
-    sc = np.concatenate([p[0] for p in parts])
-    ky = np.concatenate([p[1] for p in parts])
-    tb = np.concatenate([p[2] for p in parts])
-    si = np.concatenate([p[3] for p in parts])
-    lid = np.concatenate([p[4] for p in parts])
+    cols = [np.concatenate(c) for c in zip(*parts)]
+    sc, ky, tb = cols[0], cols[1], cols[2]
     order = np.lexsort((ky, -tb, -sc))[:k]
-    sc, ky, tb, si, lid = sc[order], ky[order], tb[order], si[order], lid[order]
-    _, first = np.unique(ky, return_index=True)
+    _, first = np.unique(ky[order], return_index=True)
     first.sort()
-    return [
-        (float(sc[i]), int(ky[i]), int(tb[i]), int(si[i]), int(lid[i]))
-        for i in first
-    ]
+    keep = order[first]
+    return list(zip(*(c[keep].tolist() for c in cols)))
 
 
 def consolidate(entries: list[tuple]) -> list[tuple]:

@@ -99,7 +99,6 @@ def test_distributed_repeat_queries_speculative_path(dist_pair):
         nq = normalize(q).lower().strip()
         infos = s1.prepare_query_terms(
             nq, deng.cfg, deng.df_lookup, deng.total_docs, deng.avgdl,
-            fuzzy_df_fn=deng._fuzzy_global_df,
             fuzzy_df_batch_fn=deng._fuzzy_global_df_batch,
         )
         plan = s1.build_plan(infos)

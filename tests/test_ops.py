@@ -1134,6 +1134,24 @@ def test_profile_columns(ray_session):
     assert list(out.index) == ["doc_id", "lang", "v"]  # sorted
 
 
+def test_profile_columns_float_distinct_matches_duckdb(ray_session):
+    """n_distinct on floats is SQL count(DISTINCT): 0.0 and -0.0 are one
+    value, and so are NaNs with different payloads."""
+    import duckdb
+    import pyarrow as pa
+    import ray.data
+
+    from infidex_ray.ops.profile import profile_columns
+
+    nan_a, nan_b = np.array(
+        [0x7FF8000000000000, 0x7FF8000000000123], np.uint64
+    ).view(np.float64)
+    t = pa.table({"v": pa.array([0.0, -0.0, 1.0, nan_a, nan_b], pa.float64())})
+    want = duckdb.sql("SELECT count(DISTINCT v) FROM t").fetchone()[0]
+    out = profile_columns(ray.data.from_arrow(t), ["v"]).to_pandas()
+    assert out["n_distinct"].tolist() == [want] == [3]
+
+
 def test_frame_sample_fake_plumbing(ray_session):
     import ray.data
 

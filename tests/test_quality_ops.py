@@ -335,7 +335,7 @@ def test_batch_search_matches_serving_path(ray_session, tmp_path):
 
 def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
     """The 3-round sharded protocol (global fuzzy dfs → global
-    decide_level → phase-B merge in run_stage1's flatten order) must be
+    decide_level → per-shard packed top-k merged by merge_packed) must be
     rank- AND score-identical to whole-index stage-1 search, including
     typo queries (fuzzy round), duplicate queries (one fuzzy df per
     distinct query, one result set each) and tombstones (post-merge
@@ -363,9 +363,8 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
                 "five quacking zephyrs jolt my wax bed",
                 "the jay pig fox zebra and my wolves quack",
                 "waltz bad nymph for quick jigs vex",
-                # long doc: autosegments into multiple chunks — locks the
-                # (key, seg, score32, tb)-keyed score64 pick (a plain
-                # (key, seg) map kept the WORST chunk's engine score)
+                # long doc: autosegments into multiple chunks — the score
+                # must be the kept (best) chunk row's, not another chunk's
                 " ".join(
                     ["quick brown fox jumps high"] * 600
                 ),
@@ -389,8 +388,13 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
         "zephyrs vexx",
         "qick fux",
         "zephyrs vexx",
+        "a quick fox",  # mixed short/long: stage 1 scores "quick fox"
     ]
-    qds = ray.data.from_arrow(pa.table({"query": pa.array(queries)}))
+    # all-short and null rows route to the short path: no stage-1 rows
+    no_rows = ["ab", None]
+    qds = ray.data.from_arrow(
+        pa.table({"query": pa.array(queries + no_rows, pa.string())})
+    )
     for n_shards in (1, 3):  # degenerate single shard + uneven 2/1/1
         out = (
             batch_search_sharded(
@@ -399,6 +403,7 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
             .to_pandas()
             .sort_values(["query", "rank"])
         )
+        assert not out["query"].isin(["ab", ""]).any(), n_shards
         for q in queries:
             got = out[out["query"] == q]
             want = eng.search(q, top_k=5, enable_coverage=False)
@@ -411,6 +416,53 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
             assert got["score"].tolist() == pytest.approx(
                 [float(h.score) for h in want]
             ), (n_shards, q)
+
+    # float64 SQL scores: the shard engines must score with the global
+    # fuzzy dfs of the SQL scorer's own probe terms. The synonym makes
+    # "qick" one of them: the plan scores the canonical "quick", the SQL
+    # scorer the raw "qick". Without the long doc: its chunks push term
+    # dfs past total_docs, where the float64 idf goes negative and
+    # stage-1 hits fall out of bm25_all_scores, so both batch-search ops
+    # raise KeyError in this mode
+    from infidex_ray.ops.batchsearch import batch_search
+
+    idx = str(tmp_path / "shidx64")
+    build_index_local(
+        docs[:-1], idx, EngineConfig(synonyms=(("quick", "qick"),)), n_segments=4
+    )
+    Engine.load(idx).delete_documents([3])
+    ref = (
+        batch_search(
+            ray.data.from_arrow(pa.table({"query": pa.array(queries)})),
+            idx,
+            top_k=5,
+            enable_coverage=False,
+            score_mode="float64_sql",
+        )
+        .to_pandas()
+        .drop_duplicates(["query", "rank"])
+        .sort_values(["query", "rank"])
+    )
+    for n_shards in (1, 3):
+        out = (
+            batch_search_sharded(
+                qds,
+                idx,
+                n_shards=n_shards,
+                top_k=5,
+                score_mode="float64_sql",
+                concurrency=(1, 2),
+            )
+            .to_pandas()
+            .sort_values(["query", "rank"])
+        )
+        assert not out["query"].isin(["ab", ""]).any(), n_shards
+        for q in queries:
+            got = out[out["query"] == q]
+            want = ref[ref["query"] == q]
+            assert len(want), q
+            assert got["doc_id"].tolist() == want["doc_id"].tolist(), (n_shards, q)
+            assert got["score"].tolist() == want["score"].tolist(), (n_shards, q)
 
 
 def test_percolate_semantics(ray_session):
@@ -457,6 +509,33 @@ def test_percolate_semantics(ray_session):
         (11, 2),
         (11, 4),
         (14, 4),
+    ]
+
+
+def test_query_case_fold_matches_arrow(ray_session):
+    """Query terms fold case like the corpus side (Arrow utf8_lower, as
+    DuckDB lower): "İ" lowers to "i", not to Python's "i̇"."""
+    import ray.data
+
+    from infidex_ray.ops.fuzzy import spell_suggest
+    from infidex_ray.ops.percolate import percolate
+    from infidex_ray.ops.snippets import snippet_extract
+
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([0, 1], pa.int64()),
+                "text": pa.array(["İstanbul harbor view", "ankara station"]),
+            }
+        )
+    )
+    out = _df(percolate(ds, [(7, "İSTANBUL")]))
+    assert out[["query_id", "doc_id"]].values.tolist() == [[7, 0]]
+    out = _df(snippet_extract(ds, "İstanbul harbor", window=4))
+    assert out[["doc_id", "n_terms_matched"]].values.tolist() == [[0, 2]]
+    out = _df(spell_suggest(ds, ["İstanbol"], max_dist=1))
+    assert out[["token", "suggestion", "distance"]].values.tolist() == [
+        ["istanbol", "istanbul", 1]
     ]
 
 
