@@ -267,6 +267,15 @@ def config_from_manifest(manifest: dict) -> "EngineConfig":
     )
 
 
+def bm25_idf(total_docs: int, df: int) -> float:
+    """Float64 BM25 idf with stage 1's clamp (``stage1.compute_idf``): a
+    term whose df exceeds the doc count gets idf 0, not a negative one (df
+    can: each occurrence past weight saturation adds 1, Term.cs:87-113).
+    The SQL oracle's idf (``sqlgen._sql_idf``) applies the same rule."""
+    ratio = (total_docs - df + 0.5) / (df + 0.5)
+    return float(np.log(ratio + 1.0)) if ratio > 0 else 0.0
+
+
 def load_df_lookup(index_dir: str, base: str):
     """Open the vocab stats in any layout: single-file (local/test builds,
     ``stats/<base>.parquet``), a sharded directory (``stats/<base>/``), or
@@ -303,7 +312,6 @@ class Engine:
         self.total_docs = total_docs
         self.avgdl = avgdl
         self.searchers = [s1.SegmentStage1(s, cfg) for s in segments]
-        self._coverage = None
         self._wordmatchers = None
         self._seg_map = {s.seg_id: s for s in segments}
         self.synonym_map = cfg.synonym_map()
@@ -635,12 +643,134 @@ class Engine:
         self.total_docs = delta.total_docs
         self.avgdl = delta.avgdl
 
+    # ---------------------------------------------------------- coverage
+    # Per-shard budget of unique wm candidates scored speculatively in the
+    # coverage round. In-process the top-up is a local call, so nothing is
+    # speculated; the distributed engine speculates to save a round trip.
+    SPEC_UNIQUE_BUDGET = 0
+
     def _coverage_stage(self, q, stage1_results, coverage_depth, top_k, deadline=None):
+        """Coverage (SearchPipeline.ExecuteCoverageStage, :298-522) as one
+        round over this engine's shards (``pipeline.coverage_shard``) plus a
+        top-up round for the allowed unique wm candidates the first round
+        did not score. Every job list, the global unique cap and the
+        candidate index are built here; subclasses replace only the
+        transport (``_shard_of``, ``_coverage_round``, ``_coverage_top_up``,
+        ``_prescreen_keys``). Returns final entries or None (stage-1
+        fallback); raises DeadlineExceeded."""
         from .query import pipeline as qp
 
-        return qp.coverage_stage(
-            self, q, stage1_results, coverage_depth, top_k, deadline=deadline
+        top = stage1_results[:coverage_depth]
+        if self.cfg.coverage.enable_lexical_prescreen and top:
+            top = qp.lexical_prescreen(self, q, top)
+        ctx = self._ctx_for(q)
+        # candidate doc-key index: stage-1 docs first in rank order, then wm
+        # docs in ascending (si, lid) order (BuildDocumentKeyIndex, :524-545)
+        doc_index: dict[int, int] = {}
+        best_chunk: dict[int, tuple[int, int]] = {}
+        s1_jobs: dict[int, list] = {}
+        max_tfidf = top[0][0] if top else 1.0
+        for e in top:
+            assert len(e) >= 5 and e[3] >= 0 and e[4] >= 0, f"stage-1 entry without its chunk: {e}"
+            di = doc_index.setdefault(e[1], len(doc_index))
+            best_chunk.setdefault(e[1], (e[3], e[4]))
+            norm_bm25 = e[0] / max_tfidf if max_tfidf > 0 else 0.0
+            s1_jobs.setdefault(self._shard_of(e[3]), []).append((e[3], e[4], norm_bm25, di))
+        s1_slots = min(len(doc_index), qp.MEMO_HEIGHT)
+        # No speculation on a full stage-1 page (the overlap then ~always
+        # fills the depth, so every speculative job would be discarded), nor
+        # when wm-only docs take memo slots: their doc_index exists only
+        # after the global split, so they are scored in the top-up.
+        spec_budget = self.SPEC_UNIQUE_BUDGET
+        if len(top) >= coverage_depth or s1_slots < qp.MEMO_HEIGHT:
+            spec_budget = 0
+        outs = self._coverage_round(ctx, s1_jobs, coverage_depth, spec_budget, deadline)
+
+        # global unique cap: the first (coverage_depth − overlap) unique
+        # candidates of the shard-order concatenation (SearchPipeline.cs:371-397)
+        remaining = coverage_depth - sum(len(o[1]) for o in outs)
+        allowed: list[list] = []
+        for _n, _ov, unique, _res, _memo in outs:
+            take = max(0, min(remaining, len(unique)))
+            remaining -= take
+            allowed.append(unique[:take])
+        for _si, _lid, key in sorted(
+            [t for o in outs for t in o[1]] + [t for a in allowed for t in a],
+            key=lambda t: (t[0], t[1]),
+        ):
+            doc_index.setdefault(key, len(doc_index))
+        # A raw LCS over 255 is stored clamped, so on a long query the first
+        # job of a memo-slot doc reads a different LCS than its later jobs.
+        # A stage-1 memo-slot doc with allowed unique chunks is therefore
+        # scored again in the top-up, all its jobs in the reference order.
+        redo: set[int] = set()
+        if len(q) > 255:
+            redo = {doc_index[k] for a in allowed for *_, k in a} & set(range(s1_slots))
+
+        results: list = []
+        memo: dict[int, list[int]] = {}
+        top_up: dict[int, list] = {}
+        for ai, ((_n, ov, _un, res, m), un) in enumerate(zip(outs, allowed)):
+            # the shard's jobs in the reference order (overlapping, unique,
+            # stage-1; SearchPipeline.cs:351-447); the round scored all but
+            # the unique ones past its speculative prefix
+            s1 = s1_jobs.get(ai, [])
+            jobs = [(si, lid, 0.0, doc_index[k]) for si, lid, k in ov + un] + s1
+            spec_end = len(res) - len(s1)
+            # round results: overlapping, stage-1, then speculative unique
+            scored = res[: len(ov) + len(s1) + len(un)]
+            results.extend(r for r in scored if doc_index[r[1]] not in redo)
+            memo.update(m)
+            rest = [
+                j for p, j in enumerate(jobs)
+                if j[3] in redo or spec_end <= p < len(ov) + len(un)
+            ]
+            if rest:
+                top_up[ai] = rest
+        if top_up:
+            for res, m in self._coverage_top_up(ctx, top_up, best_chunk, deadline):
+                results.extend(res)
+                for di, entry in m.items():
+                    memo.setdefault(di, entry)
+        return qp.finalize_coverage(
+            self.cfg.coverage, results, memo, doc_index,
+            sum(o[0] for o in outs), coverage_depth, top_k,
         )
+
+    # coverage transport: this engine is a pool of one shard
+    def _shard_of(self, si: int) -> int:
+        return 0
+
+    def _ctx_for(self, q: str):
+        """The coverage query context (depends on q and the global stats)."""
+        from .query import coverage as cov
+
+        cfg = self.cfg
+        return cov.prepare_query(
+            q, cfg.coverage.min_word_size, frozenset(cfg.delimiters),
+            cfg.index_sizes, self.df_lookup, self.word_df, self.total_docs,
+            cfg.stop_term_limit,
+        )
+
+    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, deadline):
+        from .query import pipeline as qp
+
+        return [
+            qp.coverage_shard(self, ctx, s1_jobs.get(0, []), cap, spec_budget, deadline)
+        ]
+
+    def _coverage_top_up(self, ctx, jobs_by_shard, best_chunk, deadline):
+        from .query import pipeline as qp
+
+        return [
+            qp.process_candidates(self, ctx, jobs, best_chunk, deadline)
+            for jobs in jobs_by_shard.values()
+        ]
+
+    def _prescreen_keys(self, words, keys) -> set[int]:
+        from .query import pipeline as qp
+
+        return qp.segment_prescreen_keys(self.segments, words, keys)
 
     def _to_hits(self, entries: list[tuple[float, int, int]]) -> list[SearchHit]:
         return [SearchHit(score=e[0], doc_key=e[1], tiebreaker=e[2]) for e in entries]
@@ -874,8 +1004,7 @@ class Engine:
             if df == 0:
                 df, into = fuzzy_dfs.get(t, 0), fuzzy_terms
             if 0 < df <= cfg.stop_term_limit:
-                idf = float(np.log((self.total_docs - df + 0.5) / (df + 0.5) + 1.0))
-                into.append((t, idf))
+                into.append((t, bm25_idf(self.total_docs, df)))
         return terms, fuzzy_terms
 
     def bm25_all_scores(

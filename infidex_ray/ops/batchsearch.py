@@ -56,7 +56,7 @@ class _SearchActor:
                 out["rank"].append(r + 1)
                 out["doc_id"].append(hit.doc_key)
                 if self.score_mode == "float64_sql":
-                    s = _round4(smap[hit.doc_key])
+                    s = _round4(smap.get(hit.doc_key, 0.0))
                 else:
                     s = float(hit.score)
                 out["score"].append(s)
@@ -87,8 +87,9 @@ def batch_search(
 
     ``score_mode='engine'`` emits the serving path's float32 score;
     ``'float64_sql'`` re-derives scores via ``bm25_all_scores`` (the
-    SQL-surface float64 scorer, rounded half-away to 4) so the output
-    hash-matches the ``sqlgen.stage1_topk_sql`` oracle — use with
+    SQL-surface float64 scorer, rounded half-away to 4; 0.0 for a hit
+    no term scores positively) so the output hash-matches the
+    ``sqlgen.stage1_topk_sql`` oracle — use with
     ``enable_coverage=False`` (the coverage cascade is not
     SQL-expressible).
 
@@ -101,8 +102,8 @@ def batch_search(
         # RayTaskError
         raise ValueError(f"unknown score_mode {score_mode!r}")
     if score_mode == "float64_sql" and enable_coverage:
-        # the coverage cascade can surface wordmatch-only hits absent
-        # from bm25_all_scores (small corpora) → KeyError in the actor
+        # the coverage cascade has no float64 SQL counterpart (its
+        # wordmatch-only hits have no BM25 score at all)
         raise ValueError("score_mode='float64_sql' requires enable_coverage=False")
     return queries_ds.map_batches(
         _SearchActor,
@@ -284,7 +285,7 @@ class _ShardScoreActor(_ShardActor):
                         raw, include_fuzzy=True, fuzzy_df_overrides=_fuzzy_from_json(f)
                     )
                 )
-                s64 = np.array([_round4(smap[k]) for k in packed[1].tolist()])
+                s64 = np.array([_round4(smap.get(k, 0.0)) for k in packed[1].tolist()])
             else:
                 s64 = packed[0]
             qs.extend([raw] * len(s64))

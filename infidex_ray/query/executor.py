@@ -12,13 +12,12 @@ docmap, word-matcher tables, doc-prep caches — all per-actor state built in
   ``phase_b`` alone; any other plan runs one ``phase_ab`` round (counts plus
   speculative scoring at a guessed level) and a corrective ``phase_b`` round
   only when the global decision differs from the guess;
-* coverage: one ``cov_fused`` round (WordMatcher split + candidate scoring
-  per shard), plus a ``run_jobs`` top-up when the speculative unique budget
-  under-covers the global unique cap. The three-round ``wm_scan`` →
-  ``run_jobs`` path runs only where the fused round cannot be exact: the
-  lexical prescreen, no word matcher, fewer than 2 stage-1 hits, or a query
-  over 255 characters. Every doc's jobs land on the shard owning its
-  segment, preserving the reference's memo semantics;
+* coverage: one ``cov_fused`` round (``pipeline.coverage_shard``:
+  WordMatcher split + candidate scoring per shard), plus a ``run_jobs``
+  top-up for the allowed unique candidates the round did not score. The
+  driver half is ``Engine._coverage_stage``, shared with the in-process
+  engine; this class supplies only the fan-outs. Every doc's jobs land on
+  the shard owning its segment, preserving the reference's memo semantics;
 * short queries: per-shard scans with two small synchronization points
   (fuzzy-fallback gate, global max raw score); per-query scratch state stays
   inside the actor so only small aggregates cross the wire.
@@ -32,16 +31,32 @@ from __future__ import annotations
 
 import itertools
 import os
+import time
 
 import numpy as np
 import ray
 
 from ..config import EngineConfig
-from ..engine import Engine, load_df_lookup
-from . import coverage as cov
+from ..engine import Engine, config_from_manifest, load_df_lookup
 from . import pipeline as qp
 from . import shortquery as sq
 from . import stage1 as s1
+
+
+def _deadline(budget_s: float | None) -> float | None:
+    """Shard-side deadline from the remaining query budget at dispatch
+    (monotonic clocks are per-process, so the driver ships a relative
+    budget, not an absolute deadline)."""
+    return None if budget_s is None else time.monotonic() + budget_s
+
+
+def _budget_s(deadline: float | None) -> float | None:
+    if deadline is None:
+        return None
+    budget = deadline - time.monotonic()
+    if budget <= 0:
+        raise qp.DeadlineExceeded
+    return budget
 
 
 @ray.remote
@@ -49,8 +64,8 @@ class IndexShardActor:
     """Owns a contiguous slice of index segments; all per-segment state
     (mmap'd postings, docmap, word tables, LRU fuzzy cache) lives here."""
 
-    def __init__(self, index_dir: str, segment_indices: list[int]):
-        self.engine = Engine.load(index_dir, segment_indices=segment_indices)
+    def __init__(self, index_dir: str, segment_indices: list[int], cfg: EngineConfig):
+        self.engine = Engine.load(index_dir, cfg, segment_indices=segment_indices)
         self._sq_state: dict[str, tuple[dict, set]] = {}
 
     def set_deleted(self, keys) -> None:
@@ -107,101 +122,35 @@ class IndexShardActor:
         return counts, per
 
     # ---- coverage -----------------------------------------------------
-    def wm_scan(self, norm_query: str, tfidf_lids, cap: int):
-        return qp.wm_scan(self.engine, norm_query, tfidf_lids, cap)
-
     def cov_fused(self, ctx, packed):
-        """Fused coverage round: WordMatcher split + candidate scoring in ONE
-        actor RTT (the old protocol paid separate wm_scan and run_jobs
-        fan-outs; on a loaded host each 16-way fan-out costs 20-40 ms, so the
-        round count IS the latency floor).
+        """This shard's coverage round, ``pipeline.coverage_shard``: the
+        WordMatcher split and candidate scoring in ONE actor RTT (on a
+        loaded host each 16-way fan-out costs 20-40 ms, so the round count
+        IS the latency floor).
 
-        ``packed`` = (norm_query, s1_jobs, tfidf_lids, cap, spec_budget,
-        memo_keys, budget_s) as ONE tuple (fixed per-argument ``.remote()``
-        serialization cost — see phase_ab); ``ctx`` stays a top-level arg so
-        its ObjectRef auto-derefs.
-
-        ``s1_jobs`` = this shard's stage-1 jobs ``(si, lid, norm_bm25, di)``
-        in global rank order. The shard classifies its wm candidates against
-        ``tfidf_lids`` (its segments' stage-1 lids), then scores
-        ``[overlapping, stage-1]`` plus — speculatively, in a SECOND
-        ``process_candidates`` call with its own memo — the first
-        ``spec_budget`` unique wm candidates. The driver keeps speculative
-        results/memo only within the global ``coverage_depth − overlap``
-        unique cap, so ranks are identical to the unfused protocol by
-        construction (rank-identity goldens in tests/test_executor.py).
-
-        Memo-exactness notes (the 2-slot LCS/wordHits memo of
-        SearchPipeline.cs:492,517): all of a doc key's jobs are co-located on
-        the shard owning its segment, memo VALUES are chunk-independent
-        (lcs/word_hits derive from the best chunk's prep), and the driver
-        only enables this path for queries ≤ 255 chars, where the min(·,255)
-        store clamp is the identity — so write order across a key's jobs
-        cannot change any value. ``memo_keys`` maps the global top-2 doc keys
-        to their doc_index slots for candidates whose stage-1 entry carried
-        no (si, lid) location.
-
-        best_chunk needs no shipping: for any key this shard can see, the
-        stage-1 best chunk is in its OWN ``s1_jobs`` (all chunks of a source
-        doc live in one segment → one shard).
-
-        Returns (n_wm_total, overlapping, unique, n_spec_scored,
-        main_results, spec_results, main_memo, spec_memo), or ("timeout",)
-        when the budget expires mid-scan."""
-        import time as _time
-
-        norm_query, s1_jobs, tfidf_lids, cap, spec_budget, memo_keys, budget_s = packed
-        deadline = _time.monotonic() + budget_s if budget_s is not None else None
-        n_total, overlapping, unique = qp.wm_scan(
-            self.engine, norm_query, tfidf_lids, cap
-        )
-        key_di: dict[int, int] = dict(memo_keys)
-        best_chunk: dict[int, tuple[int, int]] = {}
-        for si, lid, _base, di in s1_jobs:
-            key = int(self.engine.seg_by_id(si).doc_keys[lid])
-            key_di[key] = di
-            best_chunk.setdefault(key, (si, lid))
-        jobs: list[tuple[int, int, float, int]] = []
-        for si, lid, key in overlapping:
-            jobs.append((si, lid, 0.0, key_di.get(key, -1)))
-        jobs.extend(s1_jobs)
+        ``packed`` = (s1_jobs, cap, spec_budget, budget_s) as ONE tuple
+        (fixed per-argument ``.remote()`` serialization cost — see
+        phase_ab); ``ctx`` stays a top-level arg so its ObjectRef
+        auto-derefs. Returns ("timeout",) when the budget expires mid-scan."""
+        s1_jobs, cap, spec_budget, budget_s = packed
         try:
-            results, memo = qp.process_candidates(
-                self.engine, ctx, jobs, best_chunk, deadline=deadline
+            return qp.coverage_shard(
+                self.engine, ctx, s1_jobs, cap, spec_budget, _deadline(budget_s)
             )
-            n_spec = min(len(unique), spec_budget)
-            spec_results: list = []
-            spec_memo: dict = {}
-            if n_spec:
-                spec_jobs = [
-                    (si, lid, 0.0, key_di.get(key, -1))
-                    for si, lid, key in unique[:n_spec]
-                ]
-                spec_results, spec_memo = qp.process_candidates(
-                    self.engine, ctx, spec_jobs, best_chunk, deadline=deadline
-                )
         except qp.DeadlineExceeded:
             return ("timeout",)
-        return (
-            n_total, overlapping, unique, n_spec,
-            results, spec_results, memo, spec_memo,
-        )
 
     def prescreen_keys(self, words, keys):
         """Shard-local posting-union ∩ candidates for the lexical prescreen."""
         return qp.segment_prescreen_keys(self.engine.segments, words, keys)
 
     def run_jobs(self, ctx, jobs, best_chunk, budget_s: float | None = None):
-        """budget_s = remaining query budget at dispatch (monotonic clocks
-        are per-process, so the driver ships a relative budget, not an
-        absolute deadline). Returns ("timeout", None) instead of raising so
-        the sentinel crosses the actor boundary cleanly."""
-        import time as _time
-
-        deadline = _time.monotonic() + budget_s if budget_s is not None else None
+        """Top-up scoring of ``jobs`` in order, with one memo. Returns
+        ("timeout", None) instead of raising so the sentinel crosses the
+        actor boundary cleanly."""
         try:
             return qp.process_candidates(
-                self.engine, ctx, jobs, best_chunk, deadline=deadline
+                self.engine, ctx, jobs, best_chunk, deadline=_deadline(budget_s)
             )
         except qp.DeadlineExceeded:
             return "timeout", None
@@ -300,15 +249,7 @@ class DistributedEngine(Engine):
         with open(os.path.join(index_dir, "manifest.json")) as f:
             manifest = json.load(f)
         if cfg is None:
-            c = manifest["config"]
-            cfg = EngineConfig(
-                index_sizes=tuple(c["index_sizes"]),
-                start_pad_size=c["start_pad_size"],
-                stop_pad_size=c["stop_pad_size"],
-                stop_term_limit=c["stop_term_limit"],
-                delimiters=tuple(c["delimiters"]),
-                enable_coverage=c.get("enable_coverage", True),
-            )
+            cfg = config_from_manifest(manifest)
         n_segments = len(manifest["segments"])
         if num_shards is None:
             num_shards = max(1, min(n_segments, int(ray.cluster_resources().get("CPU", 4)) - 1))
@@ -321,7 +262,7 @@ class DistributedEngine(Engine):
         actors = [
             IndexShardActor.options(
                 num_cpus=num_cpus_per_actor, max_restarts=-1
-            ).remote(index_dir, s.tolist())
+            ).remote(index_dir, s.tolist(), cfg)
             for s in slices
             if len(s)
         ]
@@ -452,29 +393,29 @@ class DistributedEngine(Engine):
             )
         return s1.merge_packed(per, top_k)
 
-    # per-shard speculative budget for unique wm candidates in the fused
-    # round: on real corpora overlap == coverage_depth so the unique cap is 0
-    # and nothing is wasted; on small corpora (tests) unique counts are tiny
-    # and the speculation keeps the round count at 2
+    # speculation saves the top-up round trip: on real corpora overlap ==
+    # coverage_depth, so the unique cap is 0 and nothing is wasted; on
+    # small corpora (tests) unique counts are tiny and the round count
+    # stays at 1
     SPEC_UNIQUE_BUDGET = 64
 
+    def _shard_of(self, si: int) -> int:
+        return self.shard_of_seg[si]
+
     def _ctx_for(self, q: str):
-        """Coverage query context + its object-store ref, cached for the
+        """Coverage query context, cached with its object-store ref for the
         current query. Depends only on (q, global stats) — NOT on stage-1
         results — so ``stage1`` builds it while the phase fan-out is in
         flight, taking ctx prep + ray.put off the critical path."""
         hit = getattr(self, "_ctx_cache", None)
-        if hit is not None and hit[0] == q:
-            return hit[1], hit[2]
-        cfg = self.cfg
-        ctx = cov.prepare_query(
-            q, cfg.coverage.min_word_size, frozenset(cfg.delimiters),
-            cfg.index_sizes, self.df_lookup, self.word_df, self.total_docs,
-            cfg.stop_term_limit,
-        )
-        ref = ray.put(ctx)
-        self._ctx_cache = (q, ctx, ref)
-        return ctx, ref
+        if hit is None or hit[0] != q:
+            ctx = super()._ctx_for(q)
+            hit = self._ctx_cache = (q, ctx, ray.put(ctx))
+        return hit[1]
+
+    def _ctx_ref(self, ctx):
+        hit = self._ctx_cache
+        return hit[2] if hit[1] is ctx else ray.put(ctx)
 
     def _overlap_ctx_prep(self) -> None:
         """Called by ``stage1`` right after submitting a fan-out round (the
@@ -483,219 +424,38 @@ class DistributedEngine(Engine):
         if q is not None:
             self._ctx_for(q)
 
-    def _coverage_stage(self, q, stage1_results, coverage_depth, top_k, deadline=None):
-        cfg = self.cfg
-        if (
-            cfg.enable_word_matcher
-            and not cfg.coverage.enable_lexical_prescreen
-            and len(stage1_results) >= 2
-            and len(q) <= 255  # min(lcs, 255) memo clamp is the identity
-        ):
-            return self._coverage_fused(
-                q, stage1_results, coverage_depth, top_k, deadline
-            )
-        return self._coverage_unfused(
-            q, stage1_results, coverage_depth, top_k, deadline
-        )
-
-    def _coverage_fused(self, q, stage1_results, coverage_depth, top_k, deadline=None):
-        """Two-RTT warm path: one fused wm+score round (see
-        IndexShardActor.cov_fused), plus a small second round ONLY when the
-        speculative unique budget under-covered the global unique cap."""
-        import time as _time
-
-        top = stage1_results[:coverage_depth]
-        ctx, ctx_ref = self._ctx_for(q)
-        by_seg = qp.tfidf_lids_by_seg(top)
-        doc_index: dict[int, int] = {}
-        for e in top:
-            if e[1] not in doc_index:
-                doc_index[e[1]] = len(doc_index)
-        memo_keys = {
-            key: di for key, di in doc_index.items() if di < qp.MEMO_HEIGHT
-        }
-        max_tfidf = top[0][0] if top else 1.0
-        jobs_by_shard: dict[int, list] = {ai: [] for ai in range(len(self.actors))}
-        for e in top:
-            if not (len(e) >= 5 and e[3] >= 0 and e[4] >= 0):
-                continue
-            si, lid = e[3], e[4]
-            norm_bm25 = e[0] / max_tfidf if max_tfidf > 0 else 0.0
-            jobs_by_shard[self.shard_of_seg[si]].append(
-                (si, lid, norm_bm25, doc_index[e[1]])
-            )
-        budget_s = None if deadline is None else deadline - _time.monotonic()
-        if budget_s is not None and budget_s <= 0:
-            raise qp.DeadlineExceeded
-        # speculation pays only when the unique cap (depth − overlap) can be
-        # big: with a FULL stage-1 page the overlap is ~always == depth on
-        # web-scale corpora (every top candidate contains a query word), so
-        # every speculative job would be discarded — skip them and let the
-        # rare partial-overlap query pay the small second round instead
-        spec_budget = 0 if len(top) >= coverage_depth else self.SPEC_UNIQUE_BUDGET
-        lids_by_shard: dict[int, dict] = {
-            ai: {} for ai in range(len(self.actors))
-        }
-        for si, lids in by_seg.items():
-            ai = self.shard_of_seg.get(si)
-            if ai is not None:
-                lids_by_shard[ai][si] = lids
+    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, deadline):
+        ctx_ref = self._ctx_ref(ctx)
+        budget_s = _budget_s(deadline)
         outs = ray.get(
             [
                 a.cov_fused.remote(
-                    ctx_ref,
-                    (
-                        q, jobs_by_shard[ai], lids_by_shard[ai],
-                        coverage_depth, spec_budget, memo_keys, budget_s,
-                    ),
+                    ctx_ref, (s1_jobs.get(ai, []), cap, spec_budget, budget_s)
                 )
                 for ai, a in enumerate(self.actors)
             ]
         )
-        n_wm_total = 0
-        overlapping: list = []
-        results: list = []
-        memo: dict[int, list[int]] = {}
-        per_shard: list = []
-        for o in outs:
-            if o[0] == "timeout":
-                raise qp.DeadlineExceeded
-            n_t, ov, un, n_spec, main_res, spec_res, main_memo, spec_memo = o
-            n_wm_total += n_t
-            overlapping.extend(ov)
-            results.extend(main_res)
-            memo.update(main_memo)
-            per_shard.append((un, n_spec, spec_res, spec_memo))
+        if any(o[0] == "timeout" for o in outs):
+            raise qp.DeadlineExceeded
+        return outs
 
-        # global unique cap = first (coverage_depth − overlap) of the
-        # shard-order concatenation (coverage_driver's unique[:wm_limit])
-        top_key_of_di = {di: key for key, di in memo_keys.items()}
-        remaining = max(0, coverage_depth - len(overlapping))
-        allowed_unique: list = []
-        missing_by_shard: dict[int, list] = {}
-        for ai, (un, n_spec, spec_res, spec_memo) in enumerate(per_shard):
-            take = min(remaining, len(un))
-            remaining -= take
-            allowed = un[:take]
-            allowed_unique.extend(allowed)
-            results.extend(spec_res[: min(take, n_spec)])
-            if take > n_spec:
-                missing_by_shard[ai] = [
-                    (si, lid, 0.0, -1) for si, lid, _k in un[n_spec:take]
-                ]
-            if spec_memo:
-                allowed_keys_shard = {k for _si, _lid, k in allowed}
-                for di, entry in spec_memo.items():
-                    if top_key_of_di.get(di) in allowed_keys_shard:
-                        memo.setdefault(di, entry)
-        if missing_by_shard:
-            budget_s = None if deadline is None else deadline - _time.monotonic()
-            if budget_s is not None and budget_s <= 0:
-                raise qp.DeadlineExceeded
-            # stage-1 best-chunk map for unique candidates whose KEY is a
-            # stage-1 doc via a different chunk (coverage text must be the
-            # stage-1 chunk's, SegmentProcessor.GetBestSegmentText)
-            best_chunk: dict[int, tuple[int, int]] = {}
-            for e in top:
-                if len(e) >= 5 and e[3] >= 0 and e[4] >= 0:
-                    best_chunk.setdefault(e[1], (e[3], e[4]))
-            bc_ref = ray.put(best_chunk)
-            outs2 = ray.get(
-                [
-                    self.actors[ai].run_jobs.remote(ctx_ref, js, bc_ref, budget_s)
-                    for ai, js in sorted(missing_by_shard.items())
-                ]
-            )
-            for res2, m2 in outs2:
-                if res2 == "timeout":
-                    raise qp.DeadlineExceeded
-                results.extend(res2)
-                memo.update(m2)
-
-        for _si, _lid, key in sorted(
-            overlapping + allowed_unique, key=lambda t: (t[0], t[1])
-        ):
-            if key not in doc_index:
-                doc_index[key] = len(doc_index)
-        return qp.finalize_coverage(
-            self.cfg.coverage, results, memo, doc_index, n_wm_total,
-            coverage_depth, top_k,
-        )
-
-    def _coverage_unfused(self, q, stage1_results, coverage_depth, top_k, deadline=None):
-        import time as _time
-
-        cfg = self.cfg
-        if cfg.coverage.enable_lexical_prescreen and stage1_results:
-            top = stage1_results[:coverage_depth]
-            words = qp.prescreen_words(cfg, q)
-            if words and all(self.df_lookup(w) > 0 for w in words):
-                keys = [e[1] for e in top]
-                parts = ray.get(
-                    [a.prescreen_keys.remote(words, keys) for a in self.actors]
-                )
-                hit = set().union(*parts) if parts else set()
-                if hit:
-                    filtered = [e for e in top if e[1] in hit]
-                    if filtered:
-                        stage1_results = filtered
-        wm_result = (0, [], [])
-        wm_refs = None
-        if cfg.enable_word_matcher:
-            top = stage1_results[:coverage_depth]
-            by_seg = qp.tfidf_lids_by_seg(top)
-            # ship each shard only its own segments' stage-1 lids; SUBMIT the
-            # round but don't block yet — the ctx prep + object-store put
-            # below overlap with the in-flight actor compute
-            wm_refs = [
-                a.wm_scan.remote(
-                    q,
-                    {
-                        si: lids
-                        for si, lids in by_seg.items()
-                        if self.shard_of_seg.get(si) == ai
-                    },
-                    coverage_depth,
-                )
-                for ai, a in enumerate(self.actors)
+    def _coverage_top_up(self, ctx, jobs_by_shard, best_chunk, deadline):
+        ctx_ref = self._ctx_ref(ctx)
+        budget_s = _budget_s(deadline)
+        bc_ref = ray.put(best_chunk)
+        outs = ray.get(
+            [
+                self.actors[ai].run_jobs.remote(ctx_ref, jobs, bc_ref, budget_s)
+                for ai, jobs in jobs_by_shard.items()
             ]
-        # shared per-query state goes through the object store once instead
-        # of being re-pickled into every shard's task args (and may already
-        # be cached from the stage-1 overlap hook)
-        ctx, ctx_ref = self._ctx_for(q)
-        if wm_refs is not None:
-            parts = ray.get(wm_refs)
-            n_total = sum(p[0] for p in parts)
-            overlapping = [t for p in parts for t in p[1]]
-            unique = [t for p in parts for t in p[2]]
-            wm_result = (n_total, overlapping, unique)
+        )
+        if any(res == "timeout" for res, _m in outs):
+            raise qp.DeadlineExceeded
+        return outs
 
-        def run_jobs(jobs, best_chunk):
-            by_shard: dict[int, list] = {}
-            for job in jobs:
-                by_shard.setdefault(self.shard_of_seg[job[0]], []).append(job)
-            items = sorted(by_shard.items())
-            budget_s = None if deadline is None else deadline - _time.monotonic()
-            if budget_s is not None and budget_s <= 0:
-                raise qp.DeadlineExceeded
-            bc_ref = ray.put(best_chunk)
-            outs = ray.get(
-                [
-                    self.actors[ai].run_jobs.remote(ctx_ref, js, bc_ref, budget_s)
-                    for ai, js in items
-                ]
-            )
-            results = []
-            memo: dict[int, list[int]] = {}
-            for res, m in outs:
-                if res == "timeout":
-                    raise qp.DeadlineExceeded
-                results.extend(res)
-                memo.update(m)
-            return results, memo
-
-        return qp.coverage_driver(
-            cfg, ctx, stage1_results, wm_result, coverage_depth, top_k, run_jobs
+    def _prescreen_keys(self, words, keys) -> set[int]:
+        return set().union(
+            *ray.get([a.prescreen_keys.remote(words, keys) for a in self.actors])
         )
 
     def _run_single_char(self, q: str, top_k: int):
@@ -758,9 +518,7 @@ class DistributedEngine(Engine):
         so re-running the whole query from scratch is rank-identical. The
         restart itself takes seconds (index reload), so retries back off
         until the pool is reachable again (bounded at ~30 s)."""
-        import time as _time
-
-        deadline = _time.monotonic() + 30.0
+        deadline = time.monotonic() + 30.0
         while True:
             try:
                 return super().search_ex(
@@ -770,9 +528,9 @@ class DistributedEngine(Engine):
                 ray.exceptions.RayActorError,
                 ray.exceptions.ActorUnavailableError,
             ):
-                if _time.monotonic() >= deadline:
+                if time.monotonic() >= deadline:
                     raise
-                _time.sleep(0.5)
+                time.sleep(0.5)
 
     def _prefetch_field_rows(self, keys) -> None:
         """ONE batched shard fan-out fetches every stored row the Query-API

@@ -11,11 +11,13 @@ src/Infidex/Scoring/SearchPipeline.cs:298-522):
 
 Distribution model: every candidate doc lives in exactly one doc-range
 segment (all chunks of a source doc stay in one segment), so per-candidate
-work is shard-local. The driver-side decisions (wm-candidate cap, candidate
-index order, truncation) are factored into ``coverage_driver`` which both the
-in-process engine and the actor-pool executor call; shards run
-``process_candidates`` over their job slices. Internal-id order =
-(global segment_index, local_id), deterministic from the manifest.
+work is shard-local. ``coverage_shard`` is one shard's half of the round
+(WordMatcher split + candidate scoring); ``Engine._coverage_stage`` is the
+one driver (job lists, global unique cap, top-up, candidate index order,
+truncation). The in-process engine is a pool of one shard that calls
+``coverage_shard`` directly; the actor-pool executor fans it out.
+Internal-id order = (global segment_index, local_id), deterministic from
+the manifest.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def _key_index_for(engine):
 def wm_scan(
     engine,
     norm_query: str,
-    tfidf_lids_by_seg: dict[int, "np.ndarray"],
+    s1_lids_by_seg: dict[int, list[int]],
     cap: int,
 ) -> tuple[int, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """WordMatcherLookup over this engine/shard's segments, split against the
@@ -129,12 +131,15 @@ def wm_scan(
     Only the first ``coverageDepth − overlap`` unique wm candidates are ever
     processed (SearchPipeline.cs:371-397), so everything beyond ``cap`` per
     shard is dropped HERE — candidate unions for common words cover most of
-    the corpus and must never leave the shard."""
+    the corpus and must never leave the shard. With the word matcher off
+    there are no candidates."""
     import numpy as np
 
     from ..analyzer import _word_splitter
 
     cfg = engine.cfg
+    if not cfg.enable_word_matcher:
+        return 0, [], []
     splitter = _word_splitter(cfg.delimiters)
     query_words = [w for w in splitter.split(norm_query) if w]
     n_total = 0
@@ -151,7 +156,7 @@ def wm_scan(
         n_total += len(ids)
         if not len(ids):
             continue
-        tf = tfidf_lids_by_seg.get(seg.seg_id)
+        tf = s1_lids_by_seg.get(seg.seg_id)
         if tf is not None and len(tf):
             mask = np.isin(ids, tf)
         else:
@@ -248,84 +253,45 @@ def process_candidates(
     return results, memo
 
 
-def tfidf_lids_by_seg(top: list[tuple], key_of_loc=None):
-    """Stage-1 candidate local ids grouped by segment id (the set actors
-    intersect wm candidates against)."""
-    import numpy as np
-
-    by_seg: dict[int, list[int]] = {}
-    for e in top:
-        if len(e) >= 5 and e[3] >= 0 and e[4] >= 0:
-            by_seg.setdefault(e[3], []).append(e[4])
-        elif key_of_loc:
-            loc = key_of_loc(e[1])
-            if loc is not None:
-                by_seg.setdefault(loc[0], []).append(loc[1])
-    return {si: np.asarray(v, dtype=np.int64) for si, v in by_seg.items()}
-
-
-def coverage_driver(
-    cfg,
+def coverage_shard(
+    engine,
     ctx: cov.CoverageContext,
-    stage1_results: list[tuple],
-    wm_result: tuple[int, list, list],
-    coverage_depth: int,
-    top_k: int,
-    run_jobs,
-    key_of_loc=None,
+    s1_jobs: list[tuple[int, int, float, int]],
+    cap: int,
+    spec_budget: int,
+    deadline: float | None = None,
 ):
-    """Driver-side coverage orchestration shared by the in-process engine and
-    the actor-pool executor. ``wm_result`` = (total wm candidates,
-    overlapping, capped unique) from ``wm_scan``; ``run_jobs(jobs,
-    best_chunk)`` executes ``process_candidates`` job lists (locally or
-    fanned out to shards) and returns (results, memo). Returns final entries
-    or None (stage-1 fallback)."""
-    setup = cfg.coverage
-    top = stage1_results[:coverage_depth]
-    n_wm_total, overlapping, unique = wm_result
+    """One shard's coverage round: WordMatcher split + candidate scoring
+    over the shard's segments, in one ``process_candidates`` call.
 
-    def entry_loc(e):
-        if len(e) >= 5 and e[3] >= 0 and e[4] >= 0:
-            return (e[3], e[4])
-        return key_of_loc(e[1]) if key_of_loc else None
+    ``s1_jobs`` = this shard's stage-1 jobs ``(si, lid, norm_bm25, di)`` in
+    global rank order. Their (si, lid) are the stage-1 chunks the wm
+    candidates are split against, and each key's first job names the chunk
+    its coverage text comes from (all chunks of a source doc live in one
+    segment, so the shard sees every chunk of its keys). The call scores
+    the overlapping candidates, then the stage-1 jobs, then the first
+    ``spec_budget`` unique candidates; the driver keeps the speculative
+    results only within the global ``coverage_depth − overlap`` unique cap.
 
+    Returns (n_wm_total, overlapping, unique, results, memo): ``results``
+    has one entry per job in that order; ``unique`` is capped at ``cap``.
+    Raises DeadlineExceeded when ``deadline`` passes mid-scan."""
+    lids_by_seg: dict[int, list[int]] = {}
+    key_di: dict[int, int] = {}
     best_chunk: dict[int, tuple[int, int]] = {}
-    for e in top:
-        loc = entry_loc(e)
-        if loc is not None:
-            best_chunk.setdefault(e[1], loc)
-    wm_limit = max(0, coverage_depth - len(overlapping))
-    unique = unique[:wm_limit]
-
-    # candidate doc-key index: stage-1 candidates first, then wm ids in
-    # ascending (si, lid) order (SearchPipeline.BuildDocumentKeyIndex,
-    # :524-545; truncation beyond the cap cannot touch the 2 memo slots)
-    doc_index: dict[int, int] = {}
-    for e in top:
-        if e[1] not in doc_index:
-            doc_index[e[1]] = len(doc_index)
-    wm_ids = sorted(overlapping + unique, key=lambda t: (t[0], t[1]))
-    for _si, _lid, key in wm_ids:
-        if key not in doc_index:
-            doc_index[key] = len(doc_index)
-
-    jobs: list[tuple[int, int, float, int]] = []
-    for si, lid, key in overlapping:
-        jobs.append((si, lid, 0.0, doc_index.get(key, -1)))
-    for si, lid, key in unique:
-        jobs.append((si, lid, 0.0, doc_index.get(key, -1)))
-    max_tfidf = top[0][0] if top else 1.0
-    for e in top:
-        loc = entry_loc(e)
-        if loc is None:
-            continue
-        norm_bm25 = e[0] / max_tfidf if max_tfidf > 0 else 0.0
-        jobs.append((loc[0], loc[1], norm_bm25, doc_index.get(e[1], -1)))
-
-    results, memo = run_jobs(jobs, best_chunk)
-    return finalize_coverage(
-        setup, results, memo, doc_index, n_wm_total, coverage_depth, top_k
-    )
+    for si, lid, _base, di in s1_jobs:
+        key = int(engine.seg_by_id(si).doc_keys[lid])
+        lids_by_seg.setdefault(si, []).append(lid)
+        key_di[key] = di
+        best_chunk.setdefault(key, (si, lid))
+    n_total, overlapping, unique = wm_scan(engine, ctx.query, lids_by_seg, cap)
+    jobs = [(si, lid, 0.0, key_di.get(key, -1)) for si, lid, key in overlapping]
+    jobs += s1_jobs
+    jobs += [
+        (si, lid, 0.0, key_di.get(key, -1)) for si, lid, key in unique[:spec_budget]
+    ]
+    results, memo = process_candidates(engine, ctx, jobs, best_chunk, deadline)
+    return n_total, overlapping, unique, results, memo
 
 
 def finalize_coverage(
@@ -337,8 +303,8 @@ def finalize_coverage(
     coverage_depth: int,
     top_k: int,
 ):
-    """Driver-side coverage epilogue shared by ``coverage_driver`` and the
-    executor's fused round: dedupe/sort scored candidates, then apply the
+    """Driver-side coverage epilogue: dedupe/sort scored candidates, then
+    apply the
     reference's truncation rule (ResultProcessor.CalculateTruncationIndex,
     src/Infidex/Scoring/ResultProcessor.cs:146-178). Returns final entries or
     None (stage-1 fallback)."""
@@ -426,45 +392,8 @@ def lexical_prescreen(engine, norm_query: str, top: list):
     for w in words:
         if engine.df_lookup(w) == 0:
             return top
-    keys = segment_prescreen_keys(engine.segments, words, [e[1] for e in top])
+    keys = engine._prescreen_keys(words, [e[1] for e in top])
     if not keys:
         return top
     filtered = [e for e in top if e[1] in keys]
     return filtered if filtered else top
-
-
-def coverage_stage(
-    engine, norm_query, stage1_results, coverage_depth, top_k, deadline=None
-):
-    """In-process coverage: the engine is one 'shard' holding every segment."""
-    cfg = engine.cfg
-    key_of_loc = lambda key: _key_index_for(engine).get(key)  # noqa: E731
-    top = stage1_results[:coverage_depth]
-    if cfg.coverage.enable_lexical_prescreen and top:
-        top = lexical_prescreen(engine, norm_query, top)
-        stage1_results = top
-    if cfg.enable_word_matcher:
-        wm_result = wm_scan(
-            engine, norm_query, tfidf_lids_by_seg(top, key_of_loc), coverage_depth
-        )
-    else:
-        wm_result = (0, [], [])
-
-    ctx = cov.prepare_query(
-        norm_query,
-        cfg.coverage.min_word_size,
-        frozenset(cfg.delimiters),
-        cfg.index_sizes,
-        engine.df_lookup,
-        engine.word_df,
-        engine.total_docs,
-        cfg.stop_term_limit,
-    )
-
-    def run_jobs(jobs, best_chunk):
-        return process_candidates(engine, ctx, jobs, best_chunk, deadline=deadline)
-
-    return coverage_driver(
-        cfg, ctx, stage1_results, wm_result, coverage_depth, top_k, run_jobs,
-        key_of_loc=key_of_loc,
-    )

@@ -491,6 +491,15 @@ ORDER BY n.doc_id
 """
 
 
+def _sql_idf(n: str, df: str) -> str:
+    """Float64 BM25 idf with the engine's clamp (``engine.bm25_idf``): 0
+    when df exceeds the doc count, never a negative or undefined log."""
+    return (
+        f"CASE WHEN {n} - {df} + 0.5 > 0 "
+        f"THEN ln(({n} - {df} + 0.5) / ({df} + 0.5) + 1.0) ELSE 0.0 END"
+    )
+
+
 def bm25_sql(query_tokens: list[str], table: str = "documents") -> str:
     """Full-corpus disjunctive BM25+ scores for a fixed token multiset
     (float64; the engine's oracle entry scores in float64 too)."""
@@ -517,7 +526,7 @@ df AS (
 scored AS (
   SELECT o.doc_id,
     sum(
-      ln((c.n - df.df + 0.5) / (df.df + 0.5) + 1.0) *
+      {_sql_idf("c.n", "df.df")} *
       ( (least(o.occ, 255)::DOUBLE * 2.2)
         / (least(o.occ, 255)::DOUBLE
            + 1.2 * (0.25 + 0.75 * (CASE WHEN d.dl <= 0 THEN 1.0 ELSE d.dl END) / c.avgdl))
@@ -582,7 +591,7 @@ def _stage1_query_ctes(
 {p}fzdf AS (SELECT term, count(*) AS df FROM {p}fzdocs GROUP BY term),
 {p}ts AS (
   SELECT t.term, t.df, t.is_fuzzy,
-         ln((c.n - t.df + 0.5) / (t.df + 0.5) + 1.0) AS idf
+         {_sql_idf("c.n", "t.df")} AS idf
   FROM (
     SELECT e.term,
            CASE WHEN e.df > 0 THEN e.df ELSE coalesce(f.df, 0) END AS df,

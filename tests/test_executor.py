@@ -311,13 +311,13 @@ def test_full_page_coverage_rank_identity(ray_session, tmp_path):
     deng = DistributedEngine.connect(out, num_shards=2, warm=False)
     try:
         full_pages = {"n": 0}
-        orig = deng._coverage_fused
+        orig = deng._coverage_stage
 
         def counting(q, s1, cd, tk, deadline=None):
             full_pages["n"] += len(s1) >= cd
             return orig(q, s1, cd, tk, deadline)
 
-        deng._coverage_fused = counting
+        deng._coverage_stage = counting
         panel = [
             "shared corpus", "alpha beta gamma", "corpus omega",
             "shraed corpus",  # typo → fuzzy terms
@@ -330,3 +330,190 @@ def test_full_page_coverage_rank_identity(ray_session, tmp_path):
         assert full_pages["n"] >= 3  # the full-page fused round actually ran
     finally:
         deng.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# One coverage round: the cases the round must handle exactly, compared with
+# the reference job order (SearchPipeline.ExecuteCoverageStage: overlapping,
+# unique, stage-1 jobs in ONE memo) on the final hits AND on every scored job.
+
+# one 280-char token; doc 100's first chunk holds only a 203-char prefix of
+# it (twice), so its LCS with the query is 259 > 255, while its later chunks
+# hold the whole token and are wm-only candidates of a memo-slot doc
+_LONG = "zebulon" * 40
+
+
+def _coverage_case(case, mini):
+    """(docs, build cfg, query cfg, queries) per case."""
+    from dataclasses import replace
+
+    from infidex_ray.autosegment import AutoSegmentSetup
+    from infidex_ray.config import EngineConfig
+
+    base = EngineConfig()
+    panel = ["quick fox", "batman", "the forest", "new york city", "qick fux"]
+    if case == "prescreen":
+        cov = replace(base.coverage, enable_lexical_prescreen=True)
+        return mini, base, replace(base, coverage=cov), panel + ["the fox", "not gold"]
+    if case == "no_word_matcher":
+        return mini, base, replace(base, enable_word_matcher=False), panel
+    if case == "few_stage1_hits":
+        # stop_term_limit 1 drops every gram shared by two docs from the
+        # stage-1 plan: 0 or 1 stage-1 hits, wm-only docs in the memo slots
+        cfg = EngineConfig(stop_term_limit=1)
+        return mini, cfg, cfg, ["the fox", "the city", "the forest", "new city", "the speeding"]
+    assert case == "long_query"
+    w = _LONG[:203]
+    docs = mini[:4] + [
+        (100, " ".join([w, w, "lorem", _LONG + "ia", "ipsum", _LONG + "ia", "dolor", _LONG + "ia"])),
+        (101, _LONG[:100] + " quartz"),
+        (102, "the zebulon"),
+    ]
+    cfg = EngineConfig(auto_segment=AutoSegmentSetup(target_segment_size=420))
+    return docs, cfg, cfg, [_LONG, _LONG[:270], "zebulon " + _LONG]
+
+
+def _reference_coverage(eng, text, top_k=10):
+    """Engine.search for a long-word query, its coverage stage written as
+    one process_candidates call over the reference job order."""
+    from infidex_ray.query import pipeline as qp
+    from infidex_ray.query.coverage import prepare_query
+
+    cfg = eng.cfg
+    q, tfidf_query = eng.prep_query(text)
+    depth = cfg.coverage_depth
+    s1_results = eng.stage1(tfidf_query, depth)
+    top = s1_results[:depth]
+    if cfg.coverage.enable_lexical_prescreen and top:
+        top = qp.lexical_prescreen(eng, q, top)
+    lids: dict = {}
+    for e in top:
+        lids.setdefault(e[3], []).append(e[4])
+    n_wm, ov, un = (0, [], [])
+    if cfg.enable_word_matcher:
+        n_wm, ov, un = qp.wm_scan(eng, q, lids, depth)
+    un = un[: max(0, depth - len(ov))]
+    doc_index: dict = {}
+    for e in top:
+        doc_index.setdefault(e[1], len(doc_index))
+    for _si, _lid, key in sorted(ov + un, key=lambda t: (t[0], t[1])):
+        doc_index.setdefault(key, len(doc_index))
+    best_chunk: dict = {}
+    for e in top:
+        best_chunk.setdefault(e[1], (e[3], e[4]))
+    mx = top[0][0] if top else 1.0
+    jobs = [(si, lid, 0.0, doc_index[key]) for si, lid, key in ov + un]
+    jobs += [(e[3], e[4], e[0] / mx if mx > 0 else 0.0, doc_index[e[1]]) for e in top]
+    ctx = prepare_query(
+        q, cfg.coverage.min_word_size, frozenset(cfg.delimiters), cfg.index_sizes,
+        eng.df_lookup, eng.word_df, eng.total_docs, cfg.stop_term_limit,
+    )
+    results, memo = qp.process_candidates(eng, ctx, jobs, best_chunk)
+    final = qp.finalize_coverage(
+        cfg.coverage, results, memo, doc_index, n_wm, depth, top_k
+    )
+    return eng._to_hits(final if final is not None else s1_results[:top_k])
+
+
+@pytest.mark.parametrize(
+    "case", ["prescreen", "no_word_matcher", "few_stage1_hits", "long_query"]
+)
+def test_coverage_round_cases_match_reference(
+    ray_session, minicorpus, tmp_path, monkeypatch, case
+):
+    """Each case the coverage round once left to a separate 3-round path —
+    lexical prescreen, no word matcher, fewer than 2 stage-1 hits, a query
+    over 255 characters — gives the reference's (doc, score, tiebreaker)
+    in-process and at 1, 2 and 3 shards, and the driver finalizes the same
+    scored jobs, memo and candidate index."""
+    from infidex_ray.query import pipeline as qp
+    from infidex_ray.query.executor import DistributedEngine
+
+    docs, build_cfg, cfg, queries = _coverage_case(case, minicorpus)
+    idx = str(tmp_path / case)
+    build_index_local(docs, idx, build_cfg, n_segments=4)
+    eng = Engine.load(idx, cfg)
+
+    finalized = []
+    finalize = qp.finalize_coverage
+
+    def spy(setup, results, memo, doc_index, *rest):
+        finalized.append((sorted(results), memo, doc_index))
+        return finalize(setup, results, memo, doc_index, *rest)
+
+    monkeypatch.setattr(qp, "finalize_coverage", spy)
+
+    def run(search, q):
+        finalized.clear()
+        hits = [(h.doc_key, h.score, h.tiebreaker) for h in search(q)]
+        assert len(finalized) == 1, q
+        return hits, finalized[0]
+
+    want = {q: run(lambda q: _reference_coverage(eng, q), q) for q in queries}
+    # the panel exercises its case
+    tops = {q: eng.stage1(eng.prep_query(q)[1], cfg.coverage_depth) for q in queries}
+    if case == "prescreen":
+        assert any(len(qp.lexical_prescreen(eng, q, t)) < len(t) for q, t in tops.items())
+    elif case == "few_stage1_hits":
+        assert {len(t) for t in tops.values()} == {0, 1}
+        assert all(len(want[q][1][2]) >= 2 for q in queries)
+    elif case == "long_query":
+        assert all(len(q) > 255 for q in queries)
+        # doc 100 (several chunks) holds a memo slot
+        assert any(want[q][1][2][100] < qp.MEMO_HEIGHT for q in queries)
+
+    for q in queries:
+        assert run(lambda q: eng.search(q, top_k=10), q) == want[q], q
+    for n in (1, 2, 3):
+        deng = DistributedEngine.connect(
+            idx, num_shards=n, cfg=cfg, num_cpus_per_actor=0.5
+        )
+        try:
+            for q in queries:
+                got = run(lambda q: deng.search(q, top_k=10), q)
+                assert got == want[q], (n, q)
+        finally:
+            deng.shutdown()
+
+
+def test_connect_config_reaches_every_shard(ray_session, tmp_path):
+    """The driver takes the manifest's synonyms, and the shards serve with
+    the caller's config: both must match the in-process engine."""
+    from dataclasses import replace
+
+    from infidex_ray.config import EngineConfig
+    from infidex_ray.query.executor import DistributedEngine
+
+    docs = [
+        (1, "car show tickets on sale"),
+        (2, "automobile show in the city hall"),
+        (3, "vintage car auction"),
+        (4, "the automobile club meeting"),
+        (5, "boat show downtown"),
+        (6, "show me the money"),
+    ]
+    idx = str(tmp_path / "syn")
+    build_index_local(
+        docs, idx, EngineConfig(synonyms=(("car", "automobile"),)), n_segments=2
+    )
+    base = Engine.load(idx).cfg
+    cfgs = [
+        None,
+        replace(
+            base,
+            enable_word_matcher=False,
+            coverage=replace(base.coverage, cover_whole_words=False),
+        ),
+    ]
+    for cfg in cfgs:
+        eng = Engine.load(idx, cfg)
+        deng = DistributedEngine.connect(
+            idx, num_shards=2, cfg=cfg, num_cpus_per_actor=0.5
+        )
+        try:
+            for q in ("automobile show", "car show", "automobil shw"):
+                a = [(h.doc_key, h.score, h.tiebreaker) for h in eng.search(q, top_k=10)]
+                b = [(h.doc_key, h.score, h.tiebreaker) for h in deng.search(q, top_k=10)]
+                assert a == b, (cfg is None, q, a, b)
+        finally:
+            deng.shutdown()

@@ -417,6 +417,42 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
                 [float(h.score) for h in want]
             ), (n_shards, q)
 
+    # float64 SQL scores over this index: the long doc pushes term dfs past
+    # total_docs, where the float64 idf is clamped to 0 like stage 1's, and
+    # a hit no term scores positively ("a quick fox", tombstoned doc 3 in
+    # the shards' packed rows) scores 0.0
+    from infidex_ray.ops.batchsearch import batch_search
+
+    ref = (
+        batch_search(
+            ray.data.from_arrow(pa.table({"query": pa.array(queries)})),
+            idx,
+            top_k=5,
+            enable_coverage=False,
+            score_mode="float64_sql",
+        )
+        .to_pandas()
+        .drop_duplicates(["query", "rank"])
+        .sort_values(["query", "rank"])
+    )
+    for n_shards in (1, 3):
+        out = (
+            batch_search_sharded(
+                qds, idx, n_shards=n_shards, top_k=5,
+                score_mode="float64_sql", concurrency=(1, 2),
+            )
+            .to_pandas()
+            .sort_values(["query", "rank"])
+        )
+        for q in queries:
+            got = out[out["query"] == q]
+            want = ref[ref["query"] == q]
+            assert got["doc_id"].tolist() == want["doc_id"].tolist(), (n_shards, q)
+            assert got["doc_id"].tolist() == [
+                h.doc_key for h in eng.search(q, top_k=5, enable_coverage=False)
+            ], (n_shards, q)
+            assert got["score"].tolist() == want["score"].tolist(), (n_shards, q)
+
     # float64 SQL scores: the shard engines must score with the global
     # fuzzy dfs of the SQL scorer's own probe terms. The synonym makes
     # "qick" one of them: the plan scores the canonical "quick", the SQL
