@@ -243,13 +243,16 @@ STAGE1_PANEL = [
 
 def _stage1_panel_tokens():
     """(query_text, search tokens) pairs for STAGE1_PANEL — the exact
-    normalize+tokenize the engine applies (Engine.search_ex)."""
+    normalize+tokenize the engine applies (Engine.search_ex), on the text
+    stage 1 scores (``stage1_text``: long words only for a mixed query)."""
     from infidex_ray.analyzer import normalize_with, tokenize_for_search
+    from infidex_ray.engine import stage1_text
 
     cfg = EngineConfig()
     out = []
     for q in STAGE1_PANEL:
         qn = normalize_with(cfg.normalizer, q.strip(), is_query=True).lower()
+        qn = stage1_text(qn, cfg) or qn
         out.append(
             (
                 q,

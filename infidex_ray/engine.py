@@ -110,6 +110,18 @@ def analyze_query(search_text: str, cfg: EngineConfig) -> tuple[bool, bool, str]
     return can, mixed, text
 
 
+def stage1_text(q: str, cfg: EngineConfig) -> str | None:
+    """The text stage 1 scores for the normalized, lowered query ``q``: its
+    long words alone when it mixes words under the min index size with
+    longer ones, else ``q``; None when no word reaches the min index size
+    (the short/single-char path). The float64 scorer and the SQL oracle
+    take their terms from the same text."""
+    can_ngrams, has_mixed, long_words_text = analyze_query(q, cfg)
+    if not can_ngrams:
+        return None
+    return long_words_text if has_mixed else q
+
+
 class DfLookup:
     """Global term-df lookup backed by the sorted stats/df.parquet table."""
 
@@ -449,11 +461,7 @@ class Engine:
             q = self.synonym_map.canonicalize_text(q, frozenset(cfg.delimiters))
         if not q:
             return q, None
-        can_ngrams, has_mixed, long_words_text = analyze_query(q, cfg)
-        if not can_ngrams:
-            return q, None
-        tfidf_query = long_words_text if has_mixed else q
-        return q, tfidf_query if tfidf_query.strip() else q
+        return q, stage1_text(q, cfg)
 
     def plan(self, tfidf_query: str, fuzzy_df_batch) -> s1.QueryPlan | None:
         """The stage-1 plan of a prepared query under this engine's global
@@ -977,15 +985,18 @@ class Engine:
 
     def bm25_terms(self, query_text: str, fuzzy_df_batch) -> tuple[list, list]:
         """bm25_all_scores' term resolution: the query normalized and lowered
-        WITHOUT synonym canonicalization, tokenized with the default
-        tokenizer flags, each distinct term with its float64 idf. Terms
-        absent from the dictionary (df 0, length ≥ 4) take their LD1 union
-        df from ``fuzzy_df_batch`` (one call), or are dropped when it is
-        None. Returns ``(terms, fuzzy_terms)``, both (term, idf) lists."""
+        WITHOUT synonym canonicalization, reduced to the text stage 1 scores
+        (``stage1_text``: long words only for a mixed query), tokenized with
+        the default tokenizer flags, each distinct term with its float64
+        idf. Terms absent from the dictionary (df 0, length ≥ 4) take their
+        LD1 union df from ``fuzzy_df_batch`` (one call), or are dropped when
+        it is None. Returns ``(terms, fuzzy_terms)``, both (term, idf)
+        lists."""
         from .analyzer import normalize_with, tokenize_for_search
 
         cfg = self.cfg
         q = normalize_with(cfg.normalizer, query_text.strip(), is_query=True).lower()
+        q = stage1_text(q, cfg) or q
         tokens = sorted(
             set(
                 tokenize_for_search(

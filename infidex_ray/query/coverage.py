@@ -1,7 +1,6 @@
 """Coverage stage (Stage 2): lexical matcher cascade + coverage scoring.
 
-Faithful re-implementation of the reference's coverage engine — these loops
-are order-dependent (greedy token consumption) and are ported literally:
+Re-implementation of the reference's coverage engine:
 
 * tokenization/dedup   — src/Infidex/Coverage/CoverageTokenizer.cs:7-108
 * whole-word matcher   — src/Infidex/Coverage/WholeWordMatcher.cs:5-68
@@ -16,12 +15,53 @@ Query text arrives normalized + lowercased (SearchEngine.Search); document
 text arrives normalized but NOT lowercased (SegmentProcessor.GetBestSegmentText)
 — all comparisons are case-insensitive (OrdinalIgnoreCase), implemented here by
 comparing 1:1-lowercased shadow strings that preserve offsets/lengths.
+
+Token-relation kernel. Every question the cascade and the fusion signals
+ask about a (query token, doc token) pair depends on the two strings only,
+and one query's candidates share most of their doc tokens. So
+``TokenRelations`` answers each question once per query and distinct
+lowered doc token, in tables filled the first time a candidate carries the
+token:
+
+* ``tokens`` — one int bit mask per doc token. Against each coverage query
+  token: equality, equality with a joined query pair, the prefix/suffix
+  pass-1 relation (prefix, suffix or infix either way) and "proper prefix
+  of a query token". Against each unfiltered (fusion) query token:
+  equality, "starts with" and stem evidence (a common prefix of at least
+  ``min_stem_length``). Per query: explained by no query token
+  (perfect doc), anchor stem, trailing-term match and the two-segment
+  prefix/suffix fragments.
+* ``prefix_fuzzy[i]`` — the pass-2 credit: ``damerau1`` on the doc token's
+  length-window prefixes against query token ``i``.
+* ``fuzzy(i, edits, ...)`` — the fuzzy matcher's ``damerau1``/``damerau``
+  distance at one edit budget, length window and first-char rule applied.
+* ``single`` — a doc token's single-term lexical similarity score.
+
+A candidate maps its tokens through ``tokens`` and ORs the masks, so each
+"any doc token" question of the matchers and the fusion signals is one bit
+test, and the perfect-doc, stem-evidence, anchor-stem, trailing-density and
+single-term signals run over the doc's distinct tokens (cached per doc in
+``prepare_doc``). The order-dependent loops keep the reference's order and
+their ``q_active``/``d_active`` bookkeeping: the first-match scans of the
+four matchers (query order; length-descending active tokens in the
+prefix/suffix passes; doc order per edit budget in the fuzzy matcher) and
+the first "starts with" doc token of a single-term query. A table only lets
+those scans skip tokens without the relation. Scores are bit-identical to
+the literal per-pair loops kept in tests/oracle.py
+(tests/test_coverage_kernel.py).
+
+The tables live for one candidate-scoring call (``pipeline.
+process_candidates``): they are never module state and never part of the
+``CoverageContext`` that crosses the wire.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from operator import or_
 
 from .metrics import damerau, damerau1
 
@@ -95,12 +135,217 @@ def dedupe_slices(slices: list[tuple[int, int]], low_text: str) -> list[tuple[in
     return out
 
 
+
+# --- token-relation kernel ---------------------------------------------------
+
+_ANCHOR_STEM_LENGTH = 3
+_MAX_TRAILING_TERM_LENGTH = 2
+_MIN_SEGMENT = 3  # two-segment heuristic fragment floor
+
+
+class _Memo(dict):
+    """A dict that computes a missing key's value with ``fn`` and keeps it,
+    so ``map(memo.__getitem__, keys)`` stays in C for every key seen before."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _prefix_fuzzy_credit(qt: str, dt: str):
+    """Pass-2 credit of doc token ``dt`` for query token ``qt``
+    (PrefixSuffixMatcher.cs:150-205): Damerau ≤ 1 on the doc token's
+    length-window prefixes. 0 = no match."""
+    q_len, d_len = len(qt), len(dt)
+    if q_len >= d_len:
+        return 0
+    dist = damerau1(qt, dt[:q_len])
+    if dist <= 1:
+        return max(q_len - dist, 0.1)
+    dist = damerau1(qt, dt[: q_len + 1])
+    if dist <= 1:
+        return max(q_len - dist, 0.1)
+    if q_len > 1:
+        dist = damerau1(qt, dt[: q_len - 1])
+        if dist <= 1:
+            return max(q_len - 1 - dist, 0.1)
+    return 0
+
+
+def _fuzzy_distance(qt: str, edit_dist: int, min_len: int, max_len: int, special_short: bool, dt: str) -> int:
+    """The fuzzy matcher's distance of doc token ``dt`` at one edit budget
+    (FuzzyWordMatcher.cs:95-130); -1 when the length window or the
+    two-char first-letter rule excludes it or it is over budget."""
+    d_len = len(dt)
+    if d_len > max_len or d_len < min_len:
+        return -1
+    if special_short and (not dt or dt[0] != qt[0]):
+        return -1
+    dist = damerau1(qt, dt) if edit_dist == 1 else damerau(qt, dt, edit_dist)
+    return dist if dist <= edit_dist else -1
+
+
+def _single_term_token_score(q: str, t: str) -> float:
+    """One doc token's score in ComputeSingleTermLexicalSimilarity
+    (FusionSignalComputer.cs:445-540); the doc's score is the max over its
+    tokens. ``q`` is the lowered query term, at least 3 chars."""
+    if len(t) < 2:
+        return 0.0
+    q_len = len(q)
+    idx = q.find(t)
+    if idx >= 0:
+        return (len(t) / q_len) * (1.0 - idx / q_len)
+    max_k = min(q_len, len(t))
+    best_k = 0
+    for length in range(max_k, 1, -1):
+        if q[q_len - length :] == t[:length]:
+            best_k = length
+            break
+    prefix_suffix_score = best_k / q_len if best_k > 0 else 0.0
+    fuzzy_score = 0.0
+    if len(t) <= 32:
+        dist = damerau(q, t, 2)
+        if dist <= 2:
+            fuzzy_score = (q_len - dist) / q_len
+    return max(prefix_suffix_score, fuzzy_score)
+
+
+class TokenRelations:
+    """One query's token-relation tables (see the module docstring). Built
+    per candidate-scoring call from the query context; the doc-token keys
+    are lowered token texts."""
+
+    def __init__(self, ctx, delimiters: frozenset[str], min_stem_length: int):
+        self.query = q = ctx.query
+        # coverage query tokens: min_word_size-filtered, deduped
+        self.q_texts = q_texts = [q[o : o + l] for o, l in ctx.tokens]
+        nc = len(q_texts)
+        self.q_len_order = sorted(range(nc), key=lambda i: -len(q_texts[i]))
+        self.q_joined = [q_texts[i] + q_texts[i + 1] for i in range(nc - 1)]
+        self.q_heads = frozenset(t[:k] for t in q_texts for k in range(1, len(t)))
+        # fusion query tokens: unfiltered, repeats kept
+        self.fq_slices = tokenize_slices(q, 0, delimiters)
+        self.fq_texts = fq = [q[o : o + l] for o, l in self.fq_slices]
+        nf = len(fq)
+
+        bits = (1 << k for k in itertools.count())
+
+        def take(n):
+            return [next(bits) for _ in range(n)]
+
+        self.b_eq, self.b_ps, self.b_join = take(nc), take(nc), take(len(self.q_joined))
+        self.b_feq, self.b_fstart, self.b_fstem = take(nf), take(nf), take(nf)
+        (self.b_head, self.b_unexplained, self.b_anchor, self.b_trail,
+         self.b_seg_prefix, self.b_seg_suffix) = take(6)
+        self.joined_bits: dict[str, int] = {}
+        for text, b in zip(self.q_joined, self.b_join):
+            self.joined_bits[text] = self.joined_bits.get(text, 0) | b
+
+        # fusion predicates (FusionSignalComputer.cs:53-178)
+        self.min_stem_length = min_stem_length
+        # stem evidence: multi-term queries, terms of min_stem_length or more
+        self.stem_terms = (
+            [i for i in range(nf) if len(fq[i]) >= min_stem_length] if nf >= 2 else []
+        )
+        self.stem_heads = [(fq[i][:min_stem_length], self.b_fstem[i]) for i in self.stem_terms]
+        self.preceding_eq = 0
+        for i in range(nf - 1):
+            if fq[i]:
+                self.preceding_eq |= self.b_feq[i]
+        self.anchor = (
+            fq[0][:_ANCHOR_STEM_LENGTH]
+            if nf and self.fq_slices[0][1] >= _ANCHOR_STEM_LENGTH
+            else None
+        )
+        self.trail = (
+            fq[-1] if nf >= 2 and 1 <= len(fq[-1]) <= _MAX_TRAILING_TERM_LENGTH else None
+        )
+        self.seg = None
+        self.single = None
+        if nf == 1 and len(fq[0]) >= 3:
+            self.single = _Memo(partial(_single_term_token_score, fq[0]))
+            q_len = len(fq[0])
+            if q_len >= 2 * _MIN_SEGMENT:
+                seg_len = min(2 * _MIN_SEGMENT, q_len // 2)
+                self.seg = (fq[0][:seg_len], fq[0][q_len - seg_len :])
+
+        self.tokens = _Memo(self._relate)
+        self.prefix_fuzzy = [_Memo(partial(_prefix_fuzzy_credit, t)) for t in q_texts]
+        self._fuzzy: dict[tuple[int, int], _Memo] = {}
+
+    def _relate(self, d: str) -> int:
+        """Bit mask of doc token ``d`` (module docstring)."""
+        mask = 0
+        d_len = len(d)
+        for q, b_eq, b_ps in zip(self.q_texts, self.b_eq, self.b_ps):
+            q_len = len(q)
+            if q_len == d_len:
+                if d == q:
+                    mask |= b_eq
+            elif q_len < d_len:
+                if d.startswith(q) or d.endswith(q) or (q_len >= 4 and q in d):
+                    mask |= b_ps
+            elif q.endswith(d):
+                mask |= b_ps
+        mask |= self.joined_bits.get(d, 0)
+        if d in self.q_heads:
+            mask |= self.b_head
+
+        explained = False
+        for q, b_feq, b_fstart in zip(self.fq_texts, self.b_feq, self.b_fstart):
+            if d.startswith(q):
+                mask |= b_fstart
+                if d_len == len(q):
+                    mask |= b_feq
+                explained = True
+            elif q.startswith(d):
+                explained = True
+        if not explained:
+            mask |= self.b_unexplained
+        if d_len >= self.min_stem_length:
+            head = d[: self.min_stem_length]
+            for q_head, b in self.stem_heads:
+                if q_head == head:
+                    mask |= b
+        if self.anchor is not None and d.startswith(self.anchor):
+            mask |= self.b_anchor
+        last = self.trail
+        if last is not None and (d.startswith(last) or (d_len > len(last) and last in d)):
+            mask |= self.b_trail
+        if self.seg is not None and d_len >= _MIN_SEGMENT:
+            prefix_frag, suffix_frag = self.seg
+            if d.startswith(prefix_frag) or prefix_frag.startswith(d):
+                mask |= self.b_seg_prefix
+            if d.endswith(suffix_frag) or suffix_frag.endswith(d):
+                mask |= self.b_seg_suffix
+        return mask
+
+    def fuzzy(self, i: int, edit_dist: int, min_len: int, max_len: int, special_short: bool) -> _Memo:
+        """Fuzzy-matcher distances of query token ``i`` at ``edit_dist``
+        (the window and the first-letter rule follow from ``i`` and
+        ``edit_dist``, so the pair keys the table)."""
+        table = self._fuzzy.get((i, edit_dist))
+        if table is None:
+            table = self._fuzzy[(i, edit_dist)] = _Memo(
+                partial(_fuzzy_distance, self.q_texts[i], edit_dist, min_len, max_len, special_short)
+            )
+        return table
+
+
 class MatchState:
-    """Mutable state threaded through the matcher cascade (MatchState.cs)."""
+    """Mutable state threaded through the matcher cascade (MatchState.cs)
+    for one candidate doc. ``recs`` are the doc tokens' relation masks,
+    ``rel_any`` their OR."""
 
     __slots__ = (
-        "d_texts", "q_texts",
-        "q_slices", "d_slices", "q_low", "d_low", "q_active", "d_active",
+        "rel", "q_texts", "d_texts", "d_slices", "d_order", "recs", "rel_any",
+        "q_active", "d_active",
         "term_matched_chars", "term_max_chars", "term_has_whole",
         "term_has_joined", "term_has_prefix", "term_first_pos", "term_idf",
         "q_count", "d_count", "doc_token_count",
@@ -108,18 +353,15 @@ class MatchState:
         "num_prefix_suffix", "penalty",
     )
 
-    def __init__(self, q_slices, d_slices, q_low, d_low, term_max_chars, term_idf, doc_token_count, d_texts=None):
-        self.q_slices = q_slices
+    def __init__(self, rel: TokenRelations, d_slices, d_texts, d_order, term_max_chars, term_idf, doc_token_count):
+        self.rel = rel
+        self.q_texts = rel.q_texts
         self.d_slices = d_slices
-        self.q_low = q_low
-        self.d_low = d_low
-        self.d_texts = (
-            d_texts
-            if d_texts is not None
-            else [d_low[o : o + l] for o, l in d_slices]
-        )
-        self.q_texts = [q_low[o : o + l] for o, l in q_slices]
-        self.q_count = len(q_slices)
+        self.d_texts = d_texts
+        self.d_order = d_order
+        self.recs = list(map(rel.tokens.__getitem__, d_texts))
+        self.rel_any = reduce(or_, self.recs, 0)
+        self.q_count = len(self.q_texts)
         self.d_count = len(d_slices)
         self.doc_token_count = doc_token_count
         self.q_active = [True] * self.q_count
@@ -138,29 +380,23 @@ class MatchState:
         self.num_prefix_suffix = 0.0
         self.penalty = 0
 
-    def q_text(self, i: int) -> str:
-        return self.q_texts[i]
 
-    def d_text(self, j: int) -> str:
-        return self.d_texts[j]
-
-
-# --- matchers (ported loops; order-dependence is part of the contract) -------
+# --- matchers (reference order; greedy consumption is part of the contract) --
 
 
 def match_whole_words(st: MatchState) -> None:
-    """WholeWordMatcher.Match (WholeWordMatcher.cs:5-68)."""
+    """WholeWordMatcher.Match (WholeWordMatcher.cs:5-68). Doc tokens are
+    distinct, so the first active equal token is THE equal token if active."""
+    b_eq = st.rel.b_eq
     p_increment = 1 if st.q_count > 1 else 0
     for i in range(st.q_count):
-        q_off, q_len = st.q_slices[i]
-        qt = st.q_text(i)
-        match_index = -1
-        for j in range(st.d_count):
-            if st.d_active[j] and st.d_slices[j][1] == q_len and st.d_text(j) == qt:
-                match_index = j
-                break
-        if match_index == -1:
+        if not st.rel_any & b_eq[i]:
             continue
+        qt = st.q_texts[i]
+        match_index = st.d_texts.index(qt)
+        if not st.d_active[match_index]:
+            continue
+        q_len = len(qt)
         st.word_hits += 1
         st.num_whole += q_len
         st.term_matched_chars[i] += q_len
@@ -170,10 +406,7 @@ def match_whole_words(st: MatchState) -> None:
         if st.term_first_pos[i] == -1 or pos < st.term_first_pos[i]:
             st.term_first_pos[i] = pos
         # penalty: doc token at position i differs from query token i
-        if st.d_count > i:
-            if st.d_slices[i][1] != q_len or st.d_text(i) != qt:
-                st.penalty += 1
-        else:
+        if i >= st.d_count or st.d_texts[i] != qt:
             st.penalty += 1
         if i < st.q_count - 1:
             st.num_whole += p_increment
@@ -182,33 +415,25 @@ def match_whole_words(st: MatchState) -> None:
 
 
 def match_joined_words(st: MatchState) -> None:
-    """JoinedWordMatcher.Match (JoinedWordMatcher.cs:5-135)."""
-    # query pair → single doc token
+    """JoinedWordMatcher.Match (JoinedWordMatcher.cs:5-135). A doc token of
+    length |q1|+|q2| that starts with q1 and ends with q2 IS q1+q2, and a
+    query token made of two doc tokens starts with the first one."""
+    rel = st.rel
+    q_active, d_active = st.q_active, st.d_active
+    # query pair → single doc token (the next active query token after an
+    # active i with active i+1 is i+1)
     for i in range(st.q_count - 1):
-        if not st.q_active[i] or not st.q_active[i + 1]:
+        if not q_active[i] or not q_active[i + 1]:
             continue
-        next_idx = -1
-        for k in range(i + 1, st.q_count):
-            if st.q_active[k]:
-                next_idx = k
-                break
-        if next_idx == -1:
-            break
-        q1_len = st.q_slices[i][1]
-        q2_len = st.q_slices[next_idx][1]
-        joined_len = q1_len + q2_len
-        q1t = st.q_text(i)
-        q2t = st.q_text(next_idx)
-        match_index = -1
-        for j in range(st.d_count):
-            if st.d_active[j] and st.d_slices[j][1] == joined_len:
-                dt = st.d_text(j)
-                if dt.startswith(q1t) and dt.endswith(q2t):
-                    match_index = j
-                    break
-        if match_index == -1:
+        if not st.rel_any & rel.b_join[i]:
             continue
-        st.num_joined += joined_len
+        match_index = st.d_texts.index(rel.q_joined[i])
+        if not d_active[match_index]:
+            continue
+        next_idx = i + 1
+        q1_len = len(st.q_texts[i])
+        q2_len = len(st.q_texts[next_idx])
+        st.num_joined += q1_len + q2_len
         st.word_hits += 2
         st.term_matched_chars[i] += q1_len
         st.term_has_joined[i] = True
@@ -220,35 +445,33 @@ def match_joined_words(st: MatchState) -> None:
         st.term_has_joined[next_idx] = True
         if st.term_first_pos[next_idx] == -1 or pos < st.term_first_pos[next_idx]:
             st.term_first_pos[next_idx] = pos
-        st.q_active[i] = False
-        st.q_active[next_idx] = False
-        st.d_active[match_index] = False
+        q_active[i] = False
+        q_active[next_idx] = False
+        d_active[match_index] = False
 
-    # doc pair → single query token
+    # doc pair → single query token; only a doc token that is a proper
+    # prefix of some query token can start one
+    b_head = rel.b_head
+    if not st.rel_any & b_head:
+        return
+    recs = st.recs
     for i in range(st.d_count - 1):
-        if not st.d_active[i]:
+        if not d_active[i] or not recs[i] & b_head:
             continue
         next_idx = -1
         for k in range(i + 1, st.d_count):
-            if st.d_active[k]:
+            if d_active[k]:
                 next_idx = k
                 break
         if next_idx == -1:
             break
-        d1_len = st.d_slices[i][1]
-        d2_len = st.d_slices[next_idx][1]
-        joined_len = d1_len + d2_len
-        d1t = st.d_text(i)
-        d2t = st.d_text(next_idx)
-        match_index = -1
-        for j in range(st.q_count):
-            if st.q_active[j] and st.q_slices[j][1] == joined_len:
-                qt = st.q_text(j)
-                if qt.startswith(d1t) and qt.endswith(d2t):
-                    match_index = j
-                    break
-        if match_index == -1:
+        joined = st.d_texts[i] + st.d_texts[next_idx]
+        if joined not in st.q_texts:
             continue
+        match_index = st.q_texts.index(joined)
+        if not q_active[match_index]:
+            continue
+        joined_len = len(joined)
         st.num_joined += joined_len
         st.word_hits += 1
         st.term_matched_chars[match_index] += joined_len
@@ -257,109 +480,80 @@ def match_joined_words(st: MatchState) -> None:
         pos = st.d_slices[i][0]
         if st.term_first_pos[match_index] == -1 or pos < st.term_first_pos[match_index]:
             st.term_first_pos[match_index] = pos
-        st.q_active[match_index] = False
-        st.d_active[i] = False
-        st.d_active[next_idx] = False
+        q_active[match_index] = False
+        d_active[i] = False
+        d_active[next_idx] = False
 
 
 def match_prefix_suffix(st: MatchState) -> None:
     """PrefixSuffixMatcher.Match (PrefixSuffixMatcher.cs:8-214): exact pass
     then fuzzy-prefix pass, both over length-descending active tokens
-    (stable sort = reference's insertion sort)."""
-    q_indices = sorted(
-        (i for i in range(st.q_count) if st.q_active[i]),
-        key=lambda i: -st.q_slices[i][1],
-    )
-    d_indices = sorted(
-        (j for j in range(st.d_count) if st.d_active[j]),
-        key=lambda j: -st.d_slices[j][1],
-    )
+    (stable sort = reference's insertion sort; the doc order is cached per
+    doc, the query order per query)."""
+    rel = st.rel
+    q_active, d_active = st.q_active, st.d_active
+    q_indices = [i for i in rel.q_len_order if q_active[i]]
+    d_indices = [j for j in st.d_order if d_active[j]]
+    q_texts, d_texts, recs = st.q_texts, st.d_texts, st.recs
 
     # pass 1: exact prefix / suffix / contains
     for i in q_indices:
-        if not st.q_active[i]:
+        bit = rel.b_ps[i]
+        if not q_active[i] or not st.rel_any & bit:
             continue
-        q_len = st.q_slices[i][1]
-        qt = st.q_text(i)
+        qt = q_texts[i]
+        q_len = len(qt)
         for j in d_indices:
-            if not st.d_active[j]:
+            if not d_active[j] or not recs[j] & bit:
                 continue
-            d_len = st.d_slices[j][1]
-            if q_len == d_len:
-                continue
-            dt = st.d_text(j)
-            is_match = False
+            dt = d_texts[j]
+            d_len = len(dt)
             is_prefix = False
-            match_score = 0.0
             if q_len < d_len:
                 if dt.startswith(qt):
                     match_score = q_len
-                    is_match = True
                     is_prefix = True
                 elif dt.endswith(qt):
                     match_score = max(1, q_len // 2)
-                    is_match = True
-                elif q_len >= 4 and qt in dt:
+                else:
                     match_score = q_len * 0.6
-                    is_match = True
             else:
-                if qt.endswith(dt):
-                    match_score = d_len
-                    is_match = True
-            if is_match:
-                st.num_prefix_suffix += match_score
-                st.word_hits += 1
-                st.term_matched_chars[i] += match_score
-                if is_prefix:
-                    st.term_has_prefix[i] = True
-                pos = st.d_slices[j][0]
-                if st.term_first_pos[i] == -1 or pos < st.term_first_pos[i]:
-                    st.term_first_pos[i] = pos
-                st.q_active[i] = False
-                st.d_active[j] = False
-                break
+                match_score = d_len
+            st.num_prefix_suffix += match_score
+            st.word_hits += 1
+            st.term_matched_chars[i] += match_score
+            if is_prefix:
+                st.term_has_prefix[i] = True
+            pos = st.d_slices[j][0]
+            if st.term_first_pos[i] == -1 or pos < st.term_first_pos[i]:
+                st.term_first_pos[i] = pos
+            q_active[i] = False
+            d_active[j] = False
+            break
 
     # pass 2: fuzzy prefix (Damerau ≤1 on length-window prefixes of doc token)
     for i in q_indices:
-        if not st.q_active[i]:
+        if not q_active[i]:
             continue
-        q_len = st.q_slices[i][1]
-        qt = st.q_text(i)
+        q_len = len(q_texts[i])
         if not (q_len >= 4 or (i == st.q_count - 1 and q_len >= 2)):
             continue
+        credits = list(map(rel.prefix_fuzzy[i].__getitem__, d_texts))
+        if not any(credits):
+            continue
         for j in d_indices:
-            if not st.d_active[j]:
+            match_score = credits[j]
+            if not match_score or not d_active[j]:
                 continue
-            d_len = st.d_slices[j][1]
-            if q_len >= d_len:
-                continue
-            dt = st.d_text(j)
-            is_match = False
-            match_score = 0.0
-            dist = damerau1(qt, dt[:q_len])
-            if dist <= 1:
-                match_score = max(q_len - dist, 0.1)
-                is_match = True
-            elif d_len > q_len:
-                dist = damerau1(qt, dt[: q_len + 1])
-                if dist <= 1:
-                    match_score = max(q_len - dist, 0.1)
-                    is_match = True
-                elif q_len > 1:
-                    dist = damerau1(qt, dt[: q_len - 1])
-                    if dist <= 1:
-                        match_score = max(q_len - 1 - dist, 0.1)
-                        is_match = True
-            if is_match:
-                st.num_prefix_suffix += match_score
-                st.word_hits += 1
-                st.term_matched_chars[i] += match_score
-                pos = st.d_slices[j][0]
-                if st.term_first_pos[i] == -1 or pos < st.term_first_pos[i]:
-                    st.term_first_pos[i] = pos
-                st.q_active[i] = False
-                st.d_active[j] = False
-                break
+            st.num_prefix_suffix += match_score
+            st.word_hits += 1
+            st.term_matched_chars[i] += match_score
+            pos = st.d_slices[j][0]
+            if st.term_first_pos[i] == -1 or pos < st.term_first_pos[i]:
+                st.term_first_pos[i] = pos
+            q_active[i] = False
+            d_active[j] = False
+            break
 
 
 def all_terms_fully_matched(st: MatchState) -> bool:
@@ -371,10 +565,11 @@ def all_terms_fully_matched(st: MatchState) -> bool:
 
 def match_fuzzy_words(st: MatchState, setup: CoverageParams) -> None:
     """FuzzyWordMatcher.Match (FuzzyWordMatcher.cs:14-133)."""
+    q_active, d_active = st.q_active, st.d_active
     max_query_length = 0
     for i in range(st.q_count):
-        if st.q_active[i] and st.q_slices[i][1] > max_query_length:
-            max_query_length = st.q_slices[i][1]
+        if q_active[i] and len(st.q_texts[i]) > max_query_length:
+            max_query_length = len(st.q_texts[i])
     if max_query_length == 0:
         return
 
@@ -392,12 +587,12 @@ def match_fuzzy_words(st: MatchState, setup: CoverageParams) -> None:
         return
 
     for edit_dist in range(1, max_edit_dist + 1):
-        if not any(st.q_active[: st.q_count]):
+        if not any(q_active):
             break
         for i in range(st.q_count):
-            if not st.q_active[i]:
+            if not q_active[i]:
                 continue
-            q_len = st.q_slices[i][1]
+            q_len = len(st.q_texts[i])
             if q_len < setup.min_word_size:
                 continue
             if q_len >= setup.min_length_two_typos:
@@ -418,27 +613,22 @@ def match_fuzzy_words(st: MatchState, setup: CoverageParams) -> None:
                 continue
             min_len = max(setup.min_word_size, q_len - edit_dist)
             max_len = min(setup.levenshtein_max_word_size, q_len + edit_dist, 63)
-            qt = st.q_text(i)
-            for j in range(st.d_count):
-                if not st.d_active[j]:
+            table = st.rel.fuzzy(i, edit_dist, min_len, max_len, is_special_short)
+            dists = list(map(table.__getitem__, st.d_texts))
+            if max(dists, default=-1) < 0:
+                continue
+            for j, dist in enumerate(dists):
+                if dist < 0 or not d_active[j]:
                     continue
-                d_len = st.d_slices[j][1]
-                if d_len > max_len or d_len < min_len:
-                    continue
-                dt = st.d_text(j)
-                if is_special_short and (not dt or dt[0] != qt[0]):
-                    continue
-                dist = damerau1(qt, dt) if edit_dist == 1 else damerau(qt, dt, edit_dist)
-                if dist <= edit_dist:
-                    st.word_hits += 1
-                    st.num_fuzzy += q_len - dist
-                    st.term_matched_chars[i] += q_len - dist
-                    pos = st.d_slices[j][0]
-                    if st.term_first_pos[i] == -1 or pos < st.term_first_pos[i]:
-                        st.term_first_pos[i] = pos
-                    st.q_active[i] = False
-                    st.d_active[j] = False
-                    break
+                st.word_hits += 1
+                st.num_fuzzy += q_len - dist
+                st.term_matched_chars[i] += q_len - dist
+                pos = st.d_slices[j][0]
+                if st.term_first_pos[i] == -1 or pos < st.term_first_pos[i]:
+                    st.term_first_pos[i] = pos
+                q_active[i] = False
+                d_active[j] = False
+                break
 
 
 # --- coverage scoring --------------------------------------------------------
@@ -618,154 +808,95 @@ def score_coverage(
     features.term_ci = term_ci_array
 
 
-# --- fusion signals ----------------------------------------------------------
 
-_ANCHOR_STEM_LENGTH = 3
-_MAX_TRAILING_TERM_LENGTH = 2
+# --- fusion signals ----------------------------------------------------------
 
 
 def compute_fusion_signals(
-    q_low: str,
+    rel: TokenRelations,
     d_low: str,
-    q_tokens: list[tuple[int, int]],
     d_tokens: list[tuple[int, int]],
-    min_stem_length: int,
+    d_distinct: tuple[str, ...],
+    d_counts: tuple[int, ...],
     doc_first_token: str | None,
     doc_has_tokens: bool,
-    d_texts: list[str] | None = None,
-    q_texts: list[str] | None = None,
 ) -> FusionSignals:
     """FusionSignalComputer.ComputeSignals (FusionSignalComputer.cs:53-178).
-    ``q_tokens``/``d_tokens`` are unfiltered (minWordSize=0) slices over the
-    lowered shadow strings."""
+    ``d_tokens`` are the doc's unfiltered (minWordSize=0) slices over the
+    lowered shadow string; ``d_distinct`` their distinct texts in order of
+    first occurrence, ``d_counts`` how often each occurs."""
+    q_tokens, q_texts = rel.fq_slices, rel.fq_texts
     sig = FusionSignals(unfiltered_query_token_count=len(q_tokens))
     q_count, d_count = len(q_tokens), len(d_tokens)
     if q_count == 0 or d_count == 0:
         return sig
-
-    if q_texts is None:
-        q_texts = [q_low[o : o + l] for o, l in q_tokens]
-    if d_texts is None:
-        d_texts = [d_low[o : o + l] for o, l in d_tokens]
-
-    def qt(i):
-        return q_texts[i]
-
-    def dt(j):
-        return d_texts[j]
+    recs = list(map(rel.tokens.__getitem__, d_distinct))
+    rel_any = reduce(or_, recs, 0)
 
     # 1. prefix-last match
     if q_count == 1:
-        q = qt(0)
-        for j in range(d_count):
-            if dt(j).startswith(q):
-                sig.lexical_prefix_last = True
-                sig.all_preceding_exact = dt(j) == q
-                break
-    else:
-        all_preceding_exact = True
-        for i in range(q_count - 1):
-            q = qt(i)
-            if not q:
-                continue
-            if not any(dt(j) == q for j in range(d_count)):
-                all_preceding_exact = False
-                break
-        if all_preceding_exact:
-            last = qt(q_count - 1)
-            if not last:
-                sig.lexical_prefix_last = True
-                sig.all_preceding_exact = True
-            else:
-                for j in range(d_count):
-                    if dt(j).startswith(last):
-                        sig.lexical_prefix_last = True
-                        sig.all_preceding_exact = True
-                        break
+        b = rel.b_fstart[0]
+        if rel_any & b:
+            # the first doc token starting with q is a first occurrence
+            k = next(k for k, r in enumerate(recs) if r & b)
+            sig.lexical_prefix_last = True
+            sig.all_preceding_exact = d_distinct[k] == q_texts[0]
+    elif (rel_any & rel.preceding_eq) == rel.preceding_eq:
+        if not q_texts[-1] or rel_any & rel.b_fstart[-1]:
+            sig.lexical_prefix_last = True
+            sig.all_preceding_exact = True
 
     # 2. perfect doc: every doc token explained by some query token
-    perfect = True
-    for j in range(d_count):
-        d = dt(j)
-        if not any(d.startswith(qt(i)) or qt(i).startswith(d) for i in range(q_count)):
-            perfect = False
-            break
-    sig.is_perfect_doc_lexical = perfect
+    sig.is_perfect_doc_lexical = not rel_any & rel.b_unexplained
 
     # 3. stem evidence (qCount >= 2)
     if q_count >= 2:
         unmatched = evidence = 0
-        for i in range(q_count):
-            q = qt(i)
-            if len(q) < min_stem_length:
-                continue
-            if any(dt(j) == q or dt(j).startswith(q) for j in range(d_count)):
+        for i in rel.stem_terms:
+            if rel_any & rel.b_fstart[i]:
                 continue
             unmatched += 1
-            for j in range(d_count):
-                d = dt(j)
-                if len(d) < min_stem_length:
-                    continue
-                if q.startswith(d):
-                    evidence += 1
-                    break
-                max_check = min(len(q), len(d))
-                if max_check >= min_stem_length:
-                    plen = 0
-                    for a, b in zip(q, d):
-                        if a != b:
-                            break
-                        plen += 1
-                    if plen >= min_stem_length:
-                        evidence += 1
-                        break
+            if rel_any & rel.b_fstem[i]:
+                evidence += 1
         sig.has_stem_evidence = unmatched > 0 and evidence == unmatched
 
     # 4. anchor stem (uses precomputed doc metadata fast path,
     #    FusionSignalComputer.cs:91-132 — including its first-token-too-short
     #    edge where no fallback scan happens)
-    if q_count > 0 and q_tokens[0][1] >= _ANCHOR_STEM_LENGTH:
-        stem = qt(0)[:_ANCHOR_STEM_LENGTH]
+    stem = rel.anchor
+    if stem is not None:
         first = lower_1to1(doc_first_token) if doc_first_token else ""
+        b = rel.b_anchor
         if doc_has_tokens and len(first) >= len(stem):
             if first.startswith(stem):
                 sig.has_anchor_stem = True
-            else:
-                for j in range(1, d_count):
-                    d = dt(j)
-                    if len(d) >= len(stem) and d.startswith(stem):
-                        sig.has_anchor_stem = True
-                        break
+            elif rel_any & b:
+                # any token after the first: another distinct token, or a
+                # repeat of the first one
+                sig.has_anchor_stem = (
+                    not recs[0] & b
+                    or d_counts[0] > 1
+                    or any(r & b for r in itertools.islice(recs, 1, None))
+                )
         elif not doc_has_tokens:
-            for j in range(d_count):
-                d = dt(j)
-                if len(d) >= len(stem) and d.startswith(stem):
-                    sig.has_anchor_stem = True
-                    break
+            sig.has_anchor_stem = bool(rel_any & b)
 
-    # 5. trailing match density
-    if q_count >= 2:
-        last_len = q_tokens[-1][1]
-        if 1 <= last_len <= _MAX_TRAILING_TERM_LENGTH:
-            last = qt(q_count - 1)
-            matchable = 0
-            for j in range(d_count):
-                d = dt(j)
-                if d.startswith(last) or (len(d) > len(last) and last in d):
-                    matchable += 1
-            if matchable > 0:
-                density = matchable / d_count
-                sig.trailing_match_density = int(min(max(density * 255.0, 0.0), 255.0))
+    # 5. trailing match density (over every token occurrence)
+    if rel.trail is not None and rel_any & rel.b_trail:
+        b = rel.b_trail
+        matchable = sum(c for r, c in zip(recs, d_counts) if r & b)
+        density = matchable / d_count
+        sig.trailing_match_density = int(min(max(density * 255.0, 0.0), 255.0))
 
     # 6. single-term lexical similarity
     if q_count == 1:
-        sim = _single_term_lexical_similarity(qt(0), d_low, d_tokens)
+        sim = _single_term_lexical_similarity(rel, recs, d_distinct)
         sig.single_term_lexical_sim = int(min(max(sim * 255.0, 0.0), 255.0))
 
     # 7. single-char last token boost
     if q_count >= 2:
         sig.single_char_last_token_boost = _single_char_last_token_match(
-            q_low, d_low, q_tokens, d_tokens
+            rel.query, d_low, q_tokens, d_tokens
         )
     return sig
 
@@ -809,59 +940,29 @@ def _single_char_last_token_match(q_low, d_low, q_tokens, d_tokens) -> int:
     return 0
 
 
-def _single_term_lexical_similarity(q: str, d_low: str, d_tokens) -> float:
-    """FusionSignalComputer.ComputeSingleTermLexicalSimilarity (:445-568).
-    ``q`` is already lowered."""
-    q_len = len(q)
-    if q_len < 3:
+def _single_term_lexical_similarity(rel: TokenRelations, recs, d_distinct) -> float:
+    """FusionSignalComputer.ComputeSingleTermLexicalSimilarity (:445-568):
+    the best per-token score (a max, so over distinct tokens), then the
+    two-segment heuristic on the first tokens holding each fragment."""
+    if rel.single is None:  # query term under 3 chars
         return 0.0
-    best = 0.0
-    for off, ln in d_tokens:
-        if ln < 2:
-            continue
-        t = d_low[off : off + ln]
-        idx = q.find(t)
-        if idx >= 0:
-            score = (len(t) / q_len) * (1.0 - idx / q_len)
-            if score > best:
-                best = score
-            continue
-        max_k = min(q_len, len(t))
-        best_k = 0
-        for length in range(max_k, 1, -1):
-            if q[q_len - length :] == t[:length]:
-                best_k = length
-                break
-        prefix_suffix_score = best_k / q_len if best_k > 0 else 0.0
-        fuzzy_score = 0.0
-        if len(t) <= 32:
-            dist = damerau(q, t, 2)
-            if dist <= 2:
-                fuzzy_score = (q_len - dist) / q_len
-        combined = max(prefix_suffix_score, fuzzy_score)
-        if combined > best:
-            best = combined
+    best = max(0.0, max(map(rel.single.__getitem__, d_distinct), default=0.0))
 
-    # two-segment heuristic
-    MIN_SEG = 3
-    if q_len >= 2 * MIN_SEG:
-        seg_len = min(2 * MIN_SEG, q_len // 2)
-        prefix_frag = q[:seg_len]
-        suffix_frag = q[q_len - seg_len :]
+    # two-segment heuristic: the first token position holding a fragment is
+    # a first occurrence, so positions differ iff the distinct tokens do
+    if rel.seg is not None:
+        b_p, b_s = rel.b_seg_prefix, rel.b_seg_suffix
         prefix_index = suffix_index = -1
-        for i, (off, ln) in enumerate(d_tokens):
-            if ln < 3:
-                continue
-            t = d_low[off : off + ln]
-            if prefix_index == -1 and (
-                t.startswith(prefix_frag) or prefix_frag.startswith(t)
-            ):
+        for i, r in enumerate(recs):
+            if prefix_index == -1 and r & b_p:
                 prefix_index = i
-            if suffix_index == -1 and (t.endswith(suffix_frag) or suffix_frag.endswith(t)):
+            if suffix_index == -1 and r & b_s:
                 suffix_index = i
             if prefix_index != -1 and suffix_index != -1:
                 break
         if prefix_index != -1 and suffix_index != -1 and prefix_index != suffix_index:
+            prefix_frag, suffix_frag = rel.seg
+            q_len = len(rel.fq_texts[0])
             two_seg = min(1.0, (len(prefix_frag) + len(suffix_frag)) / q_len)
             if two_seg > best:
                 best = two_seg
@@ -881,8 +982,6 @@ class CoverageContext:
     term_idf: list[float]
     term_max_chars: list[int]
     word_level_idf: list[float] | None
-    fusion_slices: list[tuple[int, int]] | None = None  # memoized per query
-    fusion_texts: list[str] | None = None
 
 
 def gram_avg_idf(term: str, index_sizes, df_lookup, total_docs: int, stop_term_limit: int) -> float:
@@ -936,18 +1035,32 @@ def prepare_query(
     return CoverageContext(query, tokens, term_idf, term_max_chars, word_level_idf)
 
 
+
 def prepare_doc(
     doc_text: str, min_word_size: int, delimiters: frozenset[str]
-) -> tuple[str, int, list[tuple[int, int]], list[tuple[int, int]]]:
-    """Query-independent per-document prep (lowered shadow, token slices) —
-    computed once per doc chunk and cached by the query actor."""
+) -> tuple:
+    """Query-independent per-document prep — computed once per doc chunk
+    and cached by the query actor: the lowered shadow, the raw coverage
+    token count, the deduped coverage slices and texts, the unfiltered
+    fusion slices, their distinct texts (first-occurrence order) with
+    occurrence counts, and the length-descending order of the coverage
+    tokens (stable, as the prefix/suffix matcher scans them)."""
     d_low = lower_1to1(doc_text)
     d_raw = tokenize_slices(doc_text, min_word_size, delimiters)
     d_unique = dedupe_slices(d_raw, d_low)
     fusion_slices = tokenize_slices(doc_text, 0, delimiters)
-    d_unique_texts = [d_low[o : o + l] for o, l in d_unique]
-    fusion_texts = [d_low[o : o + l] for o, l in fusion_slices]
-    return (d_low, len(d_raw), d_unique, fusion_slices, d_unique_texts, fusion_texts)
+    counts: dict[str, int] = {}
+    for o, l in fusion_slices:
+        t = d_low[o : o + l]
+        counts[t] = counts.get(t, 0) + 1
+    # coverage tokens are fusion tokens: share their string objects
+    canonical = dict(zip(counts, counts))
+    d_unique_texts = [canonical[d_low[o : o + l]] for o, l in d_unique]
+    d_order = tuple(sorted(range(len(d_unique)), key=lambda j: -d_unique[j][1]))
+    return (
+        d_low, len(d_raw), d_unique, fusion_slices, d_unique_texts,
+        tuple(counts), tuple(counts.values()), d_order,
+    )
 
 
 def calculate_features(
@@ -960,21 +1073,24 @@ def calculate_features(
     doc_first_token: str | None = None,
     doc_has_tokens: bool = False,
     doc_prep: tuple | None = None,
+    relations: TokenRelations | None = None,
 ) -> CoverageFeatures:
     """CoverageEngine.CalculateCoverageInternal + signal computation
-    (CoverageEngine.cs:222-382)."""
+    (CoverageEngine.cs:222-382). ``relations`` are the query's tables,
+    shared across one call's candidates (built here when absent)."""
     features = CoverageFeatures()
     if not ctx.tokens:
         return features
 
     if doc_prep is None:
         doc_prep = prepare_doc(doc_text, setup.min_word_size, delimiters)
-    d_low, d_raw_count, d_unique, fusion_d_slices, d_unique_texts, fusion_texts = doc_prep
+    if relations is None:
+        relations = TokenRelations(ctx, delimiters, min_stem_length)
+    d_low, d_raw_count, d_unique, fusion_d_slices, d_texts, d_distinct, d_counts, d_order = doc_prep
     features.doc_token_count = d_raw_count
 
     st = MatchState(
-        ctx.tokens, d_unique, ctx.query, d_low, ctx.term_max_chars, ctx.term_idf,
-        d_raw_count, d_texts=d_unique_texts,
+        relations, d_unique, d_texts, d_order, ctx.term_max_chars, ctx.term_idf, d_raw_count,
     )
 
     if setup.cover_whole_words:
@@ -992,15 +1108,8 @@ def calculate_features(
     )
 
     # fusion signals over UNFILTERED tokens (minWordSize=0)
-    fq = ctx.fusion_slices
-    if fq is None:
-        fq = tokenize_slices(ctx.query, 0, delimiters)
-        ctx.fusion_slices = fq
-    fq_texts = ctx.fusion_texts
-    if fq_texts is None:
-        fq_texts = ctx.fusion_texts = [ctx.query[o : o + l] for o, l in fq]
     features.fusion = compute_fusion_signals(
-        ctx.query, d_low, fq, fusion_d_slices, min_stem_length,
-        doc_first_token, doc_has_tokens, d_texts=fusion_texts, q_texts=fq_texts,
+        relations, d_low, fusion_d_slices, d_distinct, d_counts,
+        doc_first_token, doc_has_tokens,
     )
     return features

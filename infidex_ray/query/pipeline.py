@@ -204,6 +204,8 @@ def process_candidates(
     # full-overlap case. Keyed on the lcs actually used, so the raw-vs-
     # clamped >255 edge recomputes and stays exact.
     feat_cache: dict[tuple, object] = {}
+    # the query's token-relation tables, shared by this call's candidates
+    relations = cov.TokenRelations(ctx, delimiters, min_stem_length)
 
     import time as _time
 
@@ -242,6 +244,7 @@ def process_candidates(
                 doc_first_token=seg.first_tokens[lid],
                 doc_has_tokens=int(seg.token_counts[lid]) > 0,
                 doc_prep=prep,
+                relations=relations,
             )
             feat_cache[feat_key] = features
         score, tiebreaker = fusion_calculate(ctx.query, doc_text, features, base_score)

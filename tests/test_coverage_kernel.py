@@ -1,0 +1,168 @@
+"""The coverage token-relation kernel against the literal per-pair oracle.
+
+``infidex_ray.query.coverage`` answers each (query token, doc token)
+question once per query from relation tables; ``tests/oracle.py`` keeps the
+reference's per-pair matcher loops and fusion-signal scans. Every
+CoverageFeatures and FusionSignals field must agree bit for bit, with one
+``TokenRelations`` shared across several docs as in ``process_candidates``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import struct
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracle import oracle_calculate_features
+
+from infidex_ray.config import EngineConfig
+from infidex_ray.query import coverage as cov
+
+SETTINGS = settings(
+    max_examples=500,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+CFG = EngineConfig()
+DELIMS = frozenset(CFG.delimiters)
+# a small alphabet makes prefixes, suffixes, infixes and typos collide often;
+# 'İ' lowers to two chars under str.lower (1:1 in the shadow strings), 'ß'
+# upper-cases to two
+_ALPHABET = "abceiİß"
+_SEPARATORS = (" ", " ", "  ", "-", ", ", ". ", "/", " (", ") ", "\t")
+
+
+def _edit(draw, w: str, kind: str) -> str:
+    n = len(w)
+    c = draw(st.sampled_from(_ALPHABET.lower()))
+    p = draw(st.integers(0, n))
+    if kind == "sub" and n:
+        p = min(p, n - 1)
+        return w[:p] + c + w[p + 1 :]
+    if kind == "ins":
+        return w[:p] + c + w[p:]
+    if kind == "del" and n > 1:
+        p = min(p, n - 1)
+        return w[:p] + w[p + 1 :]
+    if kind == "swap" and n > 1:
+        p = min(p, n - 2)
+        return w[:p] + w[p + 1] + w[p] + w[p + 2 :]
+    return w
+
+
+@st.composite
+def _variant(draw, w: str) -> str:
+    """``w`` itself or a related token: LD1/LD2 typo, transposition,
+    prefix, suffix, infix host, or a copy longer than 32 or 63 chars."""
+    kind = draw(
+        st.sampled_from(
+            ("same", "same", "sub", "ins", "del", "swap", "two", "prefix",
+             "suffix", "head", "tail", "infix", "long32", "long63", "upper")
+        )
+    )
+    if kind in ("sub", "ins", "del", "swap"):
+        return _edit(draw, w, kind)
+    if kind == "two":
+        return _edit(draw, _edit(draw, w, "sub"), draw(st.sampled_from(("ins", "del", "swap"))))
+    if kind == "prefix":
+        return w[: draw(st.integers(1, max(1, len(w))))]
+    if kind == "suffix":
+        return w[draw(st.integers(0, max(0, len(w) - 1))) :]
+    if kind == "head":  # two-segment fragments of a long query term
+        return w[: draw(st.integers(3, 6))]
+    if kind == "tail":
+        return w[-draw(st.integers(3, 6)) :]
+    if kind == "infix":
+        return draw(st.text(_ALPHABET, max_size=2)) + w + draw(st.text(_ALPHABET, min_size=1, max_size=2))
+    if kind == "long32":
+        return (w * (33 // max(1, len(w)) + 1))[: draw(st.integers(33, 40))]
+    if kind == "long63":
+        return (w * (64 // max(1, len(w)) + 1))[: draw(st.integers(62, 70))]
+    if kind == "upper":
+        return w.upper()
+    return w
+
+
+@st.composite
+def _case(draw):
+    word = st.text(_ALPHABET, min_size=1, max_size=8) | st.text(_ALPHABET, min_size=2, max_size=2)
+    words = draw(st.lists(word, min_size=1, max_size=4))
+    n_q = draw(st.integers(1, 5))
+    q_tokens = [draw(_variant(draw(st.sampled_from(words)))) for _ in range(n_q)]
+    if n_q >= 2 and draw(st.booleans()):
+        q_tokens[-1] = draw(st.sampled_from("abcß1"))  # single-char last token
+    parts = None
+    if draw(st.booleans()):  # query token = two doc tokens
+        parts = draw(st.lists(st.text("abce", min_size=2, max_size=4), min_size=2, max_size=2))
+        q_tokens[draw(st.integers(0, n_q - 1))] = "".join(parts)
+    if draw(st.integers(0, 5)) == 0:  # one long term: two-segment heuristic
+        w = draw(st.sampled_from(words))
+        q_tokens = [w * (6 // len(w) + draw(st.integers(1, 3)))]
+    query = " ".join(q_tokens).lower()
+
+    docs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 9)) == 0:  # delimiter-only text
+            docs.append("".join(draw(st.lists(st.sampled_from(_SEPARATORS), max_size=4))))
+            continue
+        pool = words + q_tokens
+        toks = [draw(_variant(draw(st.sampled_from(pool)))) for _ in range(draw(st.integers(1, 10)))]
+        if len(q_tokens) >= 2 and draw(st.booleans()):  # doc token = query pair
+            i = draw(st.integers(0, len(q_tokens) - 2))
+            toks.insert(draw(st.integers(0, len(toks))), q_tokens[i] + q_tokens[i + 1])
+        if draw(st.booleans()):  # repeated doc tokens
+            toks += draw(st.lists(st.sampled_from(toks), min_size=1, max_size=4))
+            toks = draw(st.permutations(toks))
+        if parts and draw(st.booleans()):  # adjacent doc pair = query token
+            at = draw(st.integers(0, len(toks)))
+            toks[at:at] = parts
+        text = toks[0]
+        for t in toks[1:]:
+            text += draw(st.sampled_from(_SEPARATORS)) + t
+        docs.append(text)
+    return query, docs
+
+
+def _bits(obj):
+    """Dataclass fields as a tuple; floats by their bit pattern."""
+    def conv(v):
+        if isinstance(v, float):
+            return struct.pack("<d", v)
+        if isinstance(v, (list, tuple)):
+            return tuple(conv(x) for x in v)
+        if isinstance(v, dict):
+            return tuple((k, conv(x)) for k, x in v.items())
+        return v
+
+    return conv(dataclasses.asdict(obj))
+
+
+@SETTINGS
+@given(_case(), st.data())
+def test_coverage_kernel_matches_oracle(case, data):
+    query, docs = case
+    min_stem = data.draw(st.integers(1, 4))
+    word_df = data.draw(st.sampled_from((None, lambda w: len(w) % 4)))
+    ctx = cov.prepare_query(
+        query, CFG.coverage.min_word_size, DELIMS, CFG.index_sizes,
+        lambda t: len(t) % 3, word_df, 10, CFG.stop_term_limit,
+    )
+    relations = cov.TokenRelations(ctx, DELIMS, min_stem)
+    for doc in docs + docs[:1]:  # the repeat reads only filled tables
+        # doc_first_token is segment metadata: absent, too short, unrelated
+        # to the doc, or its real first word
+        first = data.draw(st.sampled_from((None, "", "ab", "İst", "xyz", doc.split(" ")[0])))
+        has_tokens = data.draw(st.booleans())
+        lcs = data.draw(st.sampled_from((0.0, 0.0, 1.0, 3.0, 7.5)))
+        want = oracle_calculate_features(
+            ctx, doc, lcs, CFG.coverage, DELIMS, min_stem, first, has_tokens
+        )
+        got = cov.calculate_features(
+            ctx, doc, lcs, CFG.coverage, DELIMS, min_stem, first, has_tokens,
+            doc_prep=cov.prepare_doc(doc, CFG.coverage.min_word_size, DELIMS),
+            relations=relations,
+        )
+        assert _bits(got) == _bits(want), (query, doc)

@@ -116,6 +116,41 @@ def test_distributed_repeat_queries_speculative_path(dist_pair):
         assert got == ref, f"corrective round broke rank identity for {q!r}"
 
 
+def test_coverage_tables_hold_no_state_across_queries(dist_pair, minicorpus, tmp_path):
+    """The coverage relation tables live for one candidate-scoring call:
+    on fresh engines panel A then B gives the same results as B then A,
+    and the CoverageContext the distributed driver puts in the object store
+    carries only the query's own fields."""
+    import dataclasses
+
+    import ray
+
+    from infidex_ray.query.coverage import CoverageContext
+
+    panel_a = ["quick brown fox", "qick fux", "battamam", "fox", "wonder"]
+    panel_b = ["brown quick", "quickly fox", "batman robin", "speeds", "new york"]
+    build_index_local(minicorpus, str(tmp_path / "idx"), n_segments=2)
+
+    def run(panels):
+        eng = Engine.load(str(tmp_path / "idx"))
+        return {
+            q: [(h.doc_key, h.score, h.tiebreaker) for h in eng.search(q, top_k=10)]
+            for panel in panels
+            for q in panel
+        }
+
+    assert run([panel_a, panel_b]) == run([panel_b, panel_a])
+
+    _, deng = dist_pair
+    fields = {f.name for f in dataclasses.fields(CoverageContext)}
+    for q in panel_a:
+        deng.search(q, top_k=10)
+        q_cached, ctx, ref = deng._ctx_cache
+        for c in (ctx, ray.get(ref)):
+            assert set(vars(c)) == fields, sorted(vars(c))
+            assert c.query == q_cached
+
+
 def test_short_query_no_fuzzy_branch_identity(ray_session, tmp_path_factory):
     """Short queries over a corpus with >= FUZZY_FALLBACK_DOC_LIMIT matches
     take the no-fuzzy branch of the fused sq_phase1 protocol — the driver

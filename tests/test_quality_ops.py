@@ -333,6 +333,32 @@ def test_batch_search_matches_serving_path(ray_session, tmp_path):
         ), q
 
 
+_PANGRAM_DOCS = [
+    (i, t)
+    for i, t in enumerate(
+        [
+            "the quick brown fox jumps over the lazy dog",
+            "pack my box with five dozen liquor jugs",
+            "the five boxing wizards jump quickly",
+            "quick zephyrs blow vexing daft jim",
+            "sphinx of black quartz judge my vow",
+            "jackdaws love my big sphinx of quartz",
+            "how vexingly quick daft zebras jump",
+            "bright vixens jump dozy fowl quack",
+            "quick wafting zephyrs vex bold jim",
+            "five quacking zephyrs jolt my wax bed",
+            "the jay pig fox zebra and my wolves quack",
+            "waltz bad nymph for quick jigs vex",
+            # long doc: autosegments into multiple chunks — the score
+            # must be the kept (best) chunk row's, not another chunk's
+            " ".join(
+                ["quick brown fox jumps high"] * 600
+            ),
+        ]
+    )
+]
+
+
 def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
     """The 3-round sharded protocol (global fuzzy dfs → global
     decide_level → per-shard packed top-k merged by merge_packed) must be
@@ -347,30 +373,7 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
     from infidex_ray.engine import Engine
     from infidex_ray.ops.batchsearch import batch_search_sharded
 
-    docs = [
-        (i, t)
-        for i, t in enumerate(
-            [
-                "the quick brown fox jumps over the lazy dog",
-                "pack my box with five dozen liquor jugs",
-                "the five boxing wizards jump quickly",
-                "quick zephyrs blow vexing daft jim",
-                "sphinx of black quartz judge my vow",
-                "jackdaws love my big sphinx of quartz",
-                "how vexingly quick daft zebras jump",
-                "bright vixens jump dozy fowl quack",
-                "quick wafting zephyrs vex bold jim",
-                "five quacking zephyrs jolt my wax bed",
-                "the jay pig fox zebra and my wolves quack",
-                "waltz bad nymph for quick jigs vex",
-                # long doc: autosegments into multiple chunks — the score
-                # must be the kept (best) chunk row's, not another chunk's
-                " ".join(
-                    ["quick brown fox jumps high"] * 600
-                ),
-            ]
-        )
-    ]
+    docs = _PANGRAM_DOCS
     idx = str(tmp_path / "shidx")
     build_index_local(docs, idx, EngineConfig(), n_segments=4)
     eng = Engine.load(idx)
@@ -419,8 +422,8 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
 
     # float64 SQL scores over this index: the long doc pushes term dfs past
     # total_docs, where the float64 idf is clamped to 0 like stage 1's, and
-    # a hit no term scores positively ("a quick fox", tombstoned doc 3 in
-    # the shards' packed rows) scores 0.0
+    # a hit no term scores positively (tombstoned doc 3 in the shards'
+    # packed rows) scores 0.0
     from infidex_ray.ops.batchsearch import batch_search
 
     ref = (
@@ -500,6 +503,37 @@ def test_batch_search_sharded_rank_identical(ray_session, tmp_path):
             assert got["doc_id"].tolist() == want["doc_id"].tolist(), (n_shards, q)
             assert got["score"].tolist() == want["score"].tolist(), (n_shards, q)
 
+
+
+def test_float64_mixed_query_scores_its_long_words(ray_session, tmp_path):
+    """A query mixing short and long words ("a quick fox") is ranked by
+    stage 1 on its long words; the float64_sql scores of its hits must come
+    from the same text, so they equal ``bm25_all_scores`` of "quick fox"
+    and are positive. Scored on the whole query, hits that stage 1 ranked
+    through the start-padded gram of "quick" score 0.0."""
+    import ray.data
+
+    from infidex_ray.build import build_index_local
+    from infidex_ray.config import EngineConfig
+    from infidex_ray.engine import Engine
+    from infidex_ray.ops.batchsearch import _round4, batch_search_sharded
+
+    idx = str(tmp_path / "mixidx")
+    build_index_local(_PANGRAM_DOCS, idx, EngineConfig(), n_segments=4)
+    eng = Engine.load(idx)
+    eng.delete_documents([3])
+    want = dict(eng.bm25_all_scores("quick fox", include_fuzzy=True))
+    qds = ray.data.from_arrow(pa.table({"query": pa.array(["a quick fox"])}))
+    for n_shards in (1, 3):
+        out = batch_search_sharded(
+            qds, idx, n_shards=n_shards, top_k=5,
+            score_mode="float64_sql", concurrency=(1, 2),
+        ).to_pandas().sort_values("rank")
+        assert out["doc_id"].tolist() == [
+            h.doc_key for h in eng.search("a quick fox", top_k=5, enable_coverage=False)
+        ], n_shards
+        assert (out["score"] > 0).all(), (n_shards, out["score"].tolist())
+        assert out["score"].tolist() == [_round4(want[k]) for k in out["doc_id"]], n_shards
 
 def test_percolate_semantics(ray_session):
     """Conjunctive containment, ASCII-ws query split, case folding, empty
