@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 import time
+from itertools import chain
 
 import numpy as np
 import pyarrow as pa
@@ -39,6 +40,19 @@ from .config import EngineConfig
 _DF_ROW_SCHEMA = pa.schema(
     [("kind", pa.string()), ("term", pa.large_string()), ("df", pa.int64())]
 )
+
+
+def manifest_config(cfg: EngineConfig) -> dict:
+    """The analysis settings a manifest records (read back on load/add)."""
+    return {
+        "index_sizes": list(cfg.index_sizes),
+        "start_pad_size": cfg.start_pad_size,
+        "stop_pad_size": cfg.stop_pad_size,
+        "stop_term_limit": cfg.stop_term_limit,
+        "delimiters": list(cfg.delimiters),
+        "synonyms": [list(g) for g in cfg.synonyms],
+        "enable_coverage": cfg.enable_coverage,
+    }
 
 
 def hash_key(s: str) -> int:
@@ -64,8 +78,6 @@ def build_segment_from_arrays(
     ``boundaries`` (parallel to ``texts``) switches on the multi-field path:
     texts are '§'-concatenated fields and postings carry field-weighted byte
     weights (Term.FirstCycleAdd semantics)."""
-    from . import segments as seglib
-
     if boundaries is not None and cfg.auto_segment is not None:
         raise ValueError("auto_segment and multi-field boundaries are exclusive")
 
@@ -130,15 +142,16 @@ def build_segment_from_arrays(
             doc_len_arr[d] = dl
         t_analyze = time.perf_counter() - t0
         t0 = time.perf_counter()
-        terms = sorted(term_map)
-        df_arr = [term_map[t][2] for t in terms]
-        postings = [
-            (
-                np.asarray(term_map[t][0], dtype=np.uint32),
-                np.asarray(term_map[t][1], dtype=np.uint8),
-            )
-            for t in terms
-        ]
+        entries = list(term_map.values())
+        terms, order, offsets, gather = _term_sorted_csr(
+            list(term_map), np.asarray([len(e[0]) for e in entries], dtype=np.int64)
+        )
+        postings = (
+            offsets,
+            np.fromiter(chain.from_iterable(e[0] for e in entries), np.uint32)[gather],
+            np.fromiter(chain.from_iterable(e[1] for e in entries), np.uint8)[gather],
+        )
+        df_arr = np.asarray([e[2] for e in entries], dtype=np.int64)[order]
         t_dict = time.perf_counter() - t0
         return _finish_segment(
             urls, norm_texts, lower_texts, doc_keys, seg_numbers, doc_len_arr,
@@ -155,47 +168,35 @@ def build_segment_from_arrays(
     )
     t_analyze = time.perf_counter() - t0
 
-    # --- term dictionary: decode gram keys, merge with long words, sort ------
+    # --- term dictionary: gram runs + long words as one CSR in term order --
     t0 = time.perf_counter()
-    if len(counts.gram_key):
-        # counts.gram_* are sorted by (key, doc): term boundaries are runs
-        boundary = np.empty(len(counts.gram_key), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = counts.gram_key[1:] != counts.gram_key[:-1]
-        starts = np.flatnonzero(boundary)
-        ends = np.append(starts[1:], len(counts.gram_key))
-        gram_terms = decode_gram_keys(counts.gram_key[starts])
-    else:
-        starts = ends = np.empty(0, dtype=np.int64)
-        gram_terms = []
-
-    entries: list[tuple[str, int, int]] = []  # (term, source, idx) source 0=gram,1=word
-    for i, t in enumerate(gram_terms):
-        entries.append((t, 0, i))
-    word_list = sorted(counts.word_counts.keys())
-    for w in word_list:
-        entries.append((w, 1, 0))
-    entries.sort(key=lambda e: e[0])
-
-    terms: list[str] = []
-    df_arr: list[int] = []
-    postings: list[tuple[np.ndarray, np.ndarray]] = []
-    for term, source, idx in entries:
-        if source == 0:
-            s, e = starts[idx], ends[idx]
-            docs = counts.gram_doc[s:e].astype(np.uint32)
-            occ = counts.gram_count[s:e]
-        else:
-            d, c = counts.word_counts[term]
-            docs = d.astype(np.uint32)
-            occ = c
-        # df quirk (Term.cs:87-113): per-doc contribution 1 + max(0, occ-255):
-        # occurrences past weight saturation keep incrementing df.
-        df = int(len(docs) + np.maximum(occ - 255, 0).sum())
-        weights = np.minimum(occ, 255).astype(np.uint8)
-        terms.append(term)
-        df_arr.append(df)
-        postings.append((docs, weights))
+    gk = counts.gram_key
+    # counts.gram_* are sorted by (key, doc): term boundaries are runs
+    gram_starts = (
+        np.flatnonzero(np.r_[True, gk[1:] != gk[:-1]])
+        if len(gk)
+        else np.empty(0, dtype=np.int64)
+    )
+    word_lists = list(counts.word_counts.values())
+    lens = np.concatenate([
+        np.diff(np.append(gram_starts, len(gk))),
+        np.fromiter((len(d) for d, _ in word_lists), np.int64, len(word_lists)),
+    ])
+    terms, order, offsets, gather = _term_sorted_csr(
+        decode_gram_keys(gk[gram_starts]) + list(counts.word_counts), lens
+    )
+    docs = np.concatenate([counts.gram_doc, *(d for d, _ in word_lists)])
+    occ = np.concatenate([counts.gram_count, *(c for _, c in word_lists)])[gather]
+    # df quirk (Term.cs:87-113): per-doc contribution 1 + max(0, occ-255):
+    # occurrences past weight saturation keep incrementing df.
+    df_arr = lens[order]
+    if len(df_arr):
+        df_arr = df_arr + np.add.reduceat(
+            np.maximum(occ - 255, 0), offsets[:-1], dtype=np.int64
+        )
+    postings = (
+        offsets, docs[gather].astype(np.uint32), np.minimum(occ, 255).astype(np.uint8)
+    )
     t_dict = time.perf_counter() - t0
 
     return _finish_segment(
@@ -203,6 +204,25 @@ def build_segment_from_arrays(
         terms, df_arr, postings, cfg, seg_dir, lineage, field_columns,
         t_analyze, t_dict,
     )
+
+
+def _term_sorted_csr(terms: list[str], lens: np.ndarray):
+    """Put posting lists laid end to end in ``terms`` order (list i has
+    ``lens[i]`` postings) into term order. Returns (sorted terms as an Arrow
+    large_string array, the term permutation, the sorted CSR's list offsets,
+    and the posting gather index into the unsorted concatenation). Arrow
+    sorts UTF-8 bytes, whose order is Python's code-point order; numpy
+    ``<U`` arrays would drop trailing NULs."""
+    import pyarrow.compute as pc
+
+    arr = pa.array(terms, pa.large_string())
+    order = pc.sort_indices(arr).to_numpy()
+    src = (np.cumsum(lens) - lens)[order]
+    lens = lens[order]
+    offsets = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    gather = np.repeat(src - offsets[:-1], lens) + np.arange(offsets[-1])
+    return arr.take(order), order, offsets, gather
 
 
 def _finish_segment(
@@ -232,7 +252,8 @@ def _finish_segment(
         sel = np.flatnonzero(nz)[fidx]
         for d, w in zip(fdocs.tolist(), flat.take(pa.array(sel)).to_pylist()):
             first_tokens[d] = w
-    word_df: dict[str, int] = {}  # word-level df (VectorModel.cs:864-908)
+    # word-level df (VectorModel.cs:864-908), words in first-seen order
+    word_df = _df_table("word", [], [])
     if nz.any():
         flatnz = flat.filter(pa.array(nz))
         docnz = doc_of[nz]
@@ -244,7 +265,7 @@ def _finish_segment(
         pair_b[0] = True
         pair_b[1:] = (ii[1:] != ii[:-1]) | (dd[1:] != dd[:-1])
         dfc = np.bincount(ii[pair_b], minlength=len(enc.dictionary))
-        word_df = dict(zip(enc.dictionary.to_pylist(), dfc.tolist()))
+        word_df = _df_table("word", enc.dictionary, dfc)
 
     docmap = {
         "local_id": np.arange(len(urls), dtype=np.int32),
@@ -263,41 +284,47 @@ def _finish_segment(
         "lineage": lineage or {},
         "timings_s": {"analyze": round(t_analyze, 4), "dict": round(t_dict, 4)},
     }
-    word_df_table = pa.table(
-        {
-            "word": pa.array(list(word_df.keys()), pa.large_string()),
-            "df": pa.array(list(word_df.values()), pa.int64()),
-        }
-    )
-    extra = {"word_df.parquet": word_df_table}
+    extra = {"word_df.parquet": word_df}
     if field_columns:
         extra["fields.parquet"] = pa.table(field_columns)
 
     # build-time short-query artifacts (champion lists + word-start prefix
     # counts) — the 1:1 lowering matches the query-time scan contract
     # (SegmentShortQuery.lower_texts), NOT the indexing str.lower above.
-    # INFIDEX_SQ_ARTIFACTS=0 opts out (A/B probe; segments then fall back to
-    # the query-time scan path).
     t_sq = time.perf_counter()
-    if os.environ.get("INFIDEX_SQ_ARTIFACTS", "1") != "0":
-        from .query.coverage import lower_1to1
-        from .query.shortquery import compute_short_tables
+    from .query.coverage import lower_1to1
+    from .query.shortquery import compute_short_tables
 
-        sq_lower = [lower_1to1(t) for t in norm_texts]
-        # NOTE: measured — the Python nested split beats Arrow split +
-        # to_pylist here (tiny token strings; Arrow→Python materialization
-        # dominates), so this stays a comprehension
-        sq_words = [[w for w in splitter.split(t) if w] for t in sq_lower]
-        extra.update(compute_short_tables(sq_lower, sq_words, doc_keys, seg_id=0))
+    sq_lower = [lower_1to1(t) for t in norm_texts]
+    # NOTE: measured — the Python nested split beats Arrow split +
+    # to_pylist here (tiny token strings; Arrow→Python materialization
+    # dominates), so this stays a comprehension
+    sq_words = [[w for w in splitter.split(t) if w] for t in sq_lower]
+    extra.update(compute_short_tables(sq_lower, sq_words, doc_keys, seg_id=0))
     meta["timings_s"]["short_artifacts"] = round(time.perf_counter() - t_sq, 4)
     seglib.write_segment(
-        seg_dir, terms, np.asarray(df_arr, dtype=np.int64), postings, docmap, meta,
-        extra_tables=extra,
+        seg_dir, terms, df_arr, postings, docmap, meta, extra_tables=extra
     )
     meta["terms"] = terms
     meta["term_df"] = df_arr
     meta["word_df"] = word_df
     return meta
+
+
+def _df_table(col: str, keys, dfs) -> pa.Table:
+    """A ``(col, df)`` stats table: large_string keys, int64 dfs."""
+    schema = pa.schema([(col, pa.large_string()), ("df", pa.int64())])
+    return pa.table({col: keys, "df": dfs}).cast(schema)
+
+
+def _sum_df(tables: list[pa.Table], col: str) -> pa.Table:
+    """Σ df per key over ``(col, df)`` tables, sorted by key (Arrow sorts
+    UTF-8 bytes, i.e. Python's code-point order)."""
+    cat = pa.concat_tables(
+        [_df_table(col, [], []), *(_df_table(col, t[col], t["df"]) for t in tables)]
+    )
+    agg = cat.group_by(col).aggregate([("df", "sum")])
+    return _df_table(col, agg[col], agg["df_sum"]).sort_by(col).combine_chunks()
 
 
 class _BuildSegmentFn:
@@ -362,26 +389,24 @@ class _BuildSegmentFn:
             # resume: reuse the finished segment, emit its df rows again
             import pyarrow.parquet as pq
 
-            tt = pq.read_table(
+            term_df = pq.read_table(
                 os.path.join(seg_dir, "terms.parquet"), columns=["term", "df"]
             )
-            terms = tt["term"].to_pylist()
-            dfs = tt["df"].to_pylist()
             wpath = os.path.join(seg_dir, "word_df.parquet")
             if os.path.exists(wpath):
-                wt = pq.read_table(wpath)
-                word_df = dict(zip(wt["word"].to_pylist(), wt["df"].to_pylist()))
+                word_df = pq.read_table(wpath)
             else:  # segment written by an older build: recompute from texts
                 from .analyzer import _word_splitter
 
                 from .analyzer import normalize_with
 
                 splitter = _word_splitter(self.cfg.delimiters)
-                word_df = {}
+                counts: dict[str, int] = {}
                 for t in texts:
                     nt = normalize_with(self.cfg.normalizer, t).lower() if t else ""
                     for w in set(w for w in splitter.split(nt) if w):
-                        word_df[w] = word_df.get(w, 0) + 1
+                        counts[w] = counts.get(w, 0) + 1
+                word_df = _df_table("word", list(counts), list(counts.values()))
         else:
             if pa.types.is_integer(batch.schema.field(self.key_column).type):
                 doc_keys = np.asarray(batch[self.key_column].to_numpy(), dtype=np.int64)
@@ -400,8 +425,7 @@ class _BuildSegmentFn:
                 field_columns=field_columns,
                 boundaries=boundaries,
             )
-            terms = meta["terms"]
-            dfs = meta["term_df"]
+            term_df = _df_table("term", meta["terms"], meta["term_df"])
             word_df = meta["word_df"]
 
         # one "__segment__" row per batch: the df stream carries the
@@ -409,17 +433,18 @@ class _BuildSegmentFn:
         # unions stale dirs left by a previous run with a different batch
         # layout (content-derived ids differ across layouts — a bare
         # listdir() would silently double the corpus)
-        kinds = ["term"] * len(terms) + ["word"] * len(word_df) + ["__segment__"]
-        all_terms = list(terms) + list(word_df.keys()) + [seg_name]
-        all_df = list(dfs) + list(word_df.values()) + [len(urls)]
-        return pa.table(
-            {
-                "kind": pa.array(kinds, pa.string()),
-                "term": pa.array(all_terms, pa.large_string()),
-                "df": pa.array(all_df, pa.int64()),
-            },
-            schema=_DF_ROW_SCHEMA,
+        parts = (
+            ("term", term_df["term"], term_df["df"]),
+            ("word", word_df["word"], word_df["df"]),
+            ("__segment__", [seg_name], [len(urls)]),
         )
+        return pa.concat_tables([
+            pa.table(
+                {"kind": pa.repeat(pa.scalar(kind, pa.string()), len(keys)),
+                 "term": keys, "df": dfs}
+            ).cast(_DF_ROW_SCHEMA)
+            for kind, keys, dfs in parts
+        ])
 
 
 def build_index_local(
@@ -461,8 +486,8 @@ def _build_index_local_impl(
     import pyarrow.parquet as pq
 
     chunks = np.array_split(np.arange(len(docs)), n_segments)
-    term_df: dict[str, int] = {}
-    word_df: dict[str, int] = {}
+    term_dfs: list[pa.Table] = []
+    word_dfs: list[pa.Table] = []
     seg_entries = []
     n_docs, sum_dl = 0, 0.0
     for ci, chunk in enumerate(chunks):
@@ -485,26 +510,16 @@ def _build_index_local_impl(
             urls, texts, keys, cfg, seg_dir, field_columns=field_columns,
             boundaries=[boundaries[i] for i in chunk] if boundaries is not None else None,
         )
-        for t, d in zip(meta["terms"], meta["term_df"]):
-            term_df[t] = term_df.get(t, 0) + d
-        for w, d in meta["word_df"].items():
-            word_df[w] = word_df.get(w, 0) + d
+        term_dfs.append(_df_table("term", meta["terms"], meta["term_df"]))
+        word_dfs.append(meta["word_df"])
         n_docs += meta["n_docs"]
         sum_dl += meta["sum_doc_len"]
         seg_entries.append({"name": f"seg-{ci:04d}", "n_docs": meta["n_docs"], "lineage": {}})
 
-    for name, data in (("df.parquet", term_df), ("word_df.parquet", word_df)):
-        keys_sorted = sorted(data.keys())
-        col = "term" if name == "df.parquet" else "word"
-        pq.write_table(
-            pa.table(
-                {
-                    col: pa.array(keys_sorted, pa.large_string()),
-                    "df": pa.array([data[k] for k in keys_sorted], pa.int64()),
-                }
-            ),
-            os.path.join(out_dir, "stats", name),
-        )
+    pq.write_table(_sum_df(term_dfs, "term"), os.path.join(out_dir, "stats", "df.parquet"))
+    pq.write_table(
+        _sum_df(word_dfs, "word"), os.path.join(out_dir, "stats", "word_df.parquet")
+    )
     stats = {
         "total_docs": n_docs,
         "sum_doc_len": sum_dl,
@@ -515,15 +530,7 @@ def _build_index_local_impl(
         json.dump(stats, f)
     manifest = {
         "version": 1,
-        "config": {
-            "index_sizes": list(cfg.index_sizes),
-            "start_pad_size": cfg.start_pad_size,
-            "stop_pad_size": cfg.stop_pad_size,
-            "stop_term_limit": cfg.stop_term_limit,
-            "delimiters": list(cfg.delimiters),
-            "synonyms": [list(g) for g in cfg.synonyms],
-            "enable_coverage": cfg.enable_coverage,
-        },
+        "config": manifest_config(cfg),
         "stats": stats,
         "segments": seg_entries,
     }
@@ -715,33 +722,14 @@ def append_to_index(
     # build): APPEND a sorted delta part — ShardedDfLookup sums overlapping
     # parts, so the base vocab is never rewritten.
     for base, col, new in (
-        ("df", "term", dict(zip(meta["terms"], meta["term_df"]))),
-        ("word_df", "word", dict(meta["word_df"])),
+        ("df", "term", _df_table("term", meta["terms"], meta["term_df"])),
+        ("word_df", "word", meta["word_df"]),
     ):
         path = os.path.join(index_dir, "stats", f"{base}.parquet")
         if os.path.exists(path):
-            t = pq.read_table(path)
-            merged = dict(zip(t[col].to_pylist(), t["df"].to_pylist()))
-            for k, v in new.items():
-                merged[k] = merged.get(k, 0) + v
-            ks = sorted(merged.keys())
-            pq.write_table(
-                pa.table(
-                    {
-                        col: pa.array(ks, pa.large_string()),
-                        "df": pa.array([merged[k] for k in ks], pa.int64()),
-                    }
-                ),
-                path,
-            )
+            pq.write_table(_sum_df([pq.read_table(path), new], col), path)
         else:
-            ks = sorted(new.keys())
-            part = pa.table(
-                {
-                    col: pa.array(ks, pa.large_string()),
-                    "df": pa.array([new[k] for k in ks], pa.int64()),
-                }
-            )
+            part = new.sort_by(col)
             d = os.path.join(index_dir, "stats", base)
             if not os.path.isdir(d):
                 # fused layout: parts live under stats/vocab/kind=<kind>/
@@ -977,15 +965,7 @@ def build_index(
         json.dump(stats, f)
     manifest = {
         "version": 1,
-        "config": {
-            "index_sizes": list(cfg.index_sizes),
-            "start_pad_size": cfg.start_pad_size,
-            "stop_pad_size": cfg.stop_pad_size,
-            "stop_term_limit": cfg.stop_term_limit,
-            "delimiters": list(cfg.delimiters),
-            "synonyms": [list(g) for g in cfg.synonyms],
-            "enable_coverage": cfg.enable_coverage,
-        },
+        "config": manifest_config(cfg),
         "stats": stats,
         "segments": seg_entries,
         # per-stage metrics (north_rule: resumable build w/ lineage + metrics)

@@ -443,11 +443,10 @@ def import_infdx2(file_path: str, out_dir: str, cfg=None):
     short-query artifacts and the word matcher are rebuilt natively from
     the stored documents — the same derivation the reference runs on load
     (VectorModel.CalculateWeights). Deleted documents become tombstones."""
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from .analyzer import normalize_with
-    from .build import _finish_segment
+    from .build import _df_table, _finish_segment, _sum_df, manifest_config
     from .config import EngineConfig
     from .engine import Engine
 
@@ -497,8 +496,12 @@ def import_infdx2(file_path: str, out_dir: str, cfg=None):
         seg_numbers,
         doc_len.astype(np.float32),
         [t for t, _df, _d, _w in term_rows],
-        [df for _t, df, _d, _w in term_rows],
-        [(d, w) for _t, _df, d, w in term_rows],
+        np.asarray([df for _t, df, _d, _w in term_rows], dtype=np.int64),
+        (
+            np.cumsum([0] + [len(d) for _t, _df, d, _w in term_rows]),
+            np.concatenate([np.empty(0, np.uint32)] + [d for _t, _df, d, _w in term_rows]),
+            np.concatenate([np.empty(0, np.uint8)] + [w for _t, _df, _d, w in term_rows]),
+        ),
         cfg,
         seg_dir,
         {"source": os.path.abspath(file_path), "format": "INFDX2"},
@@ -507,24 +510,18 @@ def import_infdx2(file_path: str, out_dir: str, cfg=None):
         0.0,
     )
 
-    term_df = dict(zip(meta["terms"], meta["term_df"]))
-    for t, df in empty_df.items():  # keep df-only terms in the idf stats
-        term_df[t] = term_df.get(t, 0) + df
-    word_df = meta["word_df"]
-    for name, data_map in (("df.parquet", term_df), ("word_df.parquet", word_df)):
-        keys_sorted = sorted(data_map.keys())
-        col = "term" if name == "df.parquet" else "word"
-        pq.write_table(
-            pa.table(
-                {
-                    col: pa.array(keys_sorted, pa.large_string()),
-                    "df": pa.array(
-                        [data_map[k] for k in keys_sorted], pa.int64()
-                    ),
-                }
-            ),
-            os.path.join(out_dir, "stats", name),
-        )
+    term_df = _sum_df(  # keep df-only terms in the idf stats
+        [
+            _df_table("term", meta["terms"], meta["term_df"]),
+            _df_table("term", list(empty_df), list(empty_df.values())),
+        ],
+        "term",
+    )
+    pq.write_table(term_df, os.path.join(out_dir, "stats", "df.parquet"))
+    pq.write_table(
+        _sum_df([meta["word_df"]], "word"),
+        os.path.join(out_dir, "stats", "word_df.parquet"),
+    )
     n_docs = len(docs)
     sum_dl = float(doc_len.sum())
     stats = {
@@ -537,15 +534,7 @@ def import_infdx2(file_path: str, out_dir: str, cfg=None):
         json.dump(stats, f)
     manifest = {
         "version": 1,
-        "config": {
-            "index_sizes": list(cfg.index_sizes),
-            "start_pad_size": cfg.start_pad_size,
-            "stop_pad_size": cfg.stop_pad_size,
-            "stop_term_limit": cfg.stop_term_limit,
-            "delimiters": list(cfg.delimiters),
-            "synonyms": [list(g) for g in cfg.synonyms],
-            "enable_coverage": cfg.enable_coverage,
-        },
+        "config": manifest_config(cfg),
         "stats": stats,
         "segments": [
             {

@@ -16,6 +16,12 @@ SegmentReader.cs:33-168): one doc-range partition of the corpus with
 * ``meta.json``       — stats + lineage + per-stage metrics; ``_SUCCESS``
   marker for checkpoint/resume.
 
+Postings reach the writer as one CSR — list offsets (int64, terms+1),
+concatenated doc ids (uint32), concatenated weights (uint8) — and
+``encode_csr`` turns every list into its blob in one vectorized pass, so
+``postings.bin`` is one write. Build, merge, incremental add and INFDX2
+import all hand over a CSR.
+
 Doc ids are segment-local (dense, 0..n-1, in input order); global identity is
 ``doc_key``. Segments are doc-range disjoint by construction, so k-way merge
 concatenates postings (SegmentMerger.cs:13-136 semantics).
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,43 +50,77 @@ _FMT_V1 = 1
 _HEADER = struct.Struct("<IBB")  # n_postings, delta_width, version
 
 
-def encode_postings(doc_ids: np.ndarray, weights: np.ndarray) -> bytes:
-    """Encode one sorted posting list.
+def _scatter(buf: np.ndarray, dst: np.ndarray, lens: np.ndarray, src: np.ndarray) -> None:
+    """Copy ``src`` — runs of ``lens`` bytes laid end to end — into ``buf``
+    with run i starting at ``dst[i]``."""
+    idx = np.repeat(dst - (np.cumsum(lens) - lens), lens)
+    idx += np.arange(len(src), dtype=np.int64)
+    buf[idx] = src
 
-    Layout (v1): header(n, width, 1) | first_doc u32 | deltas (n-1)*width |
-    weights n*u8 | block_max ceil(n/B)*u8 | block_anchor ceil(n/B)*u32
 
-    ``block_anchor[j]`` is the first doc id of block j, so a reader can
-    reconstruct block j alone as anchor + cumsum(deltas[jB-1+1 : ...]) —
-    the skip-table advance of MMapBlockPostingsEnum.cs:6-303 without
-    touching earlier blocks; ``block_max`` feeds block-max score bounds.
-    """
-    n = len(doc_ids)
-    assert n > 0
+def encode_csr(
+    offsets: np.ndarray, doc_ids: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Encode every posting list of a CSR in one vectorized pass: list i is
+    ``doc_ids[offsets[i]:offsets[i+1]]`` (sorted, non-empty) with its
+    ``weights``; each becomes one blob, blobs laid end to end.
+
+    Blob layout (v1): header(n, width, 1) | first_doc u32 | deltas
+    (n-1)*width | weights n*u8 | block_max ceil(n/B)*u8 | block_anchor
+    ceil(n/B)*u32. ``width`` (1/2/4) is the smallest that holds the list's
+    largest delta; ``block_anchor[j]`` is the first doc id of block j, so a
+    reader decodes block j alone (the skip-table advance of
+    MMapBlockPostingsEnum.cs:6-303) and ``block_max`` feeds block-max score
+    bounds — BlockPostingsWriter.cs:97-106 over all lists at once.
+
+    Returns (buffer u8, blob offset i64, nbytes i32, n_postings i32,
+    max_weight u8), the last four per list."""
+    offsets = np.asarray(offsets, dtype=np.int64)
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint32)
     weights = np.ascontiguousarray(weights, dtype=np.uint8)
-    deltas = np.diff(doc_ids)
-    max_delta = int(deltas.max()) if len(deltas) else 0
-    if max_delta < 1 << 8:
-        width, dt = 1, np.uint8
-    elif max_delta < 1 << 16:
-        width, dt = 2, np.uint16
-    else:
-        width, dt = 4, np.uint32
+    starts = offsets[:-1]
+    n = np.diff(offsets)
+    assert (n > 0).all() and offsets[-1] == len(doc_ids) == len(weights)
+
+    deltas = np.diff(doc_ids, prepend=doc_ids[:1])
+    deltas[starts] = 0  # a list's first doc is stored whole, not as a delta
+    max_delta = np.maximum.reduceat(deltas, starts)
+    width = np.where(max_delta < 1 << 8, 1, np.where(max_delta < 1 << 16, 2, 4))
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    pad = n_blocks * BLOCK_SIZE - n
-    wpad = np.pad(weights, (0, pad))
-    block_max = wpad.reshape(n_blocks, BLOCK_SIZE).max(axis=1).astype(np.uint8)
-    anchors = doc_ids[::BLOCK_SIZE].astype(np.uint32)
-    parts = [
-        _HEADER.pack(n, width, _FMT_V1),
-        struct.pack("<I", int(doc_ids[0])),
-        deltas.astype(dt).tobytes(),
-        weights.tobytes(),
-        block_max.tobytes(),
-        anchors.tobytes(),
-    ]
-    return b"".join(parts)
+    head = _HEADER.size + 4
+    nbytes = head + (n - 1) * width + n + 5 * n_blocks
+    blob_off = np.cumsum(nbytes) - nbytes
+    buf = np.empty(int(nbytes.sum()), dtype=np.uint8)
+
+    # header + first doc: one packed 10-byte record per list
+    rec = np.empty(len(n), dtype=[("n", "<u4"), ("w", "u1"), ("v", "u1"), ("d", "<u4")])
+    rec["n"], rec["w"], rec["v"], rec["d"] = n, width, _FMT_V1, doc_ids[starts]
+    _scatter(buf, blob_off, np.full(len(n), head), rec.view(np.uint8))
+
+    body = np.ones(len(doc_ids), dtype=bool)
+    body[starts] = False
+    for w, dt in ((1, "<u1"), (2, "<u2"), (4, "<u4")):
+        lists = width == w
+        if lists.any():
+            src = deltas[body & np.repeat(lists, n)].astype(dt).view(np.uint8)
+            _scatter(buf, blob_off[lists] + head, (n[lists] - 1) * w, src)
+
+    w_off = blob_off + head + (n - 1) * width
+    _scatter(buf, w_off, n, weights)
+    # block starts: list i's blocks begin at starts[i] + j*B, j < n_blocks[i]
+    first_block = np.cumsum(n_blocks) - n_blocks
+    block_start = np.repeat(starts - first_block * BLOCK_SIZE, n_blocks)
+    block_start += np.arange(len(block_start), dtype=np.int64) * BLOCK_SIZE
+    _scatter(buf, w_off + n, n_blocks, np.maximum.reduceat(weights, block_start))
+    anchors = doc_ids[block_start].astype("<u4").view(np.uint8)
+    _scatter(buf, w_off + n + n_blocks, 4 * n_blocks, anchors)
+    return (
+        buf,
+        blob_off,
+        nbytes.astype(np.int32),
+        n.astype(np.int32),
+        np.maximum.reduceat(weights, starts),
+    )
 
 
 def decode_postings(buf: memoryview) -> tuple[np.ndarray, np.ndarray]:
@@ -224,33 +265,28 @@ DOCMAP_SCHEMA = pa.schema(
 
 def write_segment(
     seg_dir: str,
-    terms: list[str],
+    terms: list[str] | pa.Array,
     term_df: np.ndarray,
-    postings: list[tuple[np.ndarray, np.ndarray]],
+    postings: tuple[np.ndarray, np.ndarray, np.ndarray],
     docmap: dict,
     meta: dict,
     extra_tables: dict | None = None,
 ) -> dict:
-    """Write one immutable segment. ``terms`` must be sorted; ``postings[i]``
-    is the (doc_ids, weights) pair for terms[i]. Idempotent: writes to a tmp
-    dir then renames (safe for Ray task retries)."""
+    """Write one immutable segment. ``terms`` must be sorted; ``postings``
+    is the CSR ``(offsets, doc_ids, weights)`` whose list i
+    (``offsets[i]:offsets[i+1]``) belongs to terms[i]. ``meta["timings_s"]``
+    gains the ``encode`` and ``write`` wall times. Idempotent: writes to a
+    tmp dir then renames (safe for Ray task retries)."""
     tmp = seg_dir + ".tmp"
     os.makedirs(tmp, exist_ok=True)
+    meta = dict(meta)
+    timings = meta["timings_s"] = dict(meta.get("timings_s", {}))
 
-    offsets = np.zeros(len(terms), dtype=np.int64)
-    nbytes = np.zeros(len(terms), dtype=np.int32)
-    nposts = np.zeros(len(terms), dtype=np.int32)
-    maxw = np.zeros(len(terms), dtype=np.uint8)
-    pos = 0
+    t0 = time.perf_counter()
+    buf, offsets, nbytes, nposts, maxw = encode_csr(*postings)
+    t1 = time.perf_counter()
     with open(os.path.join(tmp, "postings.bin"), "wb") as f:
-        for i, (docs, weights) in enumerate(postings):
-            blob = encode_postings(docs, weights)
-            f.write(blob)
-            offsets[i] = pos
-            nbytes[i] = len(blob)
-            nposts[i] = len(docs)
-            maxw[i] = int(weights.max())
-            pos += len(blob)
+        f.write(buf)
 
     term_table = pa.table(
         {
@@ -271,9 +307,10 @@ def write_segment(
     for name, table in (extra_tables or {}).items():
         pq.write_table(table, os.path.join(tmp, name))
 
-    meta = dict(meta)
-    meta["n_terms"] = len(terms)
-    meta["postings_bytes"] = int(pos)
+    meta["n_terms"] = len(term_table)
+    meta["postings_bytes"] = len(buf)
+    timings["encode"] = round(t1 - t0, 4)
+    timings["write"] = round(time.perf_counter() - t1, 4)
     with open(os.path.join(tmp, "meta.json"), "w") as f:
         json.dump(meta, f)
     with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
@@ -495,47 +532,24 @@ def merge_segments(
     uniq = np.unique(all_terms)
 
     # vectorized k-way term alignment: each segment's sorted term array maps
-    # into `uniq` with ONE searchsorted (the old per-term
-    # term_lookup(str(term)) loop paid O(terms × segs) Python binary
-    # searches + numpy→str conversions — the dominant merge cost at 400
-    # segments / 2M pages)
-    emit_term: list[np.ndarray] = []
-    emit_seg: list[np.ndarray] = []
-    emit_local: list[np.ndarray] = []
-    for si, s in enumerate(segs):
-        pos = np.searchsorted(uniq, s.terms)
-        emit_term.append(pos.astype(np.int64))
-        emit_seg.append(np.full(len(s.terms), si, dtype=np.int32))
-        emit_local.append(np.arange(len(s.terms), dtype=np.int64))
-    et = np.concatenate(emit_term)
-    es = np.concatenate(emit_seg)
-    el = np.concatenate(emit_local)
+    # into `uniq` with ONE searchsorted (a per-term lookup loop was the
+    # dominant merge cost at 400 segments / 2M pages)
+    et = np.concatenate([np.searchsorted(uniq, s.terms) for s in segs])
+    es = np.repeat(np.arange(len(segs)), [len(s.terms) for s in segs])
+    el = np.concatenate([np.arange(len(s.terms)) for s in segs])
     order = np.lexsort((es, et))  # term-major, segment order within a term
     et, es, el = et[order], es[order], el[order]
-    if len(et):
-        starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]])
-        ends = np.append(starts[1:], len(et))
-    else:  # all inputs term-less (empty/delimiter-only docs)
-        starts = ends = np.empty(0, dtype=np.int64)
+    entry_len = np.concatenate([s.n_postings for s in segs]).astype(np.int64)[order]
+    entry_df = np.concatenate([s.df for s in segs]).astype(np.int64)[order]
 
-    uniq_py = uniq.tolist()
-    df_arrays = [np.asarray(s.df, dtype=np.int64) for s in segs]
-    terms_out: list[str] = []
-    df_out: list[int] = []
-    postings_out: list[tuple[np.ndarray, np.ndarray]] = []
-    for a, b in zip(starts, ends):
-        docs_parts, w_parts, df = [], [], 0
-        for k in range(a, b):
-            si, i = int(es[k]), int(el[k])
-            docs, weights = segs[si].term_postings(i)
-            docs_parts.append(docs.astype(np.int64) + doc_bases[si])
-            w_parts.append(weights)
-            df += int(df_arrays[si][i])
-        terms_out.append(uniq_py[int(et[a])])
-        df_out.append(df)
-        postings_out.append(
-            (np.concatenate(docs_parts).astype(np.uint32), np.concatenate(w_parts))
-        )
+    # output CSR: the entries' lists laid end to end in (term, segment)
+    # order, each shifted by its segment's doc base
+    starts = np.flatnonzero(np.diff(et, prepend=-1))  # each term's first entry
+    offsets = np.r_[0, np.cumsum(np.add.reduceat(entry_len, starts))]
+    lists = [segs[si].term_postings(i) for si, i in zip(es.tolist(), el.tolist())]
+    docs_out = np.concatenate([np.empty(0, np.uint32), *(d for d, _ in lists)])
+    docs_out = docs_out + np.repeat(doc_bases[es], entry_len)
+    w_out = np.concatenate([np.empty(0, np.uint8), *(w for _, w in lists)])
 
     docmap = {
         "local_id": np.arange(sum(s.n_docs for s in segs), dtype=np.int32),
@@ -584,10 +598,8 @@ def merge_segments(
             extra["fields.parquet"] = pa.table(
                 {n: sum((s.fields[n] for s in segs), []) for n in names}
             )
-    # short-query artifacts over the merged docmap — honor the same
-    # INFIDEX_SQ_ARTIFACTS=0 opt-out as build._finish_segment so the A/B
-    # probe can disable the artifacts on merged indexes too
-    if delimiters is not None and os.environ.get("INFIDEX_SQ_ARTIFACTS", "1") != "0":
+    # short-query artifacts over the merged docmap
+    if delimiters is not None:
         merged_sq = _merge_short_tables(seg_dirs, doc_bases)
         if merged_sq is not None:
             extra.update(merged_sq)
@@ -604,6 +616,7 @@ def merge_segments(
             )
 
     return write_segment(
-        out_dir, terms_out, np.asarray(df_out, dtype=np.int64), postings_out, docmap,
-        meta, extra_tables=extra or None,
+        out_dir, uniq[et[starts]].tolist(), np.add.reduceat(entry_df, starts),
+        (offsets, docs_out.astype(np.uint32), w_out), docmap, meta,
+        extra_tables=extra or None,
     )

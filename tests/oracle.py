@@ -823,3 +823,49 @@ def oracle_calculate_features(
         doc_first_token, doc_has_tokens,
     )
     return features
+
+
+# --- per-list posting encoder (the CSR encoder's oracle) ---------------------
+
+import struct  # noqa: E402
+
+from infidex_ray.segments import _FMT_V1, _HEADER, BLOCK_SIZE  # noqa: E402
+
+
+def encode_postings(doc_ids: np.ndarray, weights: np.ndarray) -> bytes:
+    """Encode one sorted posting list.
+
+    Layout (v1): header(n, width, 1) | first_doc u32 | deltas (n-1)*width |
+    weights n*u8 | block_max ceil(n/B)*u8 | block_anchor ceil(n/B)*u32
+
+    ``block_anchor[j]`` is the first doc id of block j, so a reader can
+    reconstruct block j alone as anchor + cumsum(deltas[jB-1+1 : ...]) —
+    the skip-table advance of MMapBlockPostingsEnum.cs:6-303 without
+    touching earlier blocks; ``block_max`` feeds block-max score bounds.
+    """
+    n = len(doc_ids)
+    assert n > 0
+    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint32)
+    weights = np.ascontiguousarray(weights, dtype=np.uint8)
+    deltas = np.diff(doc_ids)
+    max_delta = int(deltas.max()) if len(deltas) else 0
+    if max_delta < 1 << 8:
+        width, dt = 1, np.uint8
+    elif max_delta < 1 << 16:
+        width, dt = 2, np.uint16
+    else:
+        width, dt = 4, np.uint32
+    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
+    pad = n_blocks * BLOCK_SIZE - n
+    wpad = np.pad(weights, (0, pad))
+    block_max = wpad.reshape(n_blocks, BLOCK_SIZE).max(axis=1).astype(np.uint8)
+    anchors = doc_ids[::BLOCK_SIZE].astype(np.uint32)
+    parts = [
+        _HEADER.pack(n, width, _FMT_V1),
+        struct.pack("<I", int(doc_ids[0])),
+        deltas.astype(dt).tobytes(),
+        weights.tobytes(),
+        block_max.tobytes(),
+        anchors.tobytes(),
+    ]
+    return b"".join(parts)

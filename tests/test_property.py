@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 SETTINGS = settings(
@@ -17,13 +17,20 @@ SETTINGS = settings(
 )
 
 
+def _encode_one(doc_ids, weights) -> bytes:
+    """One posting list through the segment writer's CSR encoder."""
+    from infidex_ray.segments import encode_csr
+
+    return encode_csr(np.asarray([0, len(doc_ids)]), doc_ids, weights)[0].tobytes()
+
+
 @SETTINGS
 @given(
     st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=400, unique=True),
     st.data(),
 )
 def test_postings_codec_roundtrip(ids, data):
-    from infidex_ray.segments import decode_block_max, decode_postings, encode_postings
+    from infidex_ray.segments import decode_block_max, decode_postings
 
     doc_ids = np.asarray(sorted(ids), dtype=np.uint32)
     weights = np.asarray(
@@ -34,7 +41,7 @@ def test_postings_codec_roundtrip(ids, data):
         ),
         dtype=np.uint8,
     )
-    blob = encode_postings(doc_ids, weights)
+    blob = _encode_one(doc_ids, weights)
     d2, w2 = decode_postings(memoryview(blob))
     assert np.array_equal(d2, doc_ids)
     assert np.array_equal(w2, weights)
@@ -42,6 +49,58 @@ def test_postings_codec_roundtrip(ids, data):
     # block-max invariant: every weight ≤ its block's max
     for i, w in enumerate(weights):
         assert w <= bm[i // 128]
+
+
+# list lengths around BLOCK_SIZE (128) and its double; the largest delta of
+# each width class, at both edges of the class
+_CSR_LENS = (1, 2, 3, 127, 128, 129, 255, 256, 257, 300)
+_CSR_MAX_GAP = {1: (1, 255), 2: (256, 65535), 4: (65536, 1 << 23)}
+
+
+@st.composite
+def _ragged_csr(draw):
+    """0–6 sorted posting lists of mixed delta widths; some end at
+    2**32 - 1, about a tenth of the weights are 255."""
+    lists = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.sampled_from(_CSR_LENS))
+        width = draw(st.sampled_from((1, 2, 4)))
+        rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+        top = _CSR_MAX_GAP[width][1]
+        gaps = rng.randint(1, top + 1, size=n - 1).astype(np.int64)
+        if n > 1:
+            gaps[rng.randint(n - 1)] = _CSR_MAX_GAP[width][rng.randint(2)]
+        docs = np.r_[0, np.cumsum(gaps)]
+        docs += 2**32 - 1 - docs[-1] if draw(st.booleans()) else rng.randint(1000)
+        weights = rng.randint(0, 256, size=n)
+        weights[rng.rand(n) < 0.1] = 255
+        lists.append((docs.astype(np.uint32), weights.astype(np.uint8)))
+    return lists
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ragged_csr())
+@example([])
+def test_encode_csr_equals_per_list_oracle(lists):
+    """The segment writer's one-pass CSR encoder emits, byte for byte, the
+    concatenated blobs of the per-list encoder in tests/oracle.py, and the
+    per-list offset/nbytes/n_postings/max_weight of those blobs."""
+    from infidex_ray.segments import decode_postings, encode_csr
+    from oracle import encode_postings
+
+    offsets = np.cumsum([0] + [len(d) for d, _ in lists])
+    docs = np.concatenate([np.empty(0, np.uint32)] + [d for d, _ in lists])
+    weights = np.concatenate([np.empty(0, np.uint8)] + [w for _, w in lists])
+    buf, blob_off, nbytes, n_postings, max_weight = encode_csr(offsets, docs, weights)
+    blobs = [encode_postings(d, w) for d, w in lists]
+    assert buf.tobytes() == b"".join(blobs)
+    assert nbytes.tolist() == [len(b) for b in blobs]
+    assert blob_off.tolist() == np.cumsum([0] + nbytes.tolist())[:-1].tolist()
+    assert n_postings.tolist() == [len(d) for d, _ in lists]
+    assert max_weight.tolist() == [int(w.max()) for _, w in lists]
+    for (d, w), off, nb in zip(lists, blob_off, nbytes):
+        d2, w2 = decode_postings(memoryview(buf)[off : off + nb])
+        assert np.array_equal(d2, d) and np.array_equal(w2, w)
 
 
 @SETTINGS
@@ -232,13 +291,12 @@ def test_subset_decode_equals_full():
         decode_block_meta,
         decode_postings,
         decode_postings_subset,
-        encode_postings,
     )
 
     rng = np.random.RandomState(3)
     docs = np.unique(rng.randint(0, 1_000_000, size=5000)).astype(np.uint32)
     weights = rng.randint(1, 256, size=len(docs)).astype(np.uint8)
-    blob = memoryview(encode_postings(docs, weights))
+    blob = memoryview(_encode_one(docs, weights))
 
     fd, fw = decode_postings(blob)
     assert np.array_equal(fd, docs) and np.array_equal(fw, weights)
@@ -277,12 +335,11 @@ def test_legacy_v0_blob_fallback():
         decode_block_meta,
         decode_postings,
         decode_postings_subset,
-        encode_postings,
     )
 
     docs = np.arange(0, 4000, 3, dtype=np.uint32)
     weights = (docs % 250 + 1).astype(np.uint8)
-    blob = bytearray(encode_postings(docs, weights))
+    blob = bytearray(_encode_one(docs, weights))
     # strip the anchor tail + clear the version byte → a round-2 v0 blob
     n_blocks = (len(docs) + 127) // 128
     legacy = memoryview(bytes(blob[: len(blob) - 4 * n_blocks]))
@@ -338,10 +395,6 @@ def test_blockmax_pruning_rank_identity_long_postings(ray_session, tmp_path):
         doc_len[lid] = sum(cnt.values())
 
     terms = sorted(postings)
-    plist = [
-        (np.asarray(postings[t][0], np.uint32), np.asarray(postings[t][1], np.uint8))
-        for t in terms
-    ]
     seg_dir = str(tmp_path / "seg0")
     docmap = {
         "local_id": np.arange(len(docs), dtype=np.int32),
@@ -353,9 +406,15 @@ def test_blockmax_pruning_rank_identity_long_postings(ray_session, tmp_path):
         "token_count": np.asarray([len(d.split()) for d in docs], np.int32),
         "seg_number": np.zeros(len(docs), dtype=np.int32),
     }
+    lens = [len(postings[t][0]) for t in terms]
+    csr = (
+        np.cumsum([0] + lens),
+        np.concatenate([np.asarray(postings[t][0], np.uint32) for t in terms]),
+        np.concatenate([np.asarray(postings[t][1], np.uint8) for t in terms]),
+    )
     write_segment(
-        seg_dir, terms, np.asarray([len(p[0]) for p in plist], np.int64),
-        plist, docmap, {"n_docs": len(docs), "sum_doc_len": float(doc_len.sum())},
+        seg_dir, terms, np.asarray(lens, np.int64),
+        csr, docmap, {"n_docs": len(docs), "sum_doc_len": float(doc_len.sum())},
     )
     seg = read_segment(seg_dir)
     cfg = EngineConfig()
