@@ -3975,8 +3975,10 @@ def _mf_engine_for(sf_dir: str):
 
 def _mf_panel_tokens():
     """(query, tokens) with the engine's normalize → synonym-canonicalize →
-    tokenize order (Engine.search_ex:476-477)."""
+    tokenize order (``Engine.prep_query``), on the text stage 1 scores
+    (``stage1_text``: long words only for a mixed query)."""
     from infidex_ray.analyzer import normalize_with, tokenize_for_search
+    from infidex_ray.engine import stage1_text
     from infidex_ray.synonyms import SynonymMap
 
     cfg = EngineConfig()
@@ -3986,6 +3988,7 @@ def _mf_panel_tokens():
     for q in MULTIFIELD_PANEL:
         qn = normalize_with(cfg.normalizer, q.strip(), is_query=True).lower()
         qc = smap.canonicalize_text(qn, delims)
+        qc = stage1_text(qc, cfg) or qc
         out.append(
             (
                 q,

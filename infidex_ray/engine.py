@@ -664,8 +664,10 @@ class Engine:
         did not score. Every job list, the global unique cap and the
         candidate index are built here; subclasses replace only the
         transport (``_shard_of``, ``_coverage_round``, ``_coverage_top_up``,
-        ``_prescreen_keys``). Returns final entries or None (stage-1
-        fallback); raises DeadlineExceeded."""
+        ``_prescreen_keys``). Every shard call prunes its candidates for
+        ``top_k`` (``pipeline.process_candidates``); the top-up starts from
+        the round's k-th best kept score. Returns final entries or None
+        (stage-1 fallback); raises DeadlineExceeded."""
         from .query import pipeline as qp
 
         top = stage1_results[:coverage_depth]
@@ -677,13 +679,16 @@ class Engine:
         doc_index: dict[int, int] = {}
         best_chunk: dict[int, tuple[int, int]] = {}
         s1_jobs: dict[int, list] = {}
+        s1_keys: dict[int, list] = {}
         max_tfidf = top[0][0] if top else 1.0
         for e in top:
             assert len(e) >= 5 and e[3] >= 0 and e[4] >= 0, f"stage-1 entry without its chunk: {e}"
             di = doc_index.setdefault(e[1], len(doc_index))
             best_chunk.setdefault(e[1], (e[3], e[4]))
             norm_bm25 = e[0] / max_tfidf if max_tfidf > 0 else 0.0
-            s1_jobs.setdefault(self._shard_of(e[3]), []).append((e[3], e[4], norm_bm25, di))
+            ai = self._shard_of(e[3])
+            s1_jobs.setdefault(ai, []).append((e[3], e[4], norm_bm25, di))
+            s1_keys.setdefault(ai, []).append(e[1])
         s1_slots = min(len(doc_index), qp.MEMO_HEIGHT)
         # No speculation on a full stage-1 page (the overlap then ~always
         # fills the depth, so every speculative job would be discarded), nor
@@ -692,7 +697,7 @@ class Engine:
         spec_budget = self.SPEC_UNIQUE_BUDGET
         if len(top) >= coverage_depth or s1_slots < qp.MEMO_HEIGHT:
             spec_budget = 0
-        outs = self._coverage_round(ctx, s1_jobs, coverage_depth, spec_budget, deadline)
+        outs = self._coverage_round(ctx, s1_jobs, coverage_depth, spec_budget, deadline, top_k)
 
         # global unique cap: the first (coverage_depth − overlap) unique
         # candidates of the shard-order concatenation (SearchPipeline.cs:371-397)
@@ -717,27 +722,35 @@ class Engine:
 
         results: list = []
         memo: dict[int, list[int]] = {}
-        top_up: dict[int, list] = {}
+        top_up: dict[int, tuple[list, dict]] = {}
         for ai, ((_n, ov, _un, res, m), un) in enumerate(zip(outs, allowed)):
             # the shard's jobs in the reference order (overlapping, unique,
             # stage-1; SearchPipeline.cs:351-447); the round scored all but
             # the unique ones past its speculative prefix
             s1 = s1_jobs.get(ai, [])
+            keys = [k for *_, k in ov + un] + s1_keys.get(ai, [])
             jobs = [(si, lid, 0.0, doc_index[k]) for si, lid, k in ov + un] + s1
             spec_end = len(res) - len(s1)
             # round results: overlapping, stage-1, then speculative unique
+            # (None where the shard pruned the job)
             scored = res[: len(ov) + len(s1) + len(un)]
-            results.extend(r for r in scored if doc_index[r[1]] not in redo)
+            results.extend(r for r in scored if r is not None and doc_index[r[1]] not in redo)
             memo.update(m)
             rest = [
-                j for p, j in enumerate(jobs)
+                p for p, j in enumerate(jobs)
                 if j[3] in redo or spec_end <= p < len(ov) + len(un)
             ]
             if rest:
-                top_up[ai] = rest
+                # the top-up shard needs the best chunk of its own keys only
+                top_up[ai] = (
+                    [jobs[p] for p in rest],
+                    {keys[p]: best_chunk[keys[p]] for p in rest if keys[p] in best_chunk},
+                )
         if top_up:
-            for res, m in self._coverage_top_up(ctx, top_up, best_chunk, deadline):
-                results.extend(res)
+            # θ₀: the round's kept results bound the top-up's threshold
+            theta0 = qp.kth_best(results, top_k)
+            for res, m in self._coverage_top_up(ctx, top_up, deadline, top_k, theta0):
+                results.extend(r for r in res if r is not None)
                 for di, entry in m.items():
                     memo.setdefault(di, entry)
         return qp.finalize_coverage(
@@ -760,19 +773,25 @@ class Engine:
             cfg.stop_term_limit,
         )
 
-    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, deadline):
+    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, deadline, top_k):
         from .query import pipeline as qp
 
         return [
-            qp.coverage_shard(self, ctx, s1_jobs.get(0, []), cap, spec_budget, deadline)
+            qp.coverage_shard(
+                self, ctx, s1_jobs.get(0, []), cap, spec_budget, deadline, top_k
+            )
         ]
 
-    def _coverage_top_up(self, ctx, jobs_by_shard, best_chunk, deadline):
+    def _coverage_top_up(self, ctx, top_up, deadline, top_k, theta0):
+        """``top_up`` maps a shard to (its jobs, the best chunks of their
+        keys); every top-up result is kept, so all of them feed θ."""
         from .query import pipeline as qp
 
         return [
-            qp.process_candidates(self, ctx, jobs, best_chunk, deadline)
-            for jobs in jobs_by_shard.values()
+            qp.process_candidates(
+                self, ctx, jobs, best_chunk, deadline, (top_k, len(jobs), theta0)
+            )
+            for jobs, best_chunk in top_up.values()
         ]
 
     def _prescreen_keys(self, words, keys) -> set[int]:

@@ -53,6 +53,12 @@ the literal per-pair loops kept in tests/oracle.py
 The tables live for one candidate-scoring call (``pipeline.
 process_candidates``): they are never module state and never part of the
 ``CoverageContext`` that crosses the wire.
+
+Score bound. ``score_bound`` turns a candidate's OR'd masks (and, for a
+query token no exact relation explains, the fuzzy tables) into an upper
+bound on its fusion score before any matcher runs; ``process_candidates``
+skips the candidates whose bound cannot reach the running top k
+(tests/test_coverage_kernel.py checks bound ≥ score).
 """
 
 from __future__ import annotations
@@ -178,6 +184,32 @@ def _prefix_fuzzy_credit(qt: str, dt: str):
     return 0
 
 
+def _fuzzy_window(q_len: int, edit_dist: int, setup: CoverageParams) -> tuple[int, int, bool] | None:
+    """(min length, max length, two-char first-letter rule) of the doc
+    tokens the fuzzy matcher compares with a ``q_len``-char query token at
+    ``edit_dist`` (FuzzyWordMatcher.cs:60-100), or None when the token is
+    not tried at that budget."""
+    if q_len < setup.min_word_size:
+        return None
+    if q_len >= setup.min_length_two_typos:
+        token_max_edits = 2
+    elif q_len >= setup.min_length_one_typo:
+        token_max_edits = 1
+    else:
+        token_max_edits = 0
+    is_special_short = False
+    if q_len == 2 and token_max_edits == 0 and setup.num_typos >= 1:
+        token_max_edits = 1
+        is_special_short = True
+    if token_max_edits > setup.num_typos:
+        token_max_edits = setup.num_typos
+    if edit_dist > token_max_edits or (is_special_short and edit_dist != 1):
+        return None
+    min_len = max(setup.min_word_size, q_len - edit_dist)
+    max_len = min(setup.levenshtein_max_word_size, q_len + edit_dist, 63)
+    return min_len, max_len, is_special_short
+
+
 def _fuzzy_distance(qt: str, edit_dist: int, min_len: int, max_len: int, special_short: bool, dt: str) -> int:
     """The fuzzy matcher's distance of doc token ``dt`` at one edit budget
     (FuzzyWordMatcher.cs:95-130); -1 when the length window or the
@@ -221,7 +253,7 @@ class TokenRelations:
     per candidate-scoring call from the query context; the doc-token keys
     are lowered token texts."""
 
-    def __init__(self, ctx, delimiters: frozenset[str], min_stem_length: int):
+    def __init__(self, ctx, delimiters: frozenset[str], min_stem_length: int, setup: CoverageParams):
         self.query = q = ctx.query
         # coverage query tokens: min_word_size-filtered, deduped
         self.q_texts = q_texts = [q[o : o + l] for o, l in ctx.tokens]
@@ -243,6 +275,7 @@ class TokenRelations:
         self.b_feq, self.b_fstart, self.b_fstem = take(nf), take(nf), take(nf)
         (self.b_head, self.b_unexplained, self.b_anchor, self.b_trail,
          self.b_seg_prefix, self.b_seg_suffix) = take(6)
+        self.b_approx = take(nc)
         self.joined_bits: dict[str, int] = {}
         for text, b in zip(self.q_joined, self.b_join):
             self.joined_bits[text] = self.joined_bits.get(text, 0) | b
@@ -278,6 +311,53 @@ class TokenRelations:
         self.tokens = _Memo(self._relate)
         self.prefix_fuzzy = [_Memo(partial(_prefix_fuzzy_credit, t)) for t in q_texts]
         self._fuzzy: dict[tuple[int, int], _Memo] = {}
+
+        # score bound (``score_bound``): the relations that can give a query
+        # token matched chars, and those that can give it a prefix hit (a
+        # doc pair joined into token i makes its second doc token a suffix
+        # of token i, so ``b_ps`` covers that case)
+        join = self.b_join + [0]
+        self.b_prefix = [self.b_eq[i] | self.b_ps[i] | join[i] for i in range(nc)]
+        self.b_term = [
+            self.b_prefix[i] | join[i - 1] | self.b_approx[i] for i in range(nc)
+        ]
+        self.b_match = reduce(or_, self.b_prefix, self.b_head)
+        # ``approx[i][d]``: the fuzzy-prefix pass of the prefix/suffix
+        # matcher or the fuzzy matcher can match query token i with doc
+        # token d; a doc that relates to token i through none of its exact
+        # bits gets ``b_approx[i]`` from it
+        self.b_exact = [b & ~a for b, a in zip(self.b_term, self.b_approx)]
+        self._windows = [
+            [(e, w) for e in (1, 2) if (w := _fuzzy_window(len(t), e, setup)) is not None]
+            for t in q_texts
+        ]
+        self.approx = [_Memo(partial(self._approx, i)) for i in range(nc)]
+        # high-information dominance (FusionScorer.cs:88-146): the terms that
+        # can be the dominant one and whether an anchor stem can be strong
+        self.b_dominant = 0
+        self.strong_anchor = False
+        wl = ctx.word_level_idf
+        if wl is not None and nc >= 2:
+            total_idf = 0.0
+            for idf in ctx.term_idf:
+                total_idf += idf
+            avg = total_idf / nc if total_idf > 0.0 else 0.0
+            for i in range(nc):
+                if 0.0 < wl[i] and wl[i] >= avg:
+                    self.b_dominant |= self.b_term[i]
+            self.strong_anchor = wl[0] >= avg
+        # the single-char last token boost is at most 8 + 16 + 4
+        # (FusionSignalComputer.cs:180-262)
+        self.boost_max = 28 if nf > nc and len(fq[-1]) == 1 and fq[-1].isalpha() else 0
+        self.single_term = (nf or nc) <= 1
+        self.b_cov_bound = reduce(or_, self.b_term, 0)
+        self.b_fusion_bound = reduce(
+            or_,
+            [self.b_fstart[i] | self.b_fstem[i] for i in self.stem_terms],
+            self.preceding_eq | (self.b_fstart[-1] if nf else 0)
+            | self.b_unexplained | self.b_anchor,
+        )
+        self.bounds = _Memo(partial(_precedence_bound, self))
 
     def _relate(self, d: str) -> int:
         """Bit mask of doc token ``d`` (module docstring)."""
@@ -325,6 +405,12 @@ class TokenRelations:
             if d.endswith(suffix_frag) or suffix_frag.endswith(d):
                 mask |= self.b_seg_suffix
         return mask
+
+    def _approx(self, i: int, d: str) -> bool:
+        q_len = len(self.q_texts[i])
+        if (q_len >= 4 or (i == len(self.q_texts) - 1 and q_len >= 2)) and self.prefix_fuzzy[i][d]:
+            return True  # the pass-2 window rule of match_prefix_suffix
+        return any(self.fuzzy(i, e, *w)[d] >= 0 for e, w in self._windows[i])
 
     def fuzzy(self, i: int, edit_dist: int, min_len: int, max_len: int, special_short: bool) -> _Memo:
         """Fuzzy-matcher distances of query token ``i`` at ``edit_dist``
@@ -593,27 +679,10 @@ def match_fuzzy_words(st: MatchState, setup: CoverageParams) -> None:
             if not q_active[i]:
                 continue
             q_len = len(st.q_texts[i])
-            if q_len < setup.min_word_size:
+            window = _fuzzy_window(q_len, edit_dist, setup)
+            if window is None:
                 continue
-            if q_len >= setup.min_length_two_typos:
-                token_max_edits = 2
-            elif q_len >= setup.min_length_one_typo:
-                token_max_edits = 1
-            else:
-                token_max_edits = 0
-            is_special_short = False
-            if q_len == 2 and token_max_edits == 0 and setup.num_typos >= 1:
-                token_max_edits = 1
-                is_special_short = True
-            if token_max_edits > setup.num_typos:
-                token_max_edits = setup.num_typos
-            if edit_dist > token_max_edits:
-                continue
-            if is_special_short and edit_dist != 1:
-                continue
-            min_len = max(setup.min_word_size, q_len - edit_dist)
-            max_len = min(setup.levenshtein_max_word_size, q_len + edit_dist, 63)
-            table = st.rel.fuzzy(i, edit_dist, min_len, max_len, is_special_short)
+            table = st.rel.fuzzy(i, edit_dist, *window)
             dists = list(map(table.__getitem__, st.d_texts))
             if max(dists, default=-1) < 0:
                 continue
@@ -969,6 +1038,117 @@ def _single_term_lexical_similarity(rel: TokenRelations, recs, d_distinct) -> fl
     return best
 
 
+# --- score bound -------------------------------------------------------------
+
+_SEMANTIC_MAX = 0.999  # fusion_calculate clamps the semantic fraction here
+
+
+def coverage_tier(matched: int, total: int) -> int:
+    """Multi-term coverage tier of ``matched`` of ``total`` coverage terms
+    (FusionScorer.cs:60-75)."""
+    if matched >= total:
+        return 3
+    if matched == total - 1:
+        return 2
+    if matched * 2 >= total:
+        return 1
+    return 0
+
+
+def score_bound(
+    rel: TokenRelations, doc_prep: tuple, doc_first_token: str | None
+) -> float:
+    """An upper bound on ``fusion_calculate``'s score for the doc behind
+    ``doc_prep``, read from the token relations before any matcher runs
+    (``rel`` built with the coverage setup). The doc reduces to its OR'd
+    coverage mask (plus ``b_approx[i]`` where only a fuzzy relation can
+    match query token i), its OR'd fusion mask, whether its first coverage
+    token can match at offset 0 and its token count; ``rel.bounds`` maps
+    that key to the bound (``_precedence_bound``)."""
+    if not rel.q_texts:  # no coverage token: every feature stays 0
+        return _SEMANTIC_MAX
+    tokens = rel.tokens
+    d_texts = doc_prep[4]
+    cov_any = reduce(or_, map(tokens.__getitem__, d_texts), 0)
+    for i, b in enumerate(rel.b_exact):
+        if not cov_any & b and any(map(rel.approx[i].__getitem__, d_texts)):
+            cov_any |= rel.b_approx[i]
+    # starting at the beginning counts only with a clean (prefix) match of
+    # every term, which exact relations alone give: it needs an exact
+    # relation on a doc token at offset 0
+    starts = bool(d_texts) and doc_prep[2][0][0] == 0 and bool(tokens[d_texts[0]] & rel.b_match)
+    fus_any = 0
+    if not rel.single_term:
+        fus_any = reduce(or_, map(tokens.__getitem__, doc_prep[5]), 0)
+        # the anchor stem may also come from the segment's first-token
+        # metadata (FusionSignalComputer.cs:91-132)
+        if (
+            rel.anchor is not None
+            and not fus_any & rel.b_anchor
+            and doc_first_token
+            and lower_1to1(doc_first_token).startswith(rel.anchor)
+        ):
+            fus_any |= rel.b_anchor
+        fus_any &= rel.b_fusion_bound
+    return rel.bounds[
+        (cov_any & rel.b_cov_bound, fus_any, starts, min(doc_prep[1], len(rel.q_texts) + 1))
+    ]
+
+
+def _precedence_bound(rel: TokenRelations, key: tuple) -> float:
+    """``score_bound`` of one doc key. Every precedence bit counts as set
+    unless the masks rule it out, and the semantic fraction as its clamp,
+    0.999. A query token can end up matched only through a relation in
+    ``b_term``; each hit consumes one query token, so at most that many
+    terms match and ``word_hits`` is at most that count too. Starting at
+    the beginning needs a match on a doc token at offset 0. The fusion
+    signals the precedence reads are functions of the fusion tokens' OR'd
+    mask. Bit 3 (a partial match) does not rise with the matched-term
+    count, so the bound takes the largest precedence over every count it
+    allows."""
+    cov_any, fus_any, starts, doc_token_count = key
+    nc = len(rel.q_texts)
+    n_possible = sum(1 for b in rel.b_term if cov_any & b)
+    clean = all(cov_any & b for b in rel.b_prefix)
+    if rel.single_term:
+        if not n_possible:
+            return _SEMANTIC_MAX
+        # the single-term tier needs a clean (prefix) match
+        tier = (4 if starts else 2) if clean else 0
+        return float(1 << 17 | (1 << 16 if clean else 0) | tier << 3) + _SEMANTIC_MAX
+
+    lexical_prefix_last = (fus_any & rel.preceding_eq) == rel.preceding_eq and bool(
+        fus_any & rel.b_fstart[-1]
+    )
+    perfect = not fus_any & rel.b_unexplained
+    anchor = bool(fus_any & rel.b_anchor)
+    unmatched_stems = [i for i in rel.stem_terms if not fus_any & rel.b_fstart[i]]
+    stem_evidence = bool(unmatched_stems) and all(
+        fus_any & rel.b_fstem[i] for i in unmatched_stems
+    )
+    high = 0
+    if cov_any & rel.b_dominant or (anchor and rel.strong_anchor):
+        high |= 1 << 13
+    if 0 < doc_token_count <= n_possible:  # word_hits == doc_token_count
+        high |= 1 << 14
+    best = 0
+    for matched in range(n_possible + 1):
+        complete = matched == nc
+        if lexical_prefix_last:
+            multi = 3 if complete else 2
+        else:
+            multi = 1 if perfect or anchor else 0
+        prec = coverage_tier(matched, nc) << 16 | high | (1 << (multi + rel.boost_max).bit_length()) - 1
+        if complete and clean and starts and lexical_prefix_last:
+            prec |= 1 << 15
+        # a partial match sets bit 3 on stem evidence, else only with one
+        # term unmatched
+        if 0 < matched < nc and (stem_evidence or matched == nc - 1):
+            prec |= 8
+        best = max(best, prec)
+    return float(best) + _SEMANTIC_MAX
+
+
 # --- query context + feature calculation -------------------------------------
 
 
@@ -1085,7 +1265,7 @@ def calculate_features(
     if doc_prep is None:
         doc_prep = prepare_doc(doc_text, setup.min_word_size, delimiters)
     if relations is None:
-        relations = TokenRelations(ctx, delimiters, min_stem_length)
+        relations = TokenRelations(ctx, delimiters, min_stem_length, setup)
     d_low, d_raw_count, d_unique, fusion_d_slices, d_texts, d_distinct, d_counts, d_order = doc_prep
     features.doc_token_count = d_raw_count
 

@@ -14,7 +14,8 @@ docmap, word-matcher tables, doc-prep caches — all per-actor state built in
   only when the global decision differs from the guess;
 * coverage: one ``cov_fused`` round (``pipeline.coverage_shard``:
   WordMatcher split + candidate scoring per shard), plus a ``run_jobs``
-  top-up for the allowed unique candidates the round did not score. The
+  top-up for the allowed unique candidates the round did not score, with
+  the round's k-th best score as its pruning floor. The
   driver half is ``Engine._coverage_stage``, shared with the in-process
   engine; this class supplies only the fan-outs. Every doc's jobs land on
   the shard owning its segment, preserving the reference's memo semantics;
@@ -128,14 +129,13 @@ class IndexShardActor:
         loaded host each 16-way fan-out costs 20-40 ms, so the round count
         IS the latency floor).
 
-        ``packed`` = (s1_jobs, cap, spec_budget, budget_s) as ONE tuple
-        (fixed per-argument ``.remote()`` serialization cost — see
-        phase_ab); ``ctx`` stays a top-level arg so its ObjectRef
-        auto-derefs. Returns ("timeout",) when the budget expires mid-scan."""
-        s1_jobs, cap, spec_budget, budget_s = packed
+        ``packed`` = (s1_jobs, cap, spec_budget, budget_s, top_k) as ONE
+        tuple (fixed per-argument ``.remote()`` serialization cost — see
+        phase_ab). Returns ("timeout",) when the budget expires mid-scan."""
+        s1_jobs, cap, spec_budget, budget_s, top_k = packed
         try:
             return qp.coverage_shard(
-                self.engine, ctx, s1_jobs, cap, spec_budget, _deadline(budget_s)
+                self.engine, ctx, s1_jobs, cap, spec_budget, _deadline(budget_s), top_k
             )
         except qp.DeadlineExceeded:
             return ("timeout",)
@@ -144,13 +144,17 @@ class IndexShardActor:
         """Shard-local posting-union ∩ candidates for the lexical prescreen."""
         return qp.segment_prescreen_keys(self.engine.segments, words, keys)
 
-    def run_jobs(self, ctx, jobs, best_chunk, budget_s: float | None = None):
-        """Top-up scoring of ``jobs`` in order, with one memo. Returns
-        ("timeout", None) instead of raising so the sentinel crosses the
-        actor boundary cleanly."""
+    def run_jobs(self, ctx, jobs, best_chunk, packed):
+        """Top-up scoring of ``jobs`` with one memo, pruned for the top k.
+        ``best_chunk`` holds the best chunks of the jobs' keys only;
+        ``packed`` = (budget_s, top_k, theta0). Returns ("timeout", None)
+        instead of raising so the sentinel crosses the actor boundary
+        cleanly."""
+        budget_s, top_k, theta0 = packed
         try:
             return qp.process_candidates(
-                self.engine, ctx, jobs, best_chunk, deadline=_deadline(budget_s)
+                self.engine, ctx, jobs, best_chunk, _deadline(budget_s),
+                (top_k, len(jobs), theta0),
             )
         except qp.DeadlineExceeded:
             return "timeout", None
@@ -307,7 +311,7 @@ class DistributedEngine(Engine):
         """All unknown terms probed in ONE fan-out round (per-term rounds
         made a two-typo query pay two sequential ~30 ms RTTs). The coverage
         ctx prep overlaps with this RTT too — typo queries reach the stage-1
-        fan-out with the ctx already in the object store.
+        fan-out with the ctx already prepared.
 
         Warm repeats skip the round entirely: the index is immutable for
         the lifetime of this engine, so per-term fuzzy dfs are cached on
@@ -403,19 +407,16 @@ class DistributedEngine(Engine):
         return self.shard_of_seg[si]
 
     def _ctx_for(self, q: str):
-        """Coverage query context, cached with its object-store ref for the
-        current query. Depends only on (q, global stats) — NOT on stage-1
-        results — so ``stage1`` builds it while the phase fan-out is in
-        flight, taking ctx prep + ray.put off the critical path."""
+        """Coverage query context, cached for the current query. Depends
+        only on (q, global stats) — NOT on stage-1 results — so ``stage1``
+        builds it while the phase fan-out is in flight, taking ctx prep off
+        the critical path. It pickles to a few hundred bytes, so it rides
+        inline in each coverage call (an object-store put costs more than
+        the bytes it saves)."""
         hit = getattr(self, "_ctx_cache", None)
         if hit is None or hit[0] != q:
-            ctx = super()._ctx_for(q)
-            hit = self._ctx_cache = (q, ctx, ray.put(ctx))
+            hit = self._ctx_cache = (q, super()._ctx_for(q))
         return hit[1]
-
-    def _ctx_ref(self, ctx):
-        hit = self._ctx_cache
-        return hit[2] if hit[1] is ctx else ray.put(ctx)
 
     def _overlap_ctx_prep(self) -> None:
         """Called by ``stage1`` right after submitting a fan-out round (the
@@ -424,13 +425,12 @@ class DistributedEngine(Engine):
         if q is not None:
             self._ctx_for(q)
 
-    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, deadline):
-        ctx_ref = self._ctx_ref(ctx)
+    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, deadline, top_k):
         budget_s = _budget_s(deadline)
         outs = ray.get(
             [
                 a.cov_fused.remote(
-                    ctx_ref, (s1_jobs.get(ai, []), cap, spec_budget, budget_s)
+                    ctx, (s1_jobs.get(ai, []), cap, spec_budget, budget_s, top_k)
                 )
                 for ai, a in enumerate(self.actors)
             ]
@@ -439,14 +439,12 @@ class DistributedEngine(Engine):
             raise qp.DeadlineExceeded
         return outs
 
-    def _coverage_top_up(self, ctx, jobs_by_shard, best_chunk, deadline):
-        ctx_ref = self._ctx_ref(ctx)
+    def _coverage_top_up(self, ctx, top_up, deadline, top_k, theta0):
         budget_s = _budget_s(deadline)
-        bc_ref = ray.put(best_chunk)
         outs = ray.get(
             [
-                self.actors[ai].run_jobs.remote(ctx_ref, jobs, bc_ref, budget_s)
-                for ai, jobs in jobs_by_shard.items()
+                self.actors[ai].run_jobs.remote(ctx, jobs, best_chunk, (budget_s, top_k, theta0))
+                for ai, (jobs, best_chunk) in top_up.items()
             ]
         )
         if any(res == "timeout" for res, _m in outs):

@@ -7,7 +7,7 @@ final ranking value; the bit logic is the rank-identity contract.
 
 from __future__ import annotations
 
-from .coverage import CoverageFeatures
+from .coverage import CoverageFeatures, coverage_tier
 
 _INTENT_BONUS_PER_SIGNAL = 0.15
 
@@ -113,17 +113,8 @@ def fusion_calculate(
 
     precedence = 0
 
-    coverage_tier = 0
     if not is_single_term and f.terms_count > 0:
-        matched, total = f.terms_with_any_match, f.terms_count
-        if matched >= total:
-            coverage_tier = 3
-        elif matched == total - 1:
-            coverage_tier = 2
-        elif matched * 2 >= total:
-            coverage_tier = 1
-    if not is_single_term and coverage_tier > 0:
-        precedence |= (coverage_tier & 0b11) << 16
+        precedence |= coverage_tier(f.terms_with_any_match, f.terms_count) << 16
 
     is_exact_prefix = (
         not is_single_term and is_clean and starts_at_beginning and lexical_prefix_last and is_complete

@@ -6,7 +6,9 @@ src/Infidex/Scoring/SearchPipeline.cs:298-522):
 1. top stage-1 candidates (≤ coverageDepth) + WordMatcher candidates
    (exact ∪ LD1 ∪ affix per query word, capped so wm-only docs fill at most
    coverageDepth − overlap slots, in internal-id order);
-2. per candidate: LCS memo → coverage matcher cascade → fusion score;
+2. per candidate: LCS memo → coverage matcher cascade → fusion score,
+   skipping the candidates whose score bound cannot reach the top k
+   (rank-safe: the final hits are the same);
 3. bounded heap (coverageDepth) → consolidation → truncation.
 
 Distribution model: every candidate doc lives in exactly one doc-range
@@ -21,6 +23,8 @@ the manifest.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from . import coverage as cov
 from .fusion import fusion_calculate
@@ -179,25 +183,113 @@ def wm_scan(
     return n_total, overlapping, unique
 
 
+class KthBest:
+    """The ``k``-th best score over distinct doc keys among the results
+    added so far, never below ``floor`` (a k-th best score known from other
+    results the driver keeps). Used as the pruning threshold θ."""
+
+    __slots__ = ("k", "floor", "heap", "best")
+
+    def __init__(self, k: int, floor: float = float("-inf")):
+        self.k = k
+        self.floor = floor
+        self.heap: list[tuple[float, int]] = []  # min-heap; stale entries skipped
+        self.best: dict[int, float] = {}  # best score of each key in the top k
+
+    def add(self, score: float, key: int) -> None:
+        best, heap = self.best, self.heap
+        cur = best.get(key)
+        if cur is not None:
+            if score <= cur:
+                return
+        elif len(best) >= self.k and (not heap or score <= heap[0][0]):
+            return  # no better than the k-th best (k < 1 keeps nothing)
+        best[key] = score
+        heapq.heappush(heap, (score, key))
+        while True:
+            s, k = heap[0]
+            if best.get(k) != s:  # a superseded score of its key
+                heapq.heappop(heap)
+            elif len(best) > self.k:
+                heapq.heappop(heap)
+                del best[k]
+            else:
+                break
+
+    @property
+    def theta(self) -> float:
+        if not self.heap or len(self.best) < self.k:
+            return self.floor
+        return max(self.floor, self.heap[0][0])
+
+
+def kth_best(results, k: int) -> float:
+    """θ₀ for the top-up: the ``k``-th best distinct-key score of the
+    round's kept ``results``, or -inf when they have fewer than ``k`` keys
+    or no word hits (pruning needs a kept result with hits)."""
+    top = KthBest(k)
+    hits = False
+    for r in results:
+        top.add(r[0], r[1])
+        hits = hits or r[3] > 0
+    return top.theta if hits else float("-inf")
+
+
+def _score_bounds(engine, relations, jobs, docs, positions) -> dict[int, float]:
+    """``coverage.score_bound`` of each job at ``positions``, once per
+    (candidate chunk, text chunk); ``docs`` holds each job's (key, text
+    chunk)."""
+    setup = engine.cfg.coverage
+    delimiters = frozenset(engine.cfg.delimiters)
+    bound: dict[int, float] = {}
+    by_doc: dict[tuple, float] = {}
+    for p in positions:
+        si, lid = jobs[p][:2]
+        _key, tsi, tlid = docs[p]
+        b = by_doc.get((si, lid, tsi, tlid))
+        if b is None:
+            prep = _prep_for(engine, tsi, tlid, setup, delimiters)
+            first = engine.seg_by_id(si).first_tokens[lid]
+            b = by_doc[si, lid, tsi, tlid] = cov.score_bound(relations, prep, first)
+        bound[p] = b
+    return bound
+
+
 def process_candidates(
     engine,
     ctx: cov.CoverageContext,
     jobs: list[tuple[int, int, float, int]],
     best_chunk: dict[int, tuple[int, int]],
     deadline: float | None = None,
+    prune: tuple[int, int, float] | None = None,
 ) -> tuple[list, dict[int, list[int]]]:
     """Shard-local candidate scoring (SearchPipeline.ProcessCandidate,
-    :449-522). ``jobs`` = (si, lid, base_score, doc_index) in processing
-    order; all jobs for one doc key arrive at the shard owning its segment,
-    so the 2-slot LCS/wordHits memo semantics hold locally.
+    :449-522). ``jobs`` = (si, lid, base_score, doc_index); all jobs for
+    one doc key arrive at the shard owning its segment, so the 2-slot
+    LCS/wordHits memo semantics hold locally.
 
-    Returns ([(score, key, tiebreaker, word_hits)], {doc_index<2: [lcs, wh]}).
-    """
+    ``prune`` = (top_k, n_kept, theta0) turns on rank-safe pruning. The
+    first ``n_kept`` jobs are results the driver is certain to keep, and
+    ``theta0`` is a k-th best score the driver already holds. θ is the
+    ``top_k``-th best distinct-key score of the kept results (at least
+    ``theta0``). Memo-slot jobs are scored first, in order (their order
+    fills the memo), then stage-1 jobs in rank order, until pruning can
+    start: θ survives truncation (θ ≥ ``truncation_score`` or truncation
+    off) and a kept result has word hits (no stage-1 fallback). Then the
+    remaining jobs are bounded with ``coverage.score_bound`` and scored in
+    descending bound order until a bound is strictly below θ; every later
+    job is skipped. Each skipped entry sorts below every entry of the final
+    top k, so ``finalize_coverage`` returns the same hits. A query whose θ
+    never qualifies computes no bound; a query over 255 characters is not
+    pruned (over that, the driver drops some memo-slot results).
+
+    Returns ([(score, key, tiebreaker, word_hits) or None when skipped, one
+    per job in job order], {doc_index<2: [lcs, wh]})."""
     setup = engine.cfg.coverage
     delimiters = frozenset(engine.cfg.delimiters)
     min_stem_length = engine.cfg.min_index_size
     memo: dict[int, list[int]] = {}
-    results: list[tuple[float, int, int, int]] = []
+    results: list = [None] * len(jobs)
     # overlapping wm jobs and stage-1 jobs for the same candidate carry the
     # SAME (si, lid, best-chunk, lcs) → identical features; only base_score
     # differs. Caching halves the matcher-cascade work for the common
@@ -205,23 +297,58 @@ def process_candidates(
     # clamped >255 edge recomputes and stays exact.
     feat_cache: dict[tuple, object] = {}
     # the query's token-relation tables, shared by this call's candidates
-    relations = cov.TokenRelations(ctx, delimiters, min_stem_length)
+    relations = cov.TokenRelations(ctx, delimiters, min_stem_length, setup)
+
+    # per job: doc key and the chunk its coverage text comes from — the
+    # best-scoring chunk for the key when stage 1 found one
+    # (SegmentProcessor.GetBestSegmentText, :42-75); metadata stays the
+    # candidate chunk's (CalculateFeatures(..., internalId))
+    docs = []
+    for si, lid, _base, _di in jobs:
+        key = int(engine.seg_by_id(si).doc_keys[lid])
+        docs.append((key, *best_chunk.get(key, (si, lid))))
+
+    order = list(range(len(jobs)))
+    pruning = prune is not None and len(ctx.query) <= 255
+    bound: dict[int, float] | None = None
+    n_memo = 0
+    if pruning:
+        top_k, n_kept, theta0 = prune
+        top = KthBest(top_k, theta0)
+        has_hits = theta0 > float("-inf")
+        # memo-slot jobs first, in order (their order fills the memo), then
+        # stage-1 jobs in rank order until pruning can start
+        order.sort(key=lambda p: (not 0 <= jobs[p][3] < MEMO_HEIGHT, -jobs[p][2]))
+        n_memo = sum(1 for j in jobs if 0 <= j[3] < MEMO_HEIGHT)
 
     import time as _time
 
-    for n_done, (si, lid, base_score, di) in enumerate(jobs):
+    n_done = 0
+    while n_done < len(order):
         if (
             deadline is not None
             and n_done % _DEADLINE_STRIDE == 0
             and _time.monotonic() >= deadline
         ):
             raise DeadlineExceeded
+        p = order[n_done]
+        if pruning and n_done >= n_memo and has_hits:
+            theta = top.theta
+            if theta > float("-inf") and (
+                theta >= setup.truncation_score or not setup.truncate
+            ):
+                if bound is None:
+                    # pruning can start: bound the rest, then score it in
+                    # descending bound order
+                    bound = _score_bounds(engine, relations, jobs, docs, order[n_done:])
+                    order[n_done:] = sorted(order[n_done:], key=lambda q: -bound[q])
+                    p = order[n_done]
+                if bound[p] < theta:
+                    break  # bounds only fall and θ only rises: skip the rest
+        n_done += 1
+        si, lid, base_score, di = jobs[p]
+        key, tsi, tlid = docs[p]
         seg = engine.seg_by_id(si)
-        key = int(seg.doc_keys[lid])
-        # coverage text = best-scoring chunk for this key when stage 1 found
-        # one (SegmentProcessor.GetBestSegmentText, :42-75); metadata stays
-        # the candidate chunk's (CalculateFeatures(..., internalId))
-        tsi, tlid = best_chunk.get(key, (si, lid))
         doc_text = _cov_doc_text(engine, tsi, tlid, delimiters)
         prep = _prep_for(engine, tsi, tlid, setup, delimiters)
         lcs = 0
@@ -252,7 +379,10 @@ def process_candidates(
             m = memo.setdefault(di, [0, 0])
             if m[1] == 0:
                 m[1] = min(features.word_hits, 255)
-        results.append((score, key, tiebreaker, features.word_hits))
+        results[p] = (score, key, tiebreaker, features.word_hits)
+        if pruning and p < n_kept:
+            top.add(score, key)
+            has_hits = has_hits or features.word_hits > 0
     return results, memo
 
 
@@ -263,9 +393,11 @@ def coverage_shard(
     cap: int,
     spec_budget: int,
     deadline: float | None = None,
+    top_k: int | None = None,
 ):
     """One shard's coverage round: WordMatcher split + candidate scoring
-    over the shard's segments, in one ``process_candidates`` call.
+    over the shard's segments, in one ``process_candidates`` call (pruned
+    for ``top_k`` when given).
 
     ``s1_jobs`` = this shard's stage-1 jobs ``(si, lid, norm_bm25, di)`` in
     global rank order. Their (si, lid) are the stage-1 chunks the wm
@@ -277,7 +409,8 @@ def coverage_shard(
     results only within the global ``coverage_depth − overlap`` unique cap.
 
     Returns (n_wm_total, overlapping, unique, results, memo): ``results``
-    has one entry per job in that order; ``unique`` is capped at ``cap``.
+    has one entry per job in that order (None for a pruned job);
+    ``unique`` is capped at ``cap``.
     Raises DeadlineExceeded when ``deadline`` passes mid-scan."""
     lids_by_seg: dict[int, list[int]] = {}
     key_di: dict[int, int] = {}
@@ -293,7 +426,10 @@ def coverage_shard(
     jobs += [
         (si, lid, 0.0, key_di.get(key, -1)) for si, lid, key in unique[:spec_budget]
     ]
-    results, memo = process_candidates(engine, ctx, jobs, best_chunk, deadline)
+    # the driver keeps every overlapping and stage-1 result, not always
+    # the speculative ones
+    prune = None if top_k is None else (top_k, len(overlapping) + len(s1_jobs), float("-inf"))
+    results, memo = process_candidates(engine, ctx, jobs, best_chunk, deadline, prune)
     return n_total, overlapping, unique, results, memo
 
 

@@ -5,6 +5,8 @@ question once per query from relation tables; ``tests/oracle.py`` keeps the
 reference's per-pair matcher loops and fusion-signal scans. Every
 CoverageFeatures and FusionSignals field must agree bit for bit, with one
 ``TokenRelations`` shared across several docs as in ``process_candidates``.
+``coverage.score_bound``, which pruning compares with the running k-th best
+score, must never be below the exact fusion score.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from oracle import oracle_calculate_features
 
 from infidex_ray.config import EngineConfig
 from infidex_ray.query import coverage as cov
+from infidex_ray.query.fusion import fusion_calculate
 
 SETTINGS = settings(
     max_examples=500,
@@ -150,7 +153,7 @@ def test_coverage_kernel_matches_oracle(case, data):
         query, CFG.coverage.min_word_size, DELIMS, CFG.index_sizes,
         lambda t: len(t) % 3, word_df, 10, CFG.stop_term_limit,
     )
-    relations = cov.TokenRelations(ctx, DELIMS, min_stem)
+    relations = cov.TokenRelations(ctx, DELIMS, min_stem, CFG.coverage)
     for doc in docs + docs[:1]:  # the repeat reads only filled tables
         # doc_first_token is segment metadata: absent, too short, unrelated
         # to the doc, or its real first word
@@ -166,3 +169,66 @@ def test_coverage_kernel_matches_oracle(case, data):
             relations=relations,
         )
         assert _bits(got) == _bits(want), (query, doc)
+
+
+@SETTINGS
+@given(_case(), st.data())
+def test_score_bound_covers_fusion_score(case, data):
+    """``coverage.score_bound`` is at least the exact ``fusion_calculate``
+    score of every candidate, under any matcher switches: pruning skips a
+    candidate only when its bound is below θ, so a bound under the real
+    score would drop a top-k hit."""
+    query, docs = case
+    flags = {
+        f: data.draw(st.booleans())
+        for f in ("cover_whole_query", "cover_whole_words", "cover_fuzzy_words",
+                  "cover_joined_words", "cover_prefix_suffix")
+    }
+    setup = dataclasses.replace(
+        CFG.coverage, num_typos=data.draw(st.sampled_from((2, 2, 1, 0))), **flags
+    )
+    min_stem = data.draw(st.integers(1, 4))
+    word_df = data.draw(st.sampled_from((None, lambda w: len(w) % 4)))
+    ctx = cov.prepare_query(
+        query, setup.min_word_size, DELIMS, CFG.index_sizes,
+        lambda t: len(t) % 3, word_df, 10, CFG.stop_term_limit,
+    )
+    relations = cov.TokenRelations(ctx, DELIMS, min_stem, setup)
+    for doc in docs + docs[:1]:
+        # first-token metadata may also hold the query's anchor stem
+        first = data.draw(st.sampled_from(
+            (None, "", "ab", "İst", "xyz", doc.split(" ")[0], query.split(" ")[0].upper())
+        ))
+        has_tokens = data.draw(st.booleans())
+        lcs = data.draw(st.sampled_from((0.0, 0.0, 1.0, 3.0, 7.5)))
+        prep = cov.prepare_doc(doc, setup.min_word_size, DELIMS)
+        bound = cov.score_bound(relations, prep, first)
+        features = cov.calculate_features(
+            ctx, doc, lcs, setup, DELIMS, min_stem, first, has_tokens,
+            doc_prep=prep, relations=relations,
+        )
+        base = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
+        score, _ = fusion_calculate(query, doc, features, base)
+        assert bound >= score, (query, doc, setup, bound, score)
+
+
+def test_score_bound_reads_first_token_metadata():
+    """The anchor stem can come from the segment's first-token metadata
+    alone: here no doc token starts with "abc", yet the metadata does, so
+    the anchor-with-run tier (two prefix-matched terms in a row) is set and
+    the bound must allow it."""
+    setup = CFG.coverage
+    query, doc = "abcd efgh ijkl", "zzz efghx ijklx"
+    ctx = cov.prepare_query(
+        query, setup.min_word_size, DELIMS, CFG.index_sizes,
+        lambda t: 1, None, 10, CFG.stop_term_limit,
+    )
+    relations = cov.TokenRelations(ctx, DELIMS, 3, setup)
+    prep = cov.prepare_doc(doc, setup.min_word_size, DELIMS)
+    features = cov.calculate_features(
+        ctx, doc, 0.0, setup, DELIMS, 3, "ABCDEF", True, doc_prep=prep, relations=relations,
+    )
+    assert features.fusion.has_anchor_stem and not features.fusion.is_perfect_doc_lexical
+    score, _ = fusion_calculate(query, doc, features, 0.0)
+    assert int(score) & 0b111 == 1  # the anchor-with-run multi-term tier
+    assert cov.score_bound(relations, prep, "ABCDEF") >= score

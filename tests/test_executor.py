@@ -119,11 +119,10 @@ def test_distributed_repeat_queries_speculative_path(dist_pair):
 def test_coverage_tables_hold_no_state_across_queries(dist_pair, minicorpus, tmp_path):
     """The coverage relation tables live for one candidate-scoring call:
     on fresh engines panel A then B gives the same results as B then A,
-    and the CoverageContext the distributed driver puts in the object store
+    and the CoverageContext the distributed driver ships to the shards
     carries only the query's own fields."""
     import dataclasses
-
-    import ray
+    import pickle
 
     from infidex_ray.query.coverage import CoverageContext
 
@@ -145,8 +144,8 @@ def test_coverage_tables_hold_no_state_across_queries(dist_pair, minicorpus, tmp
     fields = {f.name for f in dataclasses.fields(CoverageContext)}
     for q in panel_a:
         deng.search(q, top_k=10)
-        q_cached, ctx, ref = deng._ctx_cache
-        for c in (ctx, ray.get(ref)):
+        q_cached, ctx = deng._ctx_cache
+        for c in (ctx, pickle.loads(pickle.dumps(ctx))):
             assert set(vars(c)) == fields, sorted(vars(c))
             assert c.query == q_cached
 
@@ -408,6 +407,25 @@ def _coverage_case(case, mini):
     return docs, cfg, cfg, [_LONG, _LONG[:270], "zebulon " + _LONG]
 
 
+def _check_pruned(results, w_results, top_k, where):
+    """The scored jobs ``results`` of a pruned run against ``w_results`` of
+    a run that scored every job: identical at or above the final θ (the
+    ``top_k``-th best distinct-key score), and every job left out scores
+    strictly below θ."""
+    from collections import Counter
+
+    from infidex_ray.query import pipeline as qp
+
+    top = qp.KthBest(top_k)
+    for r in w_results:
+        top.add(r[0], r[1])
+    theta = top.theta
+    assert [r for r in results if r[0] >= theta] == [r for r in w_results if r[0] >= theta], where
+    assert not Counter(results) - Counter(w_results), where
+    skipped = Counter(w_results) - Counter(results)
+    assert all(r[0] < theta for r in skipped.elements()), where
+
+
 def _reference_coverage(eng, text, top_k=10):
     """Engine.search for a long-word query, its coverage stage written as
     one process_candidates call over the reference job order."""
@@ -460,7 +478,10 @@ def test_coverage_round_cases_match_reference(
     lexical prescreen, no word matcher, fewer than 2 stage-1 hits, a query
     over 255 characters — gives the reference's (doc, score, tiebreaker)
     in-process and at 1, 2 and 3 shards, and the driver finalizes the same
-    scored jobs, memo and candidate index."""
+    memo and candidate index. The reference scores every job; the engine
+    may prune, so its scored jobs must equal the reference's at or above
+    the final θ (the 10th best distinct-key score), and every job it
+    skipped must score strictly below θ in the reference."""
     from infidex_ray.query import pipeline as qp
     from infidex_ray.query.executor import DistributedEngine
 
@@ -484,6 +505,11 @@ def test_coverage_round_cases_match_reference(
         assert len(finalized) == 1, q
         return hits, finalized[0]
 
+    def check(got, want, where):
+        (hits, (results, memo, doc_index)), (w_hits, (w_results, w_memo, w_index)) = got, want
+        assert (hits, memo, doc_index) == (w_hits, w_memo, w_index), where
+        _check_pruned(results, w_results, 10, where)
+
     want = {q: run(lambda q: _reference_coverage(eng, q), q) for q in queries}
     # the panel exercises its case
     tops = {q: eng.stage1(eng.prep_query(q)[1], cfg.coverage_depth) for q in queries}
@@ -498,17 +524,167 @@ def test_coverage_round_cases_match_reference(
         assert any(want[q][1][2][100] < qp.MEMO_HEIGHT for q in queries)
 
     for q in queries:
-        assert run(lambda q: eng.search(q, top_k=10), q) == want[q], q
+        check(run(lambda q: eng.search(q, top_k=10), q), want[q], q)
     for n in (1, 2, 3):
         deng = DistributedEngine.connect(
             idx, num_shards=n, cfg=cfg, num_cpus_per_actor=0.5
         )
         try:
             for q in queries:
-                got = run(lambda q: deng.search(q, top_k=10), q)
-                assert got == want[q], (n, q)
+                check(run(lambda q: deng.search(q, top_k=10), q), want[q], (n, q))
         finally:
             deng.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Rank-safe coverage pruning: the same hits as scoring every candidate.
+
+_PRUNE_WORDS = (
+    "alpha", "beta", "gamma", "delta", "omega", "sigma",
+    "kappa", "lambda", "theta", "zeta", "tau", "rho",
+)
+_PRUNE_DELETED = (2, 5, 11, 19)
+# four words the corpus lacks plus two it has: every hit matches two of six
+# terms, so the 10th score is under truncation_score, and the planted docs
+# made of the two words alone score above 1 (a perfect-doc tier)
+_PRUNE_LOW_QUERY = "qqxz wwvy jjkp vvmo alpha beta"
+_PRUNE_LONG_QUERY = " ".join(["alpha beta gamma"] * 20)  # over 255 characters
+
+
+def _pruning_corpus():
+    import random
+
+    rng = random.Random(7)
+    docs = [
+        (k, " ".join(rng.choice(_PRUNE_WORDS) for _ in range(rng.randint(3, 8))))
+        for k in range(1, 241)
+    ]
+    docs += [(300 + k, " ".join(["alpha", "beta"][(k + j) % 2] for j in range(3 + k % 3)))
+             for k in range(16)]
+    # one key of ~45 chunks: more entries than a coverage_depth of 16
+    docs.append((1000, " ".join(f"zulu yankee filler{j}" for j in range(300))))
+    return docs
+
+
+def test_coverage_pruning_matches_unpruned(ray_session, tmp_path, monkeypatch):
+    """Coverage pruning skips candidates whose score bound is below the
+    running k-th best score. Against the unpruned run (every bound +inf),
+    in-process, at 1, 2 and 3 shards and through batch_search: the hits
+    are equal on (doc, score, tiebreaker), the driver finalizes the same
+    memo and candidate index, and every job pruning skipped scores below
+    the final θ. The panel reaches each edge of the rule: a 10th score
+    under truncation_score (no pruning unless truncation is off),
+    truncation off, a query over 255 characters, a multi-chunk key with
+    more entries than coverage_depth, and tombstones."""
+    from dataclasses import replace
+
+    import pyarrow as pa
+    import ray.data
+
+    from infidex_ray.autosegment import AutoSegmentSetup
+    from infidex_ray.config import EngineConfig
+    from infidex_ray.ops.batchsearch import batch_search
+    from infidex_ray.query import coverage as cov
+    from infidex_ray.query import pipeline as qp
+    from infidex_ray.query.executor import DistributedEngine
+
+    idx = str(tmp_path / "prune")
+    chunked = EngineConfig(auto_segment=AutoSegmentSetup(target_segment_size=200))
+    build_index_local(_pruning_corpus(), idx, chunked, n_segments=4)
+    Engine.load(idx).delete_documents(_PRUNE_DELETED)
+    base = Engine.load(idx).cfg  # the manifest config batch_search serves with
+    cfgs = {
+        "default": base,
+        "no_truncate": replace(base, coverage=replace(base.coverage, truncate=False)),
+        "shallow": replace(base, coverage_depth=16),
+    }
+    panel = [
+        "alpha beta", "gamma delta omega", "alpah beta", "sigma", "kappa lambda theta zeta",
+        "tau rho", "zulu yankee", _PRUNE_LOW_QUERY, _PRUNE_LONG_QUERY,
+        # memo-slot docs (the first two stage-1 hits) under θ
+        "tau sigma", "kappa gamma beta",
+    ]
+
+    finalized = []
+    finalize = qp.finalize_coverage
+
+    def spy(setup, results, memo, doc_index, *rest):
+        finalized.append((sorted(results), memo, doc_index))
+        return finalize(setup, results, memo, doc_index, *rest)
+
+    monkeypatch.setattr(qp, "finalize_coverage", spy)
+
+    def run(search, name):
+        out = {}
+        for q in panel:
+            for k in (1, 3, 10):
+                finalized.clear()
+                out[name, q, k] = [
+                    (h.doc_key, h.score, h.tiebreaker) for h in search(q, top_k=k)
+                ], list(finalized)
+        return out
+
+    def check(got, want):
+        for key, (hits, finals) in got.items():
+            w_hits, w_finals = want[key]
+            assert hits == w_hits, key
+            assert len(finals) == len(w_finals), key
+            for (results, memo, doc_index), (w_results, w_memo, w_index) in zip(finals, w_finals):
+                assert (memo, doc_index) == (w_memo, w_index), key
+                _check_pruned(results, w_results, key[2], key)
+
+    local = {name: Engine.load(idx, cfg) for name, cfg in cfgs.items()}
+    want = {}
+    with monkeypatch.context() as m:
+        m.setattr(cov, "score_bound", lambda *a: float("inf"))
+        for name, eng in local.items():
+            want.update(run(eng.search, name))
+
+    # the panel reaches the rule's edges
+    low = want["no_truncate", _PRUNE_LOW_QUERY, 10][0]
+    assert len(low) == 10 and low[-1][1] < base.coverage.truncation_score
+    assert len(_PRUNE_LONG_QUERY) > 255
+    shallow = want["shallow", "zulu yankee", 10]
+    assert shallow[0][0][0] == 1000
+    assert sum(r[1] == 1000 for r in shallow[1][0][0]) > cfgs["shallow"].coverage_depth
+    assert not {h[0] for v in want.values() for h in v[0]} & set(_PRUNE_DELETED)
+
+    # in-process, counting the jobs pruning skipped
+    skipped: dict = {}
+    process = qp.process_candidates
+
+    def counting(engine, ctx, jobs, *rest):
+        results, memo = process(engine, ctx, jobs, *rest)
+        skipped[ctx.query] = skipped.get(ctx.query, 0) + results.count(None)
+        return results, memo
+
+    monkeypatch.setattr(qp, "process_candidates", counting)
+    for name, eng in local.items():
+        skipped.clear()
+        check(run(eng.search, name), want)
+        assert skipped["alpha beta"] > 0, name
+        assert skipped[_PRUNE_LONG_QUERY] == 0, name
+        # a 10th score under truncation_score prunes only without truncation
+        assert (skipped[_PRUNE_LOW_QUERY] > 0) == (name == "no_truncate"), name
+    monkeypatch.setattr(qp, "process_candidates", process)
+
+    for n in (1, 2, 3):
+        for name, cfg in cfgs.items():
+            deng = DistributedEngine.connect(idx, num_shards=n, cfg=cfg, num_cpus_per_actor=0.5)
+            try:
+                check(run(deng.search, name), want)
+            finally:
+                deng.shutdown()
+
+    out = batch_search(
+        ray.data.from_arrow(pa.table({"query": panel})), idx, top_k=10,
+        enable_coverage=True, concurrency=(1, 1),
+    ).to_pandas()
+    for q in panel:
+        rows = out[out["query"] == q].sort_values("rank")
+        assert list(zip(rows["doc_id"], rows["score"])) == [
+            (key, score) for key, score, _ in want["default", q, 10][0]
+        ], q
 
 
 def test_connect_config_reaches_every_shard(ray_session, tmp_path):
