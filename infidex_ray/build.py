@@ -302,12 +302,14 @@ def _finish_segment(
     sq_words = [[w for w in splitter.split(t) if w] for t in sq_lower]
     extra.update(compute_short_tables(sq_lower, sq_words, doc_keys, seg_id=0))
     meta["timings_s"]["short_artifacts"] = round(time.perf_counter() - t_sq, 4)
-    seglib.write_segment(
+    term_table, doc_table, written = seglib.write_segment(
         seg_dir, terms, df_arr, postings, docmap, meta, extra_tables=extra
     )
     meta["terms"] = terms
     meta["term_df"] = df_arr
     meta["word_df"] = word_df
+    # what segments.segment_from_tables opens the segment from
+    meta["tables"] = (term_table, doc_table, written, extra)
     return meta
 
 
@@ -678,29 +680,35 @@ def append_to_index(
     docs: list[tuple],
     cfg: EngineConfig | None = None,
     fields: list[dict] | None = None,
-) -> dict:
+):
     """Incremental add: build one delta segment from in-memory docs and fold
     it into the manifest + global stats (DeltaIndex/IndexMerger semantics,
     src/Infidex/Indexing/Incremental/IndexMerger.cs:55-92 — new docs become a
     new doc-range partition; global stats and df are rebuilt/merged, mirroring
-    the reference's full stats rebuild after a merge)."""
+    the reference's full stats rebuild after a merge).
+
+    Returns ``(manifest, segment, stats)``: the updated manifest, the delta
+    opened as a :class:`~infidex_ray.segments.SegmentData` from the tables
+    just written (its id is its manifest position), and for ``"df"`` and
+    ``"word_df"`` the ``(path, table)`` each stats write left: the summed
+    single file, or the new sorted part of a sharded layout."""
+    import shutil
+
     import pyarrow.parquet as pq
+
+    from . import segments as seglib
+    from .engine import config_from_manifest
 
     with open(os.path.join(index_dir, "manifest.json")) as f:
         manifest = json.load(f)
     if cfg is None:
-        c = manifest["config"]
-        cfg = EngineConfig(
-            index_sizes=tuple(c["index_sizes"]),
-            start_pad_size=c["start_pad_size"],
-            stop_pad_size=c["stop_pad_size"],
-            stop_term_limit=c["stop_term_limit"],
-            delimiters=tuple(c["delimiters"]),
-            synonyms=tuple(tuple(g) for g in c.get("synonyms", [])),
-        )
+        cfg = config_from_manifest(manifest)
     seq = sum(1 for e in manifest["segments"] if e["name"].startswith("delta-"))
     name = f"delta-{seq:04d}"
     seg_dir = os.path.join(index_dir, "segments", name)
+    # a delta dir the manifest does not list is left over from an add that
+    # failed before its manifest write; write_segment would keep it
+    shutil.rmtree(seg_dir, ignore_errors=True)
 
     urls = [str(k) for k, _ in docs]
     texts = [t for _, t in docs]
@@ -716,29 +724,35 @@ def append_to_index(
         urls, texts, keys, cfg, seg_dir, lineage={"delta": True, "rows": len(docs)},
         field_columns=field_columns,
     )
+    seg = seglib.segment_from_tables(
+        seg_dir, *meta["tables"], seg_id=len(manifest["segments"])
+    )
 
     # merge the delta's df into the global stats tables. Single-file layout:
     # read-modify-write (fine at local scale). Sharded layout (distributed
     # build): APPEND a sorted delta part — ShardedDfLookup sums overlapping
     # parts, so the base vocab is never rewritten.
+    stats_written = {}
     for base, col, new in (
         ("df", "term", _df_table("term", meta["terms"], meta["term_df"])),
         ("word_df", "word", meta["word_df"]),
     ):
         path = os.path.join(index_dir, "stats", f"{base}.parquet")
         if os.path.exists(path):
-            pq.write_table(_sum_df([pq.read_table(path), new], col), path)
+            table = _sum_df([pq.read_table(path), new], col)
         else:
-            part = new.sort_by(col)
+            table = new.sort_by(col)
             d = os.path.join(index_dir, "stats", base)
             if not os.path.isdir(d):
                 # fused layout: parts live under stats/vocab/kind=<kind>/
                 # with column name "term" for both kinds
                 kind = "term" if base == "df" else "word"
                 d = os.path.join(index_dir, "stats", "vocab", f"kind={kind}")
-                part = part.rename_columns(["term", "df"])
+                table = table.rename_columns(["term", "df"])
             os.makedirs(d, exist_ok=True)
-            pq.write_table(part, os.path.join(d, f"{name}.parquet"))
+            path = os.path.join(d, f"{name}.parquet")
+        pq.write_table(table, path)
+        stats_written[base] = (path, table)
 
     manifest["segments"].append(
         {"name": name, "n_docs": meta["n_docs"], "lineage": meta.get("lineage", {})}
@@ -752,7 +766,7 @@ def append_to_index(
         json.dump(stats, f)
     with open(os.path.join(index_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f)
-    return manifest
+    return manifest, seg, stats_written
 
 
 def build_index(

@@ -122,6 +122,12 @@ def stage1_text(q: str, cfg: EngineConfig) -> str | None:
     return long_words_text if has_mixed else q
 
 
+def _df_arrays(table) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, dfs) of a stats table keyed by a "term" or "word" column."""
+    name = "term" if "term" in table.column_names else "word"
+    return table[name].to_numpy(), table["df"].to_numpy()
+
+
 class DfLookup:
     """Global term-df lookup backed by the sorted stats/df.parquet table."""
 
@@ -133,9 +139,12 @@ class DfLookup:
     def from_parquet(cls, path: str) -> "DfLookup":
         import pyarrow.parquet as pq
 
-        t = pq.read_table(path)
-        name = "term" if "term" in t.column_names else "word"
-        return cls(t[name].to_numpy(), t["df"].to_numpy())
+        return cls(*_df_arrays(pq.read_table(path)))
+
+    def add_written(self, path: str, table) -> None:
+        """Take in ``table``, the whole summed table just written to this
+        lookup's file ``path``."""
+        self.terms, self.dfs = _df_arrays(table)
 
     def __call__(self, term: str) -> int:
         i = np.searchsorted(self.terms, term)
@@ -194,12 +203,16 @@ class ShardedDfLookup:
                 parts.append((min(mins), max(maxs), p))
         return cls(parts, col or "term")
 
-    def keep_parsed(self, previous) -> None:
-        """Take over ``previous``'s parsed arrays for the part files both
-        lookups list: a delta append only adds parts, never rewrites one."""
-        if isinstance(previous, ShardedDfLookup):
-            paths = {p for _, _, p in self.parts}
-            self._cache.update((p, a) for p, a in previous._cache.items() if p in paths)
+    def add_written(self, path: str, table) -> None:
+        """Take in ``table``, a sorted part just written at ``path``: its key
+        range is its first and last key, and its arrays are already parsed
+        (a delta append only adds parts, never rewrites one)."""
+        if len(table) == 0:
+            return
+        terms, dfs = self._cache[path] = _df_arrays(table)
+        self.parts.append((terms[0], terms[-1], path))
+        self.parts.sort()
+        self._merged = None
 
     def _load(self, path: str) -> tuple[np.ndarray, np.ndarray]:
         hit = self._cache.get(path)
@@ -359,23 +372,38 @@ class Engine:
         return cls.load(out_dir, cfg)
 
     @classmethod
-    def load(cls, index_dir: str, cfg: EngineConfig | None = None, segment_indices=None) -> "Engine":
+    def load(
+        cls,
+        index_dir: str,
+        cfg: EngineConfig | None = None,
+        segment_indices=None,
+        opened=None,
+    ) -> "Engine":
         """Open an index (or, with ``segment_indices``, a SHARD of it: the
-        subset of segments a query actor owns; global stats still apply)."""
-        with open(os.path.join(index_dir, "manifest.json")) as f:
-            manifest = json.load(f)
+        subset of segments a query actor owns; global stats still apply).
+
+        ``opened`` = ``(manifest, segments, df_lookup, word_df)`` already
+        in memory for this index and these segment indices: nothing is read
+        from disk (how ``add_documents`` opens the delta it just wrote)."""
+        if opened is not None:
+            manifest, segments, df_lookup, word_df = opened
+        else:
+            with open(os.path.join(index_dir, "manifest.json")) as f:
+                manifest = json.load(f)
+            seg_root = os.path.join(index_dir, "segments")
+            indices = (
+                range(len(manifest["segments"]))
+                if segment_indices is None
+                else segment_indices
+            )
+            segments = [
+                read_segment(os.path.join(seg_root, manifest["segments"][i]["name"]), i)
+                for i in indices
+            ]
+            df_lookup = load_df_lookup(index_dir, "df")
+            word_df = load_df_lookup(index_dir, "word_df")
         if cfg is None:
             cfg = config_from_manifest(manifest)
-        seg_root = os.path.join(index_dir, "segments")
-        indices = (
-            range(len(manifest["segments"])) if segment_indices is None else segment_indices
-        )
-        segments = [
-            read_segment(os.path.join(seg_root, manifest["segments"][i]["name"]), i)
-            for i in indices
-        ]
-        df_lookup = load_df_lookup(index_dir, "df")
-        word_df = load_df_lookup(index_dir, "word_df")
         stats = manifest["stats"]
         return cls(
             index_dir,
@@ -616,23 +644,33 @@ class Engine:
         then refresh this engine in place (DeltaIndex/IndexMerger: a new
         doc-range partition and a global stats refresh, IndexMerger.cs:55-92).
 
-        Only the new delta segment is opened, as a one-segment shard of the
-        updated index; its global id is its manifest position. Kept as they
+        The delta opens from memory: ``append_to_index`` hands back the
+        segment built from the tables it just wrote (postings map the new
+        ``postings.bin``) and the stats tables it wrote, and the delta
+        opens as a one-segment shard of the updated index; its global id is
+        its manifest position. Nothing written is read back. Kept as they
         are, because they depend only on immutable segment files: every
         loaded segment and its stage-1 searcher (with its LD1 fuzzy cache),
         the word matchers, short-query scanners, coverage doc-prep cache
         and key index built so far — the delta is appended to each of these
         that exists. Refreshed: ``total_docs`` and ``avgdl`` from the
-        manifest, both df lookups (a sharded lookup keeps the parsed arrays
-        of the parts it already read), and every searcher's plan memo,
-        whose postings carry the old plan's idf. So an add costs the delta
-        segment plus the stats parts, not the whole index."""
+        manifest, both df lookups in place (a sharded lookup gains the new
+        part, already parsed; a single-file lookup takes the summed table),
+        and every searcher's plan memo, whose postings carry the old plan's
+        idf. So an add costs the delta segment plus the stats writes, not
+        the whole index."""
         from . import build
 
-        manifest = build.append_to_index(self.index_dir, docs, self.cfg, fields=fields)
-        si = len(manifest["segments"]) - 1
-        delta = Engine.load(self.index_dir, self.cfg, segment_indices=[si])
-        (seg,) = delta.segments
+        manifest, seg, stats_written = build.append_to_index(
+            self.index_dir, docs, self.cfg, fields=fields
+        )
+        for name, base in (("df_lookup", "df"), ("word_df", "word_df")):
+            getattr(self, name).add_written(*stats_written[base])
+        si = seg.seg_id
+        delta = Engine.load(
+            self.index_dir, self.cfg, segment_indices=[si],
+            opened=(manifest, [seg], self.df_lookup, self.word_df),
+        )
         for s in self.searchers:
             s.clear_plan_memo()
         self.segments.append(seg)
@@ -643,11 +681,6 @@ class Engine:
         key_index = getattr(self, "_key_index", None)
         if key_index is not None:  # a later segment wins a repeated key
             key_index.update((k, (si, lid)) for lid, k in enumerate(seg.doc_keys.tolist()))
-        for name in ("df_lookup", "word_df"):
-            lookup = getattr(delta, name)
-            if isinstance(lookup, ShardedDfLookup):
-                lookup.keep_parsed(getattr(self, name))
-            setattr(self, name, lookup)
         self.total_docs = delta.total_docs
         self.avgdl = delta.avgdl
 

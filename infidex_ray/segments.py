@@ -271,12 +271,17 @@ def write_segment(
     docmap: dict,
     meta: dict,
     extra_tables: dict | None = None,
-) -> dict:
+) -> tuple[pa.Table, pa.Table, dict]:
     """Write one immutable segment. ``terms`` must be sorted; ``postings``
     is the CSR ``(offsets, doc_ids, weights)`` whose list i
     (``offsets[i]:offsets[i+1]``) belongs to terms[i]. ``meta["timings_s"]``
     gains the ``encode`` and ``write`` wall times. Idempotent: writes to a
-    tmp dir then renames (safe for Ray task retries)."""
+    tmp dir then renames (safe for Ray task retries).
+
+    Returns the term table, doc table and meta (as ``meta.json`` reads
+    back) it wrote: with ``extra_tables`` they are what
+    :func:`segment_from_tables` needs to open the segment without reading
+    its files back."""
     tmp = seg_dir + ".tmp"
     os.makedirs(tmp, exist_ok=True)
     meta = dict(meta)
@@ -311,8 +316,9 @@ def write_segment(
     meta["postings_bytes"] = len(buf)
     timings["encode"] = round(t1 - t0, 4)
     timings["write"] = round(time.perf_counter() - t1, 4)
+    meta_json = json.dumps(meta)
     with open(os.path.join(tmp, "meta.json"), "w") as f:
-        json.dump(meta, f)
+        f.write(meta_json)
     with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
         f.write("")
 
@@ -322,7 +328,7 @@ def write_segment(
         shutil.rmtree(tmp)
     else:
         os.rename(tmp, seg_dir)
-    return meta
+    return term_table, doc_table, json.loads(meta_json)
 
 
 def segment_is_complete(seg_dir: str) -> bool:
@@ -399,29 +405,33 @@ class SegmentData:
         return lo, hi
 
 
-def read_segment(seg_dir: str, seg_id: int = 0, mmap: bool = True) -> SegmentData:
-    term_table = pq.read_table(os.path.join(seg_dir, "terms.parquet"))
-    doc_table = pq.read_table(os.path.join(seg_dir, "docmap.parquet"))
-    with open(os.path.join(seg_dir, "meta.json")) as f:
-        meta = json.load(f)
+_SHORT_TABLES = ("sq_champions.parquet", "sq_prefix.parquet")
+_SIDE_TABLES = ("fields.parquet", *_SHORT_TABLES)
+
+
+def segment_from_tables(
+    seg_dir: str,
+    term_table: pa.Table,
+    doc_table: pa.Table,
+    meta: dict,
+    extra_tables: dict | None = None,
+    seg_id: int = 0,
+    mmap: bool = True,
+) -> SegmentData:
+    """Open the segment at ``seg_dir`` from its term table, doc table, meta
+    and side tables (``fields.parquet``, ``sq_*.parquet``; other entries of
+    ``extra_tables`` are ignored), whether they were just read or just
+    written. Postings map ``postings.bin``."""
     path = os.path.join(seg_dir, "postings.bin")
     if mmap and os.path.getsize(path) > 0:
         buf = memoryview(np.memmap(path, dtype=np.uint8, mode="r"))
     else:
         with open(path, "rb") as f:
             buf = memoryview(f.read())
-    fields = None
-    fpath = os.path.join(seg_dir, "fields.parquet")
-    if os.path.exists(fpath):
-        ft = pq.read_table(fpath)
-        fields = {name: ft[name].to_pylist() for name in ft.column_names}
-    short_tables = None
-    for name in ("sq_champions.parquet", "sq_prefix.parquet"):
-        spath = os.path.join(seg_dir, name)
-        if os.path.exists(spath):
-            if short_tables is None:
-                short_tables = {}
-            short_tables[name] = pq.read_table(spath)
+    extra = extra_tables or {}
+    ft = extra.get("fields.parquet")
+    fields = None if ft is None else {n: ft[n].to_pylist() for n in ft.column_names}
+    short_tables = {n: extra[n] for n in _SHORT_TABLES if n in extra} or None
     seg_numbers = (
         doc_table["seg_number"].to_numpy()
         if "seg_number" in doc_table.column_names
@@ -446,6 +456,22 @@ def read_segment(seg_dir: str, seg_id: int = 0, mmap: bool = True) -> SegmentDat
         first_tokens=doc_table["first_token"].to_pylist(),
         token_counts=doc_table["token_count"].to_numpy(),
         meta=meta,
+    )
+
+
+def read_segment(seg_dir: str, seg_id: int = 0, mmap: bool = True) -> SegmentData:
+    with open(os.path.join(seg_dir, "meta.json")) as f:
+        meta = json.load(f)
+    extra = {}
+    for name in _SIDE_TABLES:
+        path = os.path.join(seg_dir, name)
+        if os.path.exists(path):
+            extra[name] = pq.read_table(path)
+    return segment_from_tables(
+        seg_dir,
+        pq.read_table(os.path.join(seg_dir, "terms.parquet")),
+        pq.read_table(os.path.join(seg_dir, "docmap.parquet")),
+        meta, extra, seg_id, mmap,
     )
 
 
@@ -619,4 +645,4 @@ def merge_segments(
         out_dir, uniq[et[starts]].tolist(), np.add.reduceat(entry_df, starts),
         (offsets, docs_out.astype(np.uint32), w_out), docmap, meta,
         extra_tables=extra or None,
-    )
+    )[2]

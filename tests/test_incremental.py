@@ -325,12 +325,16 @@ def refresh_index(request, tmp_path):
     """A 3-segment index in both stats layouts: the single-file df table
     (rewritten in place by an add) and the distributed build's sharded part
     directories (an add appends a part)."""
-    out = str(tmp_path / "refresh_idx")
+    if request.param == "sharded_stats":
+        request.getfixturevalue("ray_session")
+    return _build_refresh_index(str(tmp_path / "refresh_idx"), request.param)
+
+
+def _build_refresh_index(out: str, layout: str) -> str:
     docs = _corpus(240, seed=7)
-    if request.param == "single_file_stats":
+    if layout == "single_file_stats":
         build_index_local(docs, out, n_segments=3)
     else:
-        request.getfixturevalue("ray_session")
         import ray.data
 
         Engine.build(
@@ -370,21 +374,22 @@ def test_incremental_refresh_matches_fresh_load(refresh_index):
         assert (eng.total_docs, eng.avgdl) == (fresh.total_docs, fresh.avgdl)
 
 
-def test_incremental_add_opens_only_the_delta(tmp_path, monkeypatch):
-    """One add followed by one search opens exactly one segment and builds
-    at most one word matcher (the delta's); the unchanged segments keep
-    theirs."""
+def test_incremental_add_opens_only_the_delta(ray_session, tmp_path, monkeypatch):
+    """In both stats layouts, one add followed by one search reads no
+    segment and no parquet file back, and builds at most one word matcher
+    (the delta's); the unchanged segments keep theirs. The single-file
+    stats layout's read-modify-write of its summed table is the one read
+    allowed."""
+    import pyarrow.parquet as pq
+
     from infidex_ray import engine as engine_mod
+    from infidex_ray import segments as seglib
     from infidex_ray.query.wordmatch import SegmentWordMatcher
 
-    out = str(tmp_path / "count_idx")
-    build_index_local(_corpus(240, seed=11), out, n_segments=3)
-    eng = Engine.load(out)
-    assert eng.search("harbor quantum", top_k=10)  # builds every segment's matcher
-    assert len(eng._wordmatchers) == 3
-
     calls = {"read_segment": 0, "word_matcher": 0}
-    real_read, real_init = engine_mod.read_segment, SegmentWordMatcher.__init__
+    reads: list[str] = []
+    real_read, real_init = seglib.read_segment, SegmentWordMatcher.__init__
+    real_read_table, real_parquet_file = pq.read_table, pq.ParquetFile
 
     def counting_read(*a, **kw):
         calls["read_segment"] += 1
@@ -394,9 +399,147 @@ def test_incremental_add_opens_only_the_delta(tmp_path, monkeypatch):
         calls["word_matcher"] += 1
         real_init(self, *a, **kw)
 
-    monkeypatch.setattr(engine_mod, "read_segment", counting_read)
-    monkeypatch.setattr(SegmentWordMatcher, "__init__", counting_init)
-    eng.add_documents([(5000, "harbor quantum lantern")])
-    assert eng.search("harbor quantum", top_k=10)
-    assert calls["read_segment"] == 1
-    assert calls["word_matcher"] <= 1
+    def counting_read_table(source, *a, **kw):
+        reads.append(str(source))
+        return real_read_table(source, *a, **kw)
+
+    def counting_parquet_file(source, *a, **kw):
+        reads.append(str(source))
+        return real_parquet_file(source, *a, **kw)
+
+    for layout in ("single_file_stats", "sharded_stats"):
+        out = _build_refresh_index(str(tmp_path / layout), layout)
+        eng = Engine.load(out)
+        assert eng.search("harbor quantum", top_k=10)  # builds every matcher
+        assert len(eng._wordmatchers) == len(eng.segments) == 3
+
+        calls.update(read_segment=0, word_matcher=0)
+        reads.clear()
+        monkeypatch.setattr(engine_mod, "read_segment", counting_read)
+        monkeypatch.setattr(seglib, "read_segment", counting_read)
+        monkeypatch.setattr(SegmentWordMatcher, "__init__", counting_init)
+        monkeypatch.setattr(pq, "read_table", counting_read_table)
+        monkeypatch.setattr(pq, "ParquetFile", counting_parquet_file)
+        eng.add_documents([(5000, "harbor quantum lantern")])
+        assert eng.search("harbor quantum", top_k=10)
+        monkeypatch.undo()
+        assert calls["read_segment"] == 0, layout
+        stats_files = {
+            os.path.join(out, "stats", f) for f in ("df.parquet", "word_df.parquet")
+        }
+        assert [p for p in reads if p not in stats_files] == [], layout
+        assert calls["word_matcher"] <= 1, layout
+
+
+def test_add_replaces_delta_left_by_a_failed_add(tmp_path):
+    """A delta directory that an add wrote but never listed in the manifest
+    (it failed before its manifest write) is rebuilt by the next add, so
+    the delta opened in memory is the one on disk."""
+    import shutil
+
+    from infidex_ray.segments import read_segment
+
+    out = str(tmp_path / "idx")
+    build_index_local(_corpus(40, seed=5), out, n_segments=2)
+    saved = str(tmp_path / "saved")
+    shutil.copytree(out, saved)
+    Engine.load(out).add_documents([(700, "stale harbor page")])
+    for name in ("manifest.json", "stats"):  # undo all but the segment write
+        src, dst = os.path.join(saved, name), os.path.join(out, name)
+        if os.path.isdir(src):
+            shutil.rmtree(dst)
+            shutil.copytree(src, dst)
+        else:
+            shutil.copy(src, dst)
+
+    eng = Engine.load(out)
+    eng.add_documents([(800, "fresh quantum page"), (801, "fresh lantern page")])
+    on_disk = read_segment(os.path.join(out, "segments", "delta-0000"), 2)
+    assert on_disk.doc_keys.tolist() == [800, 801]
+    _assert_same_segment(eng.segments[-1], on_disk)
+    assert _hits(eng, "fresh quantum", True) == _hits(Engine.load(out), "fresh quantum", True)
+
+
+def _assert_same_segment(got, want) -> None:
+    """Field-by-field equality of two SegmentData, dtypes included."""
+    import numpy as np
+
+    for name in (
+        "terms", "df", "offsets", "nbytes", "n_postings", "max_weight",
+        "doc_keys", "doc_len", "token_counts", "seg_numbers",
+    ):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert isinstance(got.postings_buf.obj, np.memmap)
+    assert bytes(got.postings_buf) == bytes(want.postings_buf)
+    for name in ("seg_id", "urls", "norm_texts", "first_tokens", "fields", "meta"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b and repr(a) == repr(b), name
+    assert (got.short_tables is None) == (want.short_tables is None)
+    assert sorted(got.short_tables or {}) == sorted(want.short_tables or {})
+    for name, table in (got.short_tables or {}).items():
+        assert table.schema == want.short_tables[name].schema, name
+        assert table.equals(want.short_tables[name]), name
+
+
+@pytest.mark.parametrize("case", ["plain", "fields", "synonyms", "auto_segment"])
+def test_delta_opened_from_memory_equals_read_segment(case, tmp_path):
+    """The delta ``add_documents`` opens from the tables it just wrote is
+    the segment ``read_segment`` reads from the same directory."""
+    from infidex_ray.config import AutoSegmentSetup
+    from infidex_ray.segments import read_segment
+
+    cfg = {
+        "synonyms": EngineConfig(synonyms=(("harbor", "port", "haven"),)),
+        "auto_segment": EngineConfig(auto_segment=AutoSegmentSetup(120, 0.2)),
+    }.get(case, EngineConfig())
+    out = str(tmp_path / "idx")
+    build_index_local(_corpus(60, seed=3), out, cfg, n_segments=2)
+    eng = Engine.load(out, cfg)
+    batch = _corpus(8, seed=4, start_key=900) + [(950, "port haven harbor café")]
+    if case == "auto_segment":  # several chunks per doc
+        batch += [(960 + i, " ".join([t] * 12)) for i, (_, t) in enumerate(batch[:3])]
+    fields = None
+    if case == "fields":
+        fields = [
+            {"year": 1990 + i, "genre": None if i % 3 else f"g{i}", "score": i / 4}
+            for i in range(len(batch))
+        ]
+    for step in range(2):
+        eng.add_documents([(k + 100 * step, t) for k, t in batch], fields=fields)
+        seg = eng.segments[-1]
+        name = f"delta-{step:04d}"
+        _assert_same_segment(seg, read_segment(os.path.join(out, "segments", name), seg.seg_id))
+    if case == "auto_segment":
+        assert seg.seg_numbers.max() > 0
+    if case == "fields":
+        assert seg.fields is not None and seg.fields["year"][0] == 1990
+    assert seg.short_tables is not None
+
+
+def test_df_lookups_after_adds_equal_fresh_load(refresh_index):
+    """After each of three adds, both in-place df lookups answer every delta
+    term so far and a sample of base terms exactly as a fresh
+    ``load_df_lookup``, and so do their merged views."""
+    from infidex_ray.engine import load_df_lookup
+
+    eng = Engine.load(refresh_index)
+    assert eng.search("harbor quantum", top_k=10)  # parse some base parts
+    base = {b: load_df_lookup(refresh_index, b).terms[::7].tolist() for b in ("df", "word_df")}
+    delta = {"df": [], "word_df": []}
+    for step in range(3):
+        batch = _corpus(5, seed=40 + step, start_key=2000 + 10 * step)
+        batch.append((2100 + step, f"brandnew{step} harbor zzzword{step}"))
+        eng.add_documents(batch)
+        seg = eng.segments[-1]
+        delta["df"] += seg.terms.tolist()
+        delta["word_df"] += [w for t in seg.norm_texts for w in t.lower().split()]
+        for name, b in (("df_lookup", "df"), ("word_df", "word_df")):
+            got, fresh = getattr(eng, name), load_df_lookup(refresh_index, b)
+            assert type(got) is type(fresh)
+            probes = delta[b] + base[b] + ["", "absent-term", "\U0010ffff"]
+            assert [got(t) for t in probes] == [fresh(t) for t in probes], (step, b)
+            assert got.vocab_size() == fresh.vocab_size(), (step, b)
+            assert got.terms.tolist() == fresh.terms.tolist(), (step, b)
+            assert got.dfs.tolist() == fresh.dfs.tolist(), (step, b)
