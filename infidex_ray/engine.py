@@ -651,11 +651,12 @@ class Engine:
         its manifest position. Nothing written is read back. Kept as they
         are, because they depend only on immutable segment files: every
         loaded segment and its stage-1 searcher (with its LD1 fuzzy cache),
-        the word matchers, short-query scanners, coverage doc-prep cache
-        and key index built so far — the delta is appended to each of these
-        that exists. Refreshed: ``total_docs`` and ``avgdl`` from the
-        manifest, both df lookups in place (a sharded lookup gains the new
-        part, already parsed; a single-file lookup takes the summed table),
+        the word matchers, short-query scanners, coverage token tables,
+        coverage doc-prep cache and key index built so far — the delta is
+        appended to each of these that exists. Refreshed: ``total_docs``
+        and ``avgdl`` from the manifest, both df lookups in place (a
+        sharded lookup gains the new part, already parsed; a single-file
+        lookup takes the summed table),
         and every searcher's plan memo, whose postings carry the old plan's
         idf. So an add costs the delta segment plus the stats writes, not
         the whole index."""
@@ -686,8 +687,9 @@ class Engine:
 
     # ---------------------------------------------------------- coverage
     # Per-shard budget of unique wm candidates scored speculatively in the
-    # coverage round. In-process the top-up is a local call, so nothing is
-    # speculated; the distributed engine speculates to save a round trip.
+    # coverage round, past shard 0's certain prefix. In-process that prefix
+    # is every allowed candidate, so nothing is speculated; the distributed
+    # engine speculates to save a round trip.
     SPEC_UNIQUE_BUDGET = 0
 
     def _coverage_stage(self, q, stage1_results, coverage_depth, top_k, deadline=None):
@@ -699,8 +701,17 @@ class Engine:
         transport (``_shard_of``, ``_coverage_round``, ``_coverage_top_up``,
         ``_prescreen_keys``). Every shard call prunes its candidates for
         ``top_k`` (``pipeline.process_candidates``); the top-up starts from
-        the round's k-th best kept score. Returns final entries or None
-        (stage-1 fallback); raises DeadlineExceeded."""
+        the round's k-th best kept score.
+
+        The global unique cap takes shard 0's unique list first, and every
+        other shard's overlap is at most its stage-1 job count, so shard 0
+        is certain to keep its first ``sure − len(its overlap)`` unique
+        candidates, ``sure = coverage_depth − Σ_{ai≠0} len(s1_jobs[ai])``.
+        The round scores those as kept jobs, and the top-up covers only
+        what is left: in-process (one shard) ``sure`` is the whole depth,
+        so there is no top-up unless a long query redoes a memo-slot doc.
+        Returns final entries or None (stage-1 fallback); raises
+        DeadlineExceeded."""
         from .query import pipeline as qp
 
         top = stage1_results[:coverage_depth]
@@ -723,14 +734,19 @@ class Engine:
             s1_jobs.setdefault(ai, []).append((e[3], e[4], norm_bm25, di))
             s1_keys.setdefault(ai, []).append(e[1])
         s1_slots = min(len(doc_index), qp.MEMO_HEIGHT)
-        # No speculation on a full stage-1 page (the overlap then ~always
-        # fills the depth, so every speculative job would be discarded), nor
-        # when wm-only docs take memo slots: their doc_index exists only
-        # after the global split, so they are scored in the top-up.
-        spec_budget = self.SPEC_UNIQUE_BUDGET
-        if len(top) >= coverage_depth or s1_slots < qp.MEMO_HEIGHT:
-            spec_budget = 0
-        outs = self._coverage_round(ctx, s1_jobs, coverage_depth, spec_budget, deadline, top_k)
+        # No unique job is scored in the round when wm-only docs take memo
+        # slots: their doc_index exists only after the global split, so they
+        # are scored in the top-up. No speculation on a full stage-1 page
+        # (the overlap then ~always fills the depth, so every speculative
+        # job would be discarded).
+        spec_budget = sure = 0
+        if s1_slots == qp.MEMO_HEIGHT:
+            if len(top) < coverage_depth:
+                spec_budget = self.SPEC_UNIQUE_BUDGET
+            sure = coverage_depth - sum(len(j) for ai, j in s1_jobs.items() if ai != 0)
+        outs = self._coverage_round(
+            ctx, s1_jobs, coverage_depth, spec_budget, sure, deadline, top_k
+        )
 
         # global unique cap: the first (coverage_depth − overlap) unique
         # candidates of the shard-order concatenation (SearchPipeline.cs:371-397)
@@ -806,12 +822,13 @@ class Engine:
             cfg.stop_term_limit,
         )
 
-    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, deadline, top_k):
+    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, sure, deadline, top_k):
+        """``sure`` goes to shard 0 only (see ``_coverage_stage``)."""
         from .query import pipeline as qp
 
         return [
             qp.coverage_shard(
-                self, ctx, s1_jobs.get(0, []), cap, spec_budget, deadline, top_k
+                self, ctx, s1_jobs.get(0, []), cap, spec_budget, sure, deadline, top_k
             )
         ]
 

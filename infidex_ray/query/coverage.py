@@ -54,20 +54,27 @@ The tables live for one candidate-scoring call (``pipeline.
 process_candidates``): they are never module state and never part of the
 ``CoverageContext`` that crosses the wire.
 
-Score bound. ``score_bound`` turns a candidate's OR'd masks (and, for a
-query token no exact relation explains, the fuzzy tables) into an upper
-bound on its fusion score before any matcher runs; ``process_candidates``
-skips the candidates whose bound cannot reach the running top k
-(tests/test_coverage_kernel.py checks bound ≥ score).
+Score bound. ``score_bounds`` turns a block of candidates' OR'd masks
+(and, for a query token no exact relation explains, the fuzzy tables) into
+upper bounds on their fusion scores before any matcher runs;
+``process_candidates`` skips the candidates whose bound cannot reach the
+running top k (tests/test_coverage_kernel.py checks bound ≥ score, and
+that the bulk bound equals the per-candidate one kept in tests/oracle.py).
+It reads each chunk's tokens from the segment's ``TokenTable``, built once
+per segment: the same lowered tokens ``prepare_doc`` gives, interned as
+int32 ids.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from operator import or_
+
+import numpy as np
 
 from .metrics import damerau, damerau1
 
@@ -276,6 +283,7 @@ class TokenRelations:
         (self.b_head, self.b_unexplained, self.b_anchor, self.b_trail,
          self.b_seg_prefix, self.b_seg_suffix) = take(6)
         self.b_approx = take(nc)
+        self.n_bits = next(bits).bit_length() - 1  # relation bits in use
         self.joined_bits: dict[str, int] = {}
         for text, b in zip(self.q_joined, self.b_join):
             self.joined_bits[text] = self.joined_bits.get(text, 0) | b
@@ -312,7 +320,7 @@ class TokenRelations:
         self.prefix_fuzzy = [_Memo(partial(_prefix_fuzzy_credit, t)) for t in q_texts]
         self._fuzzy: dict[tuple[int, int], _Memo] = {}
 
-        # score bound (``score_bound``): the relations that can give a query
+        # score bound (``score_bounds``): the relations that can give a query
         # token matched chars, and those that can give it a prefix hit (a
         # doc pair joined into token i makes its second doc token a suffix
         # of token i, so ``b_ps`` covers that case)
@@ -1055,52 +1063,159 @@ def coverage_tier(matched: int, total: int) -> int:
     return 0
 
 
-def score_bound(
-    rel: TokenRelations, doc_prep: tuple, doc_first_token: str | None
-) -> float:
-    """An upper bound on ``fusion_calculate``'s score for the doc behind
-    ``doc_prep``, read from the token relations before any matcher runs
-    (``rel`` built with the coverage setup). The doc reduces to its OR'd
-    coverage mask (plus ``b_approx[i]`` where only a fuzzy relation can
-    match query token i), its OR'd fusion mask, whether its first coverage
-    token can match at offset 0 and its token count; ``rel.bounds`` maps
-    that key to the bound (``_precedence_bound``)."""
-    if not rel.q_texts:  # no coverage token: every feature stays 0
-        return _SEMANTIC_MAX
+@dataclass(frozen=True)
+class TokenTable:
+    """One segment's coverage doc tokens, query-independent, built once
+    per segment (``token_table``). The lowered tokens of every chunk's
+    coverage text are interned into ``vocab``; per chunk: a CSR of its
+    deduped coverage token ids (``prepare_doc``'s coverage texts, in their
+    order, so a chunk's first entry is its first coverage token) and of its
+    distinct fusion token ids, whether its first coverage token sits at
+    offset 0, its raw coverage token count, and its lowered first-token
+    metadata as an id into ``first_vocab`` (-1 when absent or empty)."""
+
+    vocab: list
+    cov_ptr: np.ndarray  # int32, n_chunks + 1
+    cov_ids: np.ndarray  # int32
+    fus_ptr: np.ndarray  # int32, n_chunks + 1
+    fus_ids: np.ndarray  # int32
+    at_zero: np.ndarray  # bool
+    raw_count: np.ndarray  # int32
+    first_ids: np.ndarray  # int32
+    first_vocab: list
+
+
+def token_table(texts, first_tokens, min_word_size: int, delimiters: frozenset[str]) -> TokenTable:
+    """The ``TokenTable`` of chunks with coverage texts ``texts`` and
+    first-token metadata ``first_tokens``. A token is a maximal run of
+    non-delimiter characters of the text, as in ``tokenize_slices``."""
+    run = re.compile("[^" + re.escape("".join(sorted(delimiters))) + "]+")
+    index: dict[str, int] = {}
+    firsts: dict[str, int] = {}
+    cov_ids: list[int] = []
+    fus_ids: list[int] = []
+    cov_ptr, fus_ptr, at_zero, raw_count, first_ids = [0], [0], [], [], []
+    for text, first in zip(texts, first_tokens):
+        low = lower_1to1(text)
+        spans = [m.span() for m in run.finditer(text)]
+        tokens = [low[a:b] for a, b in spans]
+        distinct = dict.fromkeys(tokens)
+        ids = [index.setdefault(t, len(index)) for t in distinct]
+        fus_ids += ids
+        cov_ids += [i for t, i in zip(distinct, ids) if len(t) >= min_word_size]
+        cov_ptr.append(len(cov_ids))
+        fus_ptr.append(len(fus_ids))
+        at_zero.append(bool(spans) and spans[0][0] == 0 and len(tokens[0]) >= min_word_size)
+        raw_count.append(sum(len(t) >= min_word_size for t in tokens))
+        first_ids.append(firsts.setdefault(lower_1to1(first), len(firsts)) if first else -1)
+    i32 = partial(np.array, dtype=np.int32)
+    return TokenTable(
+        list(index), i32(cov_ptr), i32(cov_ids), i32(fus_ptr), i32(fus_ids),
+        np.array(at_zero, dtype=bool), i32(raw_count), i32(first_ids), list(firsts),
+    )
+
+
+def _distinct(ids: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``ids`` (all in ``range(size)``), sorted."""
+    seen = np.zeros(size, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
+
+def _or_masks(rel: TokenRelations, vocab, ptr, ids, lids, dtype):
+    """Per chunk at ``lids``: the OR of its tokens' relation masks, from
+    one CSR gather. Also returns the gathered token ids, a per-id table of
+    the masks (filled for the gathered ids), each chunk's token count and
+    the start of each non-empty chunk's run in the gathered ids."""
+    starts = ptr[lids]
+    lens = ptr[lids + 1] - starts
+    at = np.cumsum(lens) - lens
+    gathered = ids[np.repeat(starts - at, lens) + np.arange(int(lens.sum()))]
+    distinct = _distinct(gathered, len(vocab))
     tokens = rel.tokens
-    d_texts = doc_prep[4]
-    cov_any = reduce(or_, map(tokens.__getitem__, d_texts), 0)
-    for i, b in enumerate(rel.b_exact):
-        if not cov_any & b and any(map(rel.approx[i].__getitem__, d_texts)):
-            cov_any |= rel.b_approx[i]
+    masks = np.zeros(len(vocab), dtype=dtype)
+    masks[distinct] = [tokens[vocab[i]] for i in distinct.tolist()]
+    runs = at[lens > 0]
+    out = np.zeros(len(lids), dtype=dtype)
+    if len(runs):  # an empty chunk adds no run, so each run ends at the next
+        out[lens > 0] = np.bitwise_or.reduceat(masks[gathered], runs)
+    return out, gathered, masks, lens, runs
+
+
+def score_bounds(
+    rel: TokenRelations, table: TokenTable, text_lids, first_table: TokenTable, first_lids
+) -> np.ndarray:
+    """Upper bounds on ``fusion_calculate``'s score, one per candidate,
+    read from the token relations before any matcher runs (``rel`` built
+    with the coverage setup). Candidate j's coverage text is chunk
+    ``text_lids[j]`` of ``table``, and its first-token metadata is that of
+    chunk ``first_lids[j]`` of ``first_table``.
+
+    A candidate reduces to its OR'd coverage mask (plus ``b_approx[i]``
+    where only a fuzzy relation can match query token i), its OR'd fusion
+    mask, whether its first coverage token can match at offset 0 and its
+    token count; ``rel.bounds`` maps that key to the bound
+    (``_precedence_bound``). The masks are ORed per candidate in bulk:
+    uint64 words when the relation bits fit, Python ints otherwise. The
+    fuzzy tables are read only for the tokens of candidates that no exact
+    relation explains (tests/oracle.py keeps the per-candidate form)."""
+    n = len(text_lids)
+    if not rel.q_texts:  # no coverage token: every feature stays 0
+        return np.full(n, _SEMANTIC_MAX)
+    bit = np.uint64 if rel.n_bits <= 64 else int
+    dtype = np.uint64 if bit is np.uint64 else object
+    lids = np.asarray(text_lids, dtype=np.int64)
+    vocab = table.vocab
+    cov_any, gathered, masks, lens, runs = _or_masks(
+        rel, vocab, table.cov_ptr, table.cov_ids, lids, dtype
+    )
     # starting at the beginning counts only with a clean (prefix) match of
     # every term, which exact relations alone give: it needs an exact
     # relation on a doc token at offset 0
-    starts = bool(d_texts) and doc_prep[2][0][0] == 0 and bool(tokens[d_texts[0]] & rel.b_match)
-    fus_any = 0
+    starts = table.at_zero[lids]
+    starts[lens > 0] &= (masks[gathered[runs]] & bit(rel.b_match)) != 0
+    for i, b in enumerate(rel.b_exact):
+        need = ((cov_any & bit(b)) == 0) & (lens > 0)
+        if not need.any():
+            continue
+        in_need = np.repeat(need, lens)
+        approx = rel.approx[i]
+        hit = np.zeros(len(vocab), dtype=bool)
+        wanted = _distinct(gathered[in_need], len(vocab))
+        hit[wanted] = [approx[vocab[t]] for t in wanted.tolist()]
+        found = np.zeros(n, dtype=bool)
+        found[lens > 0] = np.logical_or.reduceat(hit[gathered] & in_need, runs)
+        cov_any[found] |= bit(rel.b_approx[i])
+    fus_any = np.zeros(n, dtype=dtype)
     if not rel.single_term:
-        fus_any = reduce(or_, map(tokens.__getitem__, doc_prep[5]), 0)
+        fus_any = _or_masks(rel, vocab, table.fus_ptr, table.fus_ids, lids, dtype)[0]
         # the anchor stem may also come from the segment's first-token
         # metadata (FusionSignalComputer.cs:91-132)
-        if (
-            rel.anchor is not None
-            and not fus_any & rel.b_anchor
-            and doc_first_token
-            and lower_1to1(doc_first_token).startswith(rel.anchor)
-        ):
-            fus_any |= rel.b_anchor
-        fus_any &= rel.b_fusion_bound
-    return rel.bounds[
-        (cov_any & rel.b_cov_bound, fus_any, starts, min(doc_prep[1], len(rel.q_texts) + 1))
-    ]
+        if rel.anchor is not None:
+            first = first_table.first_ids[np.asarray(first_lids, dtype=np.int64)]
+            need = ((fus_any & bit(rel.b_anchor)) == 0) & (first >= 0)
+            if need.any():
+                firsts = first_table.first_vocab
+                stem = np.zeros(len(firsts), dtype=bool)
+                wanted = _distinct(first[need], len(firsts))
+                stem[wanted] = [firsts[f].startswith(rel.anchor) for f in wanted.tolist()]
+                fus_any[need & stem[first]] |= bit(rel.b_anchor)
+        fus_any &= bit(rel.b_fusion_bound)
+    count = np.minimum(table.raw_count[lids], len(rel.q_texts) + 1)
+    keys = list(zip(
+        (cov_any & bit(rel.b_cov_bound)).tolist(), fus_any.tolist(), starts.tolist(), count.tolist()
+    ))
+    bound = {k: rel.bounds[k] for k in dict.fromkeys(keys)}
+    return np.fromiter(map(bound.__getitem__, keys), dtype=float, count=n)
 
 
 def _precedence_bound(rel: TokenRelations, key: tuple) -> float:
-    """``score_bound`` of one doc key. Every precedence bit counts as set
-    unless the masks rule it out, and the semantic fraction as its clamp,
-    0.999. A query token can end up matched only through a relation in
-    ``b_term``; each hit consumes one query token, so at most that many
-    terms match and ``word_hits`` is at most that count too. Starting at
+    """The bound of one candidate key (``score_bounds``). Every
+    precedence bit counts as set unless the masks rule it out, and the
+    semantic fraction as its clamp, 0.999. A query token can end up
+    matched only through a relation in ``b_term``; each hit consumes one
+    query token, so at most that many terms match and ``word_hits`` is at
+    most that count too. Starting at
     the beginning needs a match on a doc token at offset 0. The fusion
     signals the precedence reads are functions of the fusion tokens' OR'd
     mask. Bit 3 (a partial match) does not rise with the matched-term

@@ -13,12 +13,14 @@ docmap, word-matcher tables, doc-prep caches — all per-actor state built in
   speculative scoring at a guessed level) and a corrective ``phase_b`` round
   only when the global decision differs from the guess;
 * coverage: one ``cov_fused`` round (``pipeline.coverage_shard``:
-  WordMatcher split + candidate scoring per shard), plus a ``run_jobs``
-  top-up for the allowed unique candidates the round did not score, with
-  the round's k-th best score as its pruning floor. The
-  driver half is ``Engine._coverage_stage``, shared with the in-process
-  engine; this class supplies only the fan-outs. Every doc's jobs land on
-  the shard owning its segment, preserving the reference's memo semantics;
+  WordMatcher split + candidate scoring per shard). Shard 0 scores the
+  unique candidates the global cap is certain to keep as kept jobs, and
+  every shard a speculative prefix after them; a ``run_jobs`` top-up, with
+  the round's k-th best score as its pruning floor, covers only the
+  allowed unique candidates still left. The driver half is
+  ``Engine._coverage_stage``, shared with the in-process engine; this
+  class supplies only the fan-outs. Every doc's jobs land on the shard
+  owning its segment, preserving the reference's memo semantics;
 * short queries: per-shard scans with two small synchronization points
   (fuzzy-fallback gate, global max raw score); per-query scratch state stays
   inside the actor so only small aggregates cross the wire.
@@ -83,11 +85,14 @@ class IndexShardActor:
         return out
 
     def warm(self) -> int:
-        """Pre-build word-matcher tables + doc preps (actor-init cost paid
-        once, in parallel across the pool)."""
-        if self.engine.cfg.enable_word_matcher:
-            for seg in self.engine.segments:
+        """Pre-build word-matcher tables and coverage token tables
+        (actor-init cost paid once, in parallel across the pool)."""
+        cfg = self.engine.cfg
+        for seg in self.engine.segments:
+            if cfg.enable_word_matcher:
                 qp._word_matcher_for(self.engine, seg.seg_id)
+            if cfg.enable_coverage:
+                qp._token_table_for(self.engine, seg.seg_id)
         return self.engine.total_docs
 
     # ---- stage 1 ------------------------------------------------------
@@ -129,13 +134,14 @@ class IndexShardActor:
         loaded host each 16-way fan-out costs 20-40 ms, so the round count
         IS the latency floor).
 
-        ``packed`` = (s1_jobs, cap, spec_budget, budget_s, top_k) as ONE
-        tuple (fixed per-argument ``.remote()`` serialization cost — see
+        ``packed`` = (s1_jobs, cap, spec_budget, sure, budget_s, top_k) as
+        ONE tuple (fixed per-argument ``.remote()`` serialization cost — see
         phase_ab). Returns ("timeout",) when the budget expires mid-scan."""
-        s1_jobs, cap, spec_budget, budget_s, top_k = packed
+        s1_jobs, cap, spec_budget, sure, budget_s, top_k = packed
         try:
             return qp.coverage_shard(
-                self.engine, ctx, s1_jobs, cap, spec_budget, _deadline(budget_s), top_k
+                self.engine, ctx, s1_jobs, cap, spec_budget, sure,
+                _deadline(budget_s), top_k,
             )
         except qp.DeadlineExceeded:
             return ("timeout",)
@@ -178,7 +184,15 @@ class IndexShardActor:
         sq_prefix + sq_fuzzy rounds; results are identical by construction
         (the prefix snapshot is used when the global gate says no-fuzzy).
 
-        Returns (matched doc count, prefix max score, fuzzy max or None)."""
+        Returns (matched doc count, prefix max score, fuzzy max or None).
+
+        An engine's queries run one at a time, so a state left under the
+        same engine qid prefix belongs to an earlier query that failed
+        between the rounds and can no longer reach ``sq_final``: it is
+        dropped here."""
+        prefix = qid.rpartition("-")[0]
+        for stale in [k for k in self._sq_state if k.rpartition("-")[0] == prefix]:
+            del self._sq_state[stale]
         states = [s.prefix_pass(patterns, q) for s in self.engine.shorts]
         n = sum(len(ds) for ds, _ in states)
         pre_max = max((max(ds.values(), default=0) for ds, _ in states), default=0)
@@ -397,10 +411,12 @@ class DistributedEngine(Engine):
             )
         return s1.merge_packed(per, top_k)
 
-    # speculation saves the top-up round trip: on real corpora overlap ==
-    # coverage_depth, so the unique cap is 0 and nothing is wasted; on
-    # small corpora (tests) unique counts are tiny and the round count
-    # stays at 1
+    # unique candidates each shard scores speculatively past its certain
+    # prefix: shard 0's certain prefix undercounts its allowed share by the
+    # other shards' stage-1 jobs that the word matcher does not find, and
+    # other shards' shares are not known before the round. Speculation
+    # saves the top-up round trip; on real corpora overlap ==
+    # coverage_depth, so the unique cap is 0 and nothing is wasted
     SPEC_UNIQUE_BUDGET = 64
 
     def _shard_of(self, si: int) -> int:
@@ -425,12 +441,14 @@ class DistributedEngine(Engine):
         if q is not None:
             self._ctx_for(q)
 
-    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, deadline, top_k):
+    def _coverage_round(self, ctx, s1_jobs, cap, spec_budget, sure, deadline, top_k):
         budget_s = _budget_s(deadline)
         outs = ray.get(
             [
                 a.cov_fused.remote(
-                    ctx, (s1_jobs.get(ai, []), cap, spec_budget, budget_s, top_k)
+                    ctx,
+                    (s1_jobs.get(ai, []), cap, spec_budget, sure if ai == 0 else 0,
+                     budget_s, top_k),
                 )
                 for ai, a in enumerate(self.actors)
             ]

@@ -235,24 +235,42 @@ def kth_best(results, k: int) -> float:
     return top.theta if hits else float("-inf")
 
 
+def _token_table_for(engine, si: int) -> cov.TokenTable:
+    """Build (once) a segment's coverage token table from its coverage doc
+    texts (``_cov_doc_text``) — lazy like the word matcher; the cache lives
+    on the engine/shard that owns the segment."""
+    tables = getattr(engine, "_token_tables", None)
+    if tables is None:
+        tables = engine._token_tables = {}
+    table = tables.get(si)
+    if table is None:
+        delimiters = frozenset(engine.cfg.delimiters)
+        seg = engine.seg_by_id(si)
+        texts = [_cov_doc_text(engine, si, lid, delimiters) for lid in range(len(seg.norm_texts))]
+        table = tables[si] = cov.token_table(
+            texts, seg.first_tokens, engine.cfg.coverage.min_word_size, delimiters
+        )
+    return table
+
+
 def _score_bounds(engine, relations, jobs, docs, positions) -> dict[int, float]:
-    """``coverage.score_bound`` of each job at ``positions``, once per
-    (candidate chunk, text chunk); ``docs`` holds each job's (key, text
-    chunk)."""
-    setup = engine.cfg.coverage
-    delimiters = frozenset(engine.cfg.delimiters)
-    bound: dict[int, float] = {}
-    by_doc: dict[tuple, float] = {}
-    for p in positions:
-        si, lid = jobs[p][:2]
-        _key, tsi, tlid = docs[p]
-        b = by_doc.get((si, lid, tsi, tlid))
-        if b is None:
-            prep = _prep_for(engine, tsi, tlid, setup, delimiters)
-            first = engine.seg_by_id(si).first_tokens[lid]
-            b = by_doc[si, lid, tsi, tlid] = cov.score_bound(relations, prep, first)
-        bound[p] = b
-    return bound
+    """``coverage.score_bounds`` of each job at ``positions``, one bulk call
+    per (text segment, candidate segment) pair (one pair unless a key
+    repeats across segments); ``docs`` holds each job's (key, text chunk)."""
+    import numpy as np
+
+    text_seg = np.array([docs[p][1] for p in positions])
+    text_lid = np.array([docs[p][2] for p in positions])
+    seg = np.array([jobs[p][0] for p in positions])
+    lid = np.array([jobs[p][1] for p in positions])
+    bound = np.empty(len(positions))
+    for tsi, si in set(zip(text_seg.tolist(), seg.tolist())):
+        at = (text_seg == tsi) & (seg == si)
+        bound[at] = cov.score_bounds(
+            relations, _token_table_for(engine, tsi), text_lid[at],
+            _token_table_for(engine, si), lid[at],
+        )
+    return dict(zip(positions, bound.tolist()))
 
 
 def process_candidates(
@@ -276,12 +294,13 @@ def process_candidates(
     fills the memo), then stage-1 jobs in rank order, until pruning can
     start: θ survives truncation (θ ≥ ``truncation_score`` or truncation
     off) and a kept result has word hits (no stage-1 fallback). Then the
-    remaining jobs are bounded with ``coverage.score_bound`` and scored in
-    descending bound order until a bound is strictly below θ; every later
-    job is skipped. Each skipped entry sorts below every entry of the final
-    top k, so ``finalize_coverage`` returns the same hits. A query whose θ
-    never qualifies computes no bound; a query over 255 characters is not
-    pruned (over that, the driver drops some memo-slot results).
+    remaining jobs are bounded in bulk (``coverage.score_bounds``) and
+    scored in descending bound order until a bound is strictly below θ;
+    every later job is skipped. Each skipped entry sorts below every entry
+    of the final top k, so ``finalize_coverage`` returns the same hits. A
+    query whose θ never qualifies computes no bound (and builds no token
+    table); a query over 255 characters is not pruned (over that, the
+    driver drops some memo-slot results).
 
     Returns ([(score, key, tiebreaker, word_hits) or None when skipped, one
     per job in job order], {doc_index<2: [lcs, wh]})."""
@@ -392,6 +411,7 @@ def coverage_shard(
     s1_jobs: list[tuple[int, int, float, int]],
     cap: int,
     spec_budget: int,
+    sure: int,
     deadline: float | None = None,
     top_k: int | None = None,
 ):
@@ -404,9 +424,13 @@ def coverage_shard(
     candidates are split against, and each key's first job names the chunk
     its coverage text comes from (all chunks of a source doc live in one
     segment, so the shard sees every chunk of its keys). The call scores
-    the overlapping candidates, then the stage-1 jobs, then the first
-    ``spec_budget`` unique candidates; the driver keeps the speculative
-    results only within the global ``coverage_depth − overlap`` unique cap.
+    the overlapping candidates, then the stage-1 jobs, then a prefix of
+    the unique candidates: the first ``sure − len(overlapping)``, which the
+    driver is certain to keep (``sure`` is a floor of the unique cap left
+    before this shard's overlap), and the next ``spec_budget``
+    speculatively; the driver keeps those only within the global
+    ``coverage_depth − overlap`` unique cap. The overlapping, stage-1 and
+    certain unique results are kept, so they feed θ.
 
     Returns (n_wm_total, overlapping, unique, results, memo): ``results``
     has one entry per job in that order (None for a pruned job);
@@ -421,14 +445,15 @@ def coverage_shard(
         key_di[key] = di
         best_chunk.setdefault(key, (si, lid))
     n_total, overlapping, unique = wm_scan(engine, ctx.query, lids_by_seg, cap)
+    n_sure = max(0, min(len(unique), sure - len(overlapping)))
     jobs = [(si, lid, 0.0, key_di.get(key, -1)) for si, lid, key in overlapping]
     jobs += s1_jobs
     jobs += [
-        (si, lid, 0.0, key_di.get(key, -1)) for si, lid, key in unique[:spec_budget]
+        (si, lid, 0.0, key_di.get(key, -1))
+        for si, lid, key in unique[: n_sure + spec_budget]
     ]
-    # the driver keeps every overlapping and stage-1 result, not always
-    # the speculative ones
-    prune = None if top_k is None else (top_k, len(overlapping) + len(s1_jobs), float("-inf"))
+    n_kept = len(overlapping) + len(s1_jobs) + n_sure
+    prune = None if top_k is None else (top_k, n_kept, float("-inf"))
     results, memo = process_candidates(engine, ctx, jobs, best_chunk, deadline, prune)
     return n_total, overlapping, unique, results, memo
 

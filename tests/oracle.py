@@ -825,6 +825,46 @@ def oracle_calculate_features(
     return features
 
 
+# --- per-candidate score bound (the bulk bound's oracle) ----------------------
+
+from functools import reduce  # noqa: E402
+from operator import or_  # noqa: E402
+
+from infidex_ray.query.coverage import _SEMANTIC_MAX  # noqa: E402
+
+
+def score_bound(rel, doc_prep: tuple, doc_first_token: str | None) -> float:
+    """``coverage.score_bounds`` of one candidate, one token at a time: the
+    OR'd coverage mask of the doc tokens in ``doc_prep``
+    (``coverage.prepare_doc``), plus ``b_approx[i]`` where only a fuzzy
+    relation can match query token i, the OR'd fusion mask, whether the
+    first coverage token can match at offset 0 and the token count, mapped
+    through ``rel.bounds``."""
+    if not rel.q_texts:
+        return _SEMANTIC_MAX
+    tokens = rel.tokens
+    d_texts = doc_prep[4]
+    cov_any = reduce(or_, map(tokens.__getitem__, d_texts), 0)
+    for i, b in enumerate(rel.b_exact):
+        if not cov_any & b and any(map(rel.approx[i].__getitem__, d_texts)):
+            cov_any |= rel.b_approx[i]
+    starts = bool(d_texts) and doc_prep[2][0][0] == 0 and bool(tokens[d_texts[0]] & rel.b_match)
+    fus_any = 0
+    if not rel.single_term:
+        fus_any = reduce(or_, map(tokens.__getitem__, doc_prep[5]), 0)
+        if (
+            rel.anchor is not None
+            and not fus_any & rel.b_anchor
+            and doc_first_token
+            and lower_1to1(doc_first_token).startswith(rel.anchor)
+        ):
+            fus_any |= rel.b_anchor
+        fus_any &= rel.b_fusion_bound
+    return rel.bounds[
+        (cov_any & rel.b_cov_bound, fus_any, starts, min(doc_prep[1], len(rel.q_texts) + 1))
+    ]
+
+
 # --- per-list posting encoder (the CSR encoder's oracle) ---------------------
 
 import struct  # noqa: E402

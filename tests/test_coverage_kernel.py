@@ -5,8 +5,9 @@ question once per query from relation tables; ``tests/oracle.py`` keeps the
 reference's per-pair matcher loops and fusion-signal scans. Every
 CoverageFeatures and FusionSignals field must agree bit for bit, with one
 ``TokenRelations`` shared across several docs as in ``process_candidates``.
-``coverage.score_bound``, which pruning compares with the running k-th best
-score, must never be below the exact fusion score.
+``coverage.score_bounds``, which pruning compares with the running k-th
+best score, must never be below the exact fusion score, and must equal the
+per-candidate bound of ``tests/oracle.py`` on every candidate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import struct
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracle import oracle_calculate_features
+from oracle import oracle_calculate_features, score_bound
 
 from infidex_ray.config import EngineConfig
 from infidex_ray.query import coverage as cov
@@ -143,6 +144,14 @@ def _bits(obj):
     return conv(dataclasses.asdict(obj))
 
 
+def _bounds(relations, texts, firsts, setup, lids=None):
+    """``coverage.score_bounds`` of chunks ``lids`` (default: every chunk)
+    of a token table over ``texts``."""
+    table = cov.token_table(texts, firsts, setup.min_word_size, DELIMS)
+    lids = range(len(texts)) if lids is None else lids
+    return cov.score_bounds(relations, table, lids, table, lids)
+
+
 @SETTINGS
 @given(_case(), st.data())
 def test_coverage_kernel_matches_oracle(case, data):
@@ -174,7 +183,7 @@ def test_coverage_kernel_matches_oracle(case, data):
 @SETTINGS
 @given(_case(), st.data())
 def test_score_bound_covers_fusion_score(case, data):
-    """``coverage.score_bound`` is at least the exact ``fusion_calculate``
+    """``coverage.score_bounds`` is at least the exact ``fusion_calculate``
     score of every candidate, under any matcher switches: pruning skips a
     candidate only when its bound is below θ, so a bound under the real
     score would drop a top-k hit."""
@@ -202,7 +211,7 @@ def test_score_bound_covers_fusion_score(case, data):
         has_tokens = data.draw(st.booleans())
         lcs = data.draw(st.sampled_from((0.0, 0.0, 1.0, 3.0, 7.5)))
         prep = cov.prepare_doc(doc, setup.min_word_size, DELIMS)
-        bound = cov.score_bound(relations, prep, first)
+        bound = _bounds(relations, [doc], [first], setup)[0]
         features = cov.calculate_features(
             ctx, doc, lcs, setup, DELIMS, min_stem, first, has_tokens,
             doc_prep=prep, relations=relations,
@@ -231,4 +240,88 @@ def test_score_bound_reads_first_token_metadata():
     assert features.fusion.has_anchor_stem and not features.fusion.is_perfect_doc_lexical
     score, _ = fusion_calculate(query, doc, features, 0.0)
     assert int(score) & 0b111 == 1  # the anchor-with-run multi-term tier
-    assert cov.score_bound(relations, prep, "ABCDEF") >= score
+    assert _bounds(relations, [doc], ["ABCDEF"], setup)[0] >= score
+
+
+# extra query words that push the relation bits past one uint64 word
+_WIDE = ("ab", "bc", "ca", "abc", "bca", "cab", "ace", "bee", "iba")
+
+
+@SETTINGS
+@given(_case(), st.data())
+def test_bulk_score_bounds_match_oracle(case, data):
+    """The bulk bound equals the per-candidate oracle on every candidate:
+    repeated and unordered chunks, chunks with no coverage token (also the
+    last chunk of the table and of the block, where ``reduceat`` has no run
+    to end), and queries whose relation bits exceed 64 (Python-int masks).
+    The token table holds exactly ``prepare_doc``'s tokens."""
+    query, docs = case
+    wide = data.draw(st.booleans())
+    if wide:
+        query += " " + " ".join(data.draw(st.permutations(_WIDE)))
+    setup = dataclasses.replace(CFG.coverage, num_typos=data.draw(st.sampled_from((2, 1, 0))))
+    min_stem = data.draw(st.integers(1, 4))
+    ctx = cov.prepare_query(
+        query, setup.min_word_size, DELIMS, CFG.index_sizes,
+        lambda t: len(t) % 3, data.draw(st.sampled_from((None, lambda w: len(w) % 4))),
+        10, CFG.stop_term_limit,
+    )
+    relations = cov.TokenRelations(ctx, DELIMS, min_stem, setup)
+    assert (relations.n_bits > 64) == wide
+    # chunks without coverage tokens: empty, delimiters only, one-char words
+    texts = list(docs)
+    for t in ("", " - ", "a b", "İ"):
+        texts.insert(data.draw(st.integers(0, len(texts))), t)
+    texts.append(data.draw(st.sampled_from(("", "x", ", "))))
+    firsts = [
+        data.draw(st.sampled_from((None, "", "ab", "İst", "xyz", t.split(" ")[0], query[:4].upper())))
+        for t in texts
+    ]
+    table = cov.token_table(texts, firsts, setup.min_word_size, DELIMS)
+    preps = [cov.prepare_doc(t, setup.min_word_size, DELIMS) for t in texts]
+    for j, prep in enumerate(preps):
+        cov_ids = table.cov_ids[table.cov_ptr[j] : table.cov_ptr[j + 1]]
+        fus_ids = table.fus_ids[table.fus_ptr[j] : table.fus_ptr[j + 1]]
+        assert [table.vocab[i] for i in cov_ids] == prep[4]
+        assert tuple(table.vocab[i] for i in fus_ids) == prep[5]
+        assert table.at_zero[j] == (bool(prep[2]) and prep[2][0][0] == 0)
+        assert table.raw_count[j] == prep[1]
+    last = len(texts) - 1
+    lids = data.draw(st.lists(st.integers(0, last), min_size=1, max_size=12)) + [last]
+    first_lids = [data.draw(st.integers(0, last)) for _ in lids]
+    got = cov.score_bounds(relations, table, lids, table, first_lids)
+    want = [score_bound(relations, preps[j], firsts[f]) for j, f in zip(lids, first_lids)]
+    assert got.tolist() == want, (query, texts, lids)
+
+
+def test_bulk_score_bounds_match_oracle_with_synonyms(tmp_path):
+    """Through the engine's lazily built token table: chunk texts are
+    synonym-canonicalized before they are tokenized, so the bound of every
+    chunk equals the oracle's on the canonicalized text, for queries that
+    name either word of a synonym group."""
+    from infidex_ray.build import build_index_local
+    from infidex_ray.engine import Engine
+    from infidex_ray.query import pipeline as qp
+
+    docs = [
+        (1, "car show tickets on sale"), (2, "Automobile show in the city hall"),
+        (3, "vintage car auction"), (4, "the automobile club meeting"),
+        (5, "boat show downtown"), (6, "an auto-mobile, a car; cars"), (7, "- -"),
+    ]
+    idx = str(tmp_path / "syn")
+    build_index_local(docs, idx, EngineConfig(synonyms=(("car", "automobile"),)), n_segments=2)
+    eng = Engine.load(idx)
+    assert eng.synonym_map is not None
+    setup, delims = eng.cfg.coverage, frozenset(eng.cfg.delimiters)
+    for q in ("car show", "automobile auction", "vintage automobile club", "cars", "the aut"):
+        ctx = eng._ctx_for(q)
+        relations = cov.TokenRelations(ctx, delims, eng.cfg.min_index_size, setup)
+        jobs = [(seg.seg_id, lid, 0.0, -1) for seg in eng.segments for lid in range(len(seg.norm_texts))]
+        docs_of = [(0, si, lid) for si, lid, _, _ in jobs]
+        got = qp._score_bounds(eng, relations, jobs, docs_of, range(len(jobs)))
+        for p, (si, lid, _, _) in enumerate(jobs):
+            text = qp._cov_doc_text(eng, si, lid, delims)
+            prep = cov.prepare_doc(text, setup.min_word_size, delims)
+            assert got[p] == score_bound(relations, prep, eng.seg_by_id(si).first_tokens[lid]), (q, text)
+    vocab = {t for table in eng._token_tables.values() for t in table.vocab}
+    assert "car" in vocab and "automobile" not in vocab  # canonicalized texts

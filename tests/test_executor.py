@@ -174,21 +174,145 @@ def test_short_query_no_fuzzy_branch_identity(ray_session, tmp_path_factory):
         deng.shutdown()
 
 
-def test_fused_coverage_under_speculation_identity(dist_pair, monkeypatch):
-    """Force the speculative unique budget to 0 and 1 so the fused path's
-    corrective second round (missing allowed-unique jobs) runs — results
-    must stay identical to the in-process engine."""
+def test_short_query_state_dropped_after_failed_query(dist_pair, monkeypatch):
+    """A short query that fails between ``sq_phase1`` and ``sq_final``
+    leaves its per-qid state on every shard; the engine's next short query
+    drops it, so repeated failures do not grow the state."""
+    import ray
+
+    from infidex_ray import analyzer
+
     eng, deng = dist_pair
+
+    def states():
+        return ray.get([a.__ray_call__.remote(lambda self: len(self._sq_state)) for a in deng.actors])
+
+    def fail(*_a):
+        raise RuntimeError("between the rounds")
+
+    with monkeypatch.context() as m:
+        m.setattr(analyzer, "_word_splitter", fail)  # read after sq_phase1
+        for q in ("th", "qu", "sp"):
+            with pytest.raises(RuntimeError, match="between the rounds"):
+                deng.search(q, top_k=5)
+            assert states() == [1] * len(deng.actors), q
+    b = [(h.doc_key, round(h.score, 6), h.tiebreaker) for h in deng.search("th", top_k=5)]
+    assert b == [(h.doc_key, round(h.score, 6), h.tiebreaker) for h in eng.search("th", top_k=5)]
+    assert states() == [0] * len(deng.actors)
+
+
+def _counting_top_ups(monkeypatch, cls):
+    """Count the shard calls of ``cls._coverage_top_up`` (one ``run_jobs``
+    per shard on the distributed engine)."""
+    calls = []
+    top_up = cls._coverage_top_up
+
+    def counting(self, ctx, jobs_by_shard, *rest):
+        calls.append(len(jobs_by_shard))
+        return top_up(self, ctx, jobs_by_shard, *rest)
+
+    monkeypatch.setattr(cls, "_coverage_top_up", counting)
+    return calls
+
+
+# Stage 1 returns 10 docs for these queries, and the word matcher ~200 more
+# ("harbor" is in the first 200 docs, so in segments 0 and 1 of 4).
+_ROUNDS_PANEL = ["harbor zephyr", "zephyr quartz harbor", "harbr zephyr", "quartz harbors"]
+
+
+@pytest.fixture(scope="module")
+def rounds_index(tmp_path_factory):
+    import random
+
+    rng = random.Random(3)
+    filler = ["lorem", "ipsum", "dolor", "amet", "sit", "magna", "porta", "velit"]
+    docs = []
+    for k in range(400):
+        words = [rng.choice(filler) for _ in range(6)]
+        if k < 200:
+            words.append("harbor")
+        if k % 40 == 0:
+            words += ["zephyr", "quartz"]
+        docs.append((k, " ".join(words)))
+    idx = str(tmp_path_factory.mktemp("rounds"))
+    build_index_local(docs, idx, n_segments=4)
+    return idx
+
+
+def test_fused_coverage_under_speculation_identity(dist_pair, rounds_index, monkeypatch):
+    """Force the speculative unique budget to 0 and 1, and shard 0's
+    certain unique prefix to 0, so the fused path's corrective second round
+    (missing allowed-unique jobs) runs — results must stay identical to the
+    in-process engine."""
     from infidex_ray.query.executor import DistributedEngine
 
-    for budget in (0, 1):
-        monkeypatch.setattr(DistributedEngine, "SPEC_UNIQUE_BUDGET", budget)
-        for q in QUERIES:
-            a = [(h.doc_key, round(h.score, 6), h.tiebreaker)
-                 for h in eng.search(q, top_k=10)]
-            b = [(h.doc_key, round(h.score, 6), h.tiebreaker)
-                 for h in deng.search(q, top_k=10)]
-            assert a == b, (budget, q)
+    round_ = DistributedEngine._coverage_round
+
+    def no_sure(self, ctx, s1_jobs, cap, spec_budget, sure, *rest):
+        return round_(self, ctx, s1_jobs, cap, spec_budget, 0, *rest)
+
+    monkeypatch.setattr(DistributedEngine, "_coverage_round", no_sure)
+    calls = _counting_top_ups(monkeypatch, DistributedEngine)
+    rounds = Engine.load(rounds_index), DistributedEngine.connect(
+        rounds_index, num_shards=2, num_cpus_per_actor=0.5
+    )
+    try:
+        for budget in (0, 1):
+            monkeypatch.setattr(DistributedEngine, "SPEC_UNIQUE_BUDGET", budget)
+            calls.clear()
+            for (eng, deng), queries in ((dist_pair, QUERIES), (rounds, _ROUNDS_PANEL)):
+                for q in queries:
+                    a = [(h.doc_key, round(h.score, 6), h.tiebreaker)
+                         for h in eng.search(q, top_k=10)]
+                    b = [(h.doc_key, round(h.score, 6), h.tiebreaker)
+                         for h in deng.search(q, top_k=10)]
+                    assert a == b, (budget, q)
+            assert sum(calls) > 0, budget  # the top-up ran
+    finally:
+        rounds[1].shutdown()
+
+
+def test_coverage_round_count(ray_session, rounds_index, monkeypatch):
+    """On a corpus where stage 1 returns fewer than coverage_depth hits and
+    the word matcher finds many more docs, shard 0 scores its certain unique
+    candidates in the first round: a query of 255 characters or less with 2
+    or more stage-1 docs makes no ``run_jobs`` call at 1, 2 or 3 shards (nor
+    a second ``process_candidates`` call in-process), and the hits equal
+    ``Engine.search``. The unique candidates sit in segments 0 and 1, so on
+    shard 0 at every shard count, and are more than the speculative budget."""
+    from infidex_ray.query import pipeline as qp
+    from infidex_ray.query.executor import DistributedEngine
+
+    eng = Engine.load(rounds_index)
+    depth = eng.cfg.coverage_depth
+    for q in _ROUNDS_PANEL:
+        norm, tfidf = eng.prep_query(q)
+        top = eng.stage1(tfidf, depth)
+        assert 2 <= len({e[1] for e in top}) and len(top) < depth and len(norm) <= 255, q
+        lids: dict = {}
+        for e in top:
+            lids.setdefault(e[3], []).append(e[4])
+        _n, _ov, unique = qp.wm_scan(eng, norm, lids, depth)
+        assert len(unique) > DistributedEngine.SPEC_UNIQUE_BUDGET, q
+        assert {si for si, _, _ in unique} <= {0, 1}, q
+
+    local_calls = _counting_top_ups(monkeypatch, Engine)
+    want = {
+        q: [(h.doc_key, h.score, h.tiebreaker) for h in eng.search(q, top_k=10)]
+        for q in _ROUNDS_PANEL
+    }
+    assert not local_calls and all(want.values())
+    calls = _counting_top_ups(monkeypatch, DistributedEngine)
+    for n in (1, 2, 3):
+        deng = DistributedEngine.connect(rounds_index, num_shards=n, num_cpus_per_actor=0.5)
+        try:
+            for q in _ROUNDS_PANEL:
+                calls.clear()
+                got = [(h.doc_key, h.score, h.tiebreaker) for h in deng.search(q, top_k=10)]
+                assert got == want[q], (n, q)
+                assert sum(calls) == 0, (n, q)  # no run_jobs round
+        finally:
+            deng.shutdown()
 
 
 def test_shard_actor_restart_mid_serving(dist_pair):
@@ -568,16 +692,17 @@ def _pruning_corpus():
 
 def test_coverage_pruning_matches_unpruned(ray_session, tmp_path, monkeypatch):
     """Coverage pruning skips candidates whose score bound is below the
-    running k-th best score. Against the unpruned run (every bound +inf),
-    in-process, at 1, 2 and 3 shards and through batch_search: the hits
-    are equal on (doc, score, tiebreaker), the driver finalizes the same
-    memo and candidate index, and every job pruning skipped scores below
-    the final θ. The panel reaches each edge of the rule: a 10th score
+    running k-th best score. Against the unpruned run (every bound +inf,
+    no job skipped), in-process, at 1, 2 and 3 shards and through
+    batch_search: the hits are equal on (doc, score, tiebreaker), the
+    driver finalizes the same memo and candidate index, and every job
+    pruning skipped scores below the final θ. The panel reaches each edge of the rule: a 10th score
     under truncation_score (no pruning unless truncation is off),
     truncation off, a query over 255 characters, a multi-chunk key with
     more entries than coverage_depth, and tombstones."""
     from dataclasses import replace
 
+    import numpy as np
     import pyarrow as pa
     import ray.data
 
@@ -633,12 +758,23 @@ def test_coverage_pruning_matches_unpruned(ray_session, tmp_path, monkeypatch):
                 assert (memo, doc_index) == (w_memo, w_index), key
                 _check_pruned(results, w_results, key[2], key)
 
+    # in-process, counting the jobs pruning skipped
+    skipped: dict = {}
+    process = qp.process_candidates
+
+    def counting(engine, ctx, jobs, *rest):
+        results, memo = process(engine, ctx, jobs, *rest)
+        skipped[ctx.query] = skipped.get(ctx.query, 0) + results.count(None)
+        return results, memo
+
     local = {name: Engine.load(idx, cfg) for name, cfg in cfgs.items()}
     want = {}
     with monkeypatch.context() as m:
-        m.setattr(cov, "score_bound", lambda *a: float("inf"))
+        m.setattr(cov, "score_bounds", lambda rel, table, lids, *a: np.full(len(lids), np.inf))
+        m.setattr(qp, "process_candidates", counting)
         for name, eng in local.items():
             want.update(run(eng.search, name))
+    assert skipped and not any(skipped.values())  # the oracle run pruned nothing
 
     # the panel reaches the rule's edges
     low = want["no_truncate", _PRUNE_LOW_QUERY, 10][0]
@@ -648,15 +784,6 @@ def test_coverage_pruning_matches_unpruned(ray_session, tmp_path, monkeypatch):
     assert shallow[0][0][0] == 1000
     assert sum(r[1] == 1000 for r in shallow[1][0][0]) > cfgs["shallow"].coverage_depth
     assert not {h[0] for v in want.values() for h in v[0]} & set(_PRUNE_DELETED)
-
-    # in-process, counting the jobs pruning skipped
-    skipped: dict = {}
-    process = qp.process_candidates
-
-    def counting(engine, ctx, jobs, *rest):
-        results, memo = process(engine, ctx, jobs, *rest)
-        skipped[ctx.query] = skipped.get(ctx.query, 0) + results.count(None)
-        return results, memo
 
     monkeypatch.setattr(qp, "process_candidates", counting)
     for name, eng in local.items():
