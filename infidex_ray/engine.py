@@ -700,18 +700,24 @@ class Engine:
         candidate index are built here; subclasses replace only the
         transport (``_shard_of``, ``_coverage_round``, ``_coverage_top_up``,
         ``_prescreen_keys``). Every shard call prunes its candidates for
-        ``top_k`` (``pipeline.process_candidates``); the top-up starts from
-        the round's k-th best kept score.
+        ``top_k`` (``pipeline.process_candidates``) in the rank order
+        ``(score, tiebreaker, -key)``; the top-up starts from the k-th best
+        tuple of every shard's kept results of the round.
 
         The global unique cap takes shard 0's unique list first, and every
         other shard's overlap is at most its stage-1 job count, so shard 0
         is certain to keep its first ``sure − len(its overlap)`` unique
         candidates, ``sure = coverage_depth − Σ_{ai≠0} len(s1_jobs[ai])``.
-        The round scores those as kept jobs, and the top-up covers only
-        what is left: in-process (one shard) ``sure`` is the whole depth,
-        so there is no top-up unless a long query redoes a memo-slot doc.
-        Returns final entries or None (stage-1 fallback); raises
-        DeadlineExceeded."""
+        The round scores those as kept jobs, pruned against shard 0's own
+        kept results, and the top-up covers only what is left. When shard 0
+        holds fewer than ``top_k`` stage-1 keys but all shards hold at least
+        ``top_k``, shard 0's kept results cannot form a k-th best while
+        every shard's can: then ``sure`` and the speculative budget are 0,
+        and the top-up scores shard 0's unique candidates from that
+        cross-shard floor instead. In-process (one shard) shard 0 holds
+        every stage-1 key and ``sure`` is the whole depth, so there is no
+        top-up unless a long query redoes a memo-slot doc. Returns final
+        entries or None (stage-1 fallback); raises DeadlineExceeded."""
         from .query import pipeline as qp
 
         top = stage1_results[:coverage_depth]
@@ -736,11 +742,13 @@ class Engine:
         s1_slots = min(len(doc_index), qp.MEMO_HEIGHT)
         # No unique job is scored in the round when wm-only docs take memo
         # slots: their doc_index exists only after the global split, so they
-        # are scored in the top-up. No speculation on a full stage-1 page
-        # (the overlap then ~always fills the depth, so every speculative
-        # job would be discarded).
+        # are scored in the top-up; nor when only the other shards' stage-1
+        # docs can complete shard 0's k-th best (the top-up's floor). No
+        # speculation on a full stage-1 page (the overlap then ~always fills
+        # the depth, so every speculative job would be discarded).
         spec_budget = sure = 0
-        if s1_slots == qp.MEMO_HEIGHT:
+        cross_floor = len(set(s1_keys.get(0, []))) < top_k <= len(doc_index)
+        if s1_slots == qp.MEMO_HEIGHT and not cross_floor:
             if len(top) < coverage_depth:
                 spec_budget = self.SPEC_UNIQUE_BUDGET
             sure = coverage_depth - sum(len(j) for ai, j in s1_jobs.items() if ai != 0)
@@ -796,7 +804,8 @@ class Engine:
                     {keys[p]: best_chunk[keys[p]] for p in rest if keys[p] in best_chunk},
                 )
         if top_up:
-            # θ₀: the round's kept results bound the top-up's threshold
+            # θ₀: every shard's kept results of the round bound the
+            # top-up's threshold
             theta0 = qp.kth_best(results, top_k)
             for res, m in self._coverage_top_up(ctx, top_up, deadline, top_k, theta0):
                 results.extend(r for r in res if r is not None)

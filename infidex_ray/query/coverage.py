@@ -57,12 +57,14 @@ process_candidates``): they are never module state and never part of the
 Score bound. ``score_bounds`` turns a block of candidates' OR'd masks
 (and, for a query token no exact relation explains, the fuzzy tables) into
 upper bounds on their fusion scores before any matcher runs;
-``process_candidates`` skips the candidates whose bound cannot reach the
-running top k (tests/test_coverage_kernel.py checks bound ≥ score, and
-that the bulk bound equals the per-candidate one kept in tests/oracle.py).
-It reads each chunk's tokens from the segment's ``TokenTable``, built once
-per segment: the same lowered tokens ``prepare_doc`` gives, interned as
-int32 ids.
+``process_candidates`` pairs each with the candidate's exact tiebreaker
+(from the table's text lengths) and skips the candidates whose bound cannot
+reach the running top k in the rank order (score, tiebreaker, -key)
+(tests/test_coverage_kernel.py checks bound ≥ score, that the bulk bound
+equals the per-candidate one kept in tests/oracle.py, and that the
+pre-scoring tiebreaker equals the fusion one). It reads each chunk's
+tokens from the segment's ``TokenTable``, built once per segment: the same
+lowered tokens ``prepare_doc`` gives, interned as int32 ids.
 """
 
 from __future__ import annotations
@@ -272,6 +274,10 @@ class TokenRelations:
         self.fq_slices = tokenize_slices(q, 0, delimiters)
         self.fq_texts = fq = [q[o : o + l] for o, l in self.fq_slices]
         nf = len(fq)
+        # ``fusion_calculate``'s query token count: the unfiltered count,
+        # else the coverage count; 0 without coverage tokens (the features
+        # then stay empty)
+        self.fusion_n = (nf or nc) if nc else 0
 
         bits = (1 << k for k in itertools.count())
 
@@ -1071,8 +1077,9 @@ class TokenTable:
     deduped coverage token ids (``prepare_doc``'s coverage texts, in their
     order, so a chunk's first entry is its first coverage token) and of its
     distinct fusion token ids, whether its first coverage token sits at
-    offset 0, its raw coverage token count, and its lowered first-token
-    metadata as an id into ``first_vocab`` (-1 when absent or empty)."""
+    offset 0, its raw coverage token count, its lowered first-token
+    metadata as an id into ``first_vocab`` (-1 when absent or empty), and
+    the length of its coverage text (the tiebreaker's doc length)."""
 
     vocab: list
     cov_ptr: np.ndarray  # int32, n_chunks + 1
@@ -1083,6 +1090,7 @@ class TokenTable:
     raw_count: np.ndarray  # int32
     first_ids: np.ndarray  # int32
     first_vocab: list
+    text_len: np.ndarray  # int32
 
 
 def token_table(texts, first_tokens, min_word_size: int, delimiters: frozenset[str]) -> TokenTable:
@@ -1112,6 +1120,7 @@ def token_table(texts, first_tokens, min_word_size: int, delimiters: frozenset[s
     return TokenTable(
         list(index), i32(cov_ptr), i32(cov_ids), i32(fus_ptr), i32(fus_ids),
         np.array(at_zero, dtype=bool), i32(raw_count), i32(first_ids), list(firsts),
+        i32([len(t) for t in texts]),
     )
 
 

@@ -16,8 +16,10 @@ docmap, word-matcher tables, doc-prep caches — all per-actor state built in
   WordMatcher split + candidate scoring per shard). Shard 0 scores the
   unique candidates the global cap is certain to keep as kept jobs, and
   every shard a speculative prefix after them; a ``run_jobs`` top-up, with
-  the round's k-th best score as its pruning floor, covers only the
-  allowed unique candidates still left. The driver half is
+  the k-th best rank tuple of every shard's kept results as its pruning
+  floor, covers only the allowed unique candidates still left. When only
+  the other shards' stage-1 docs can complete shard 0's k-th best, shard 0
+  leaves all its unique candidates to that top-up. The driver half is
   ``Engine._coverage_stage``, shared with the in-process engine; this
   class supplies only the fan-outs. Every doc's jobs land on the shard
   owning its segment, preserving the reference's memo semantics;
@@ -153,7 +155,8 @@ class IndexShardActor:
     def run_jobs(self, ctx, jobs, best_chunk, packed):
         """Top-up scoring of ``jobs`` with one memo, pruned for the top k.
         ``best_chunk`` holds the best chunks of the jobs' keys only;
-        ``packed`` = (budget_s, top_k, theta0). Returns ("timeout", None)
+        ``packed`` = (budget_s, top_k, theta0), ``theta0`` the driver's
+        k-th best rank tuple (``pipeline.kth_best``). Returns ("timeout", None)
         instead of raising so the sentinel crosses the actor boundary
         cleanly."""
         budget_s, top_k, theta0 = packed
@@ -415,8 +418,12 @@ class DistributedEngine(Engine):
     # prefix: shard 0's certain prefix undercounts its allowed share by the
     # other shards' stage-1 jobs that the word matcher does not find, and
     # other shards' shares are not known before the round. Speculation
-    # saves the top-up round trip; on real corpora overlap ==
-    # coverage_depth, so the unique cap is 0 and nothing is wasted
+    # saves the top-up round trip when it lands, but most of it is thrown
+    # away: shard 0's unique list usually fills the whole cap, so the
+    # driver discards the other shards' speculative results. That work runs
+    # beside shard 0's, off the query's critical path when each shard has a
+    # CPU of its own. No shard speculates when shard 0 waits for the
+    # cross-shard floor (``Engine._coverage_stage``)
     SPEC_UNIQUE_BUDGET = 64
 
     def _shard_of(self, si: int) -> int:

@@ -202,9 +202,14 @@ def fusion_calculate(
     semantic = _semantic_score(f, is_single_term, bm25_score, coverage_ratio)
     semantic = min(max(semantic, 0.0), 0.999)
 
-    tiebreaker = 0
-    if n >= 2 and len(document_text) > 0:
-        focus = min(1.0, len(query_text) / len(document_text))
-        tiebreaker = int(focus * 255.0)
+    return float(precedence) + semantic, tiebreaker(len(query_text), len(document_text), n)
 
-    return float(precedence) + semantic, tiebreaker
+
+def tiebreaker(query_len: int, doc_text_len: int, n: int) -> int:
+    """``fusion_calculate``'s tiebreaker (the end of FusionScorer.Calculate):
+    query focus on the document text, 0 for single-term queries (``n``, the
+    query token count, below 2) and empty texts. It reads lengths only, so
+    pruning computes it before a candidate is scored."""
+    if n < 2 or doc_text_len <= 0:
+        return 0
+    return int(min(1.0, query_len / doc_text_len) * 255.0)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 
 from . import coverage as cov
-from .fusion import fusion_calculate
+from .fusion import fusion_calculate, tiebreaker
 from .metrics import lcs_containment
 
 # The reference's LCS/wordHits memo is a Span2D(2, N) guarded by
@@ -183,56 +183,68 @@ def wm_scan(
     return n_total, overlapping, unique
 
 
+# θ before any kept result qualifies: below every rank tuple
+NO_THETA = (float("-inf"),)
+
+
 class KthBest:
-    """The ``k``-th best score over distinct doc keys among the results
-    added so far, never below ``floor`` (a k-th best score known from other
-    results the driver keeps). Used as the pruning threshold θ."""
+    """The ``k``-th best rank tuple ``(score, tiebreaker, -key)`` over
+    distinct doc keys among the results added so far, each key at its best
+    tuple, never below ``floor`` (a k-th best tuple known from other results
+    the driver keeps). ``finalize_coverage`` ranks entries by this tuple,
+    descending, so an entry whose tuple is below the k-th best cannot reach
+    the top k. Used as the pruning threshold θ; ``NO_THETA`` (or the floor)
+    while fewer than ``k`` keys were added."""
 
     __slots__ = ("k", "floor", "heap", "best")
 
-    def __init__(self, k: int, floor: float = float("-inf")):
+    def __init__(self, k: int, floor: tuple = NO_THETA):
         self.k = k
         self.floor = floor
-        self.heap: list[tuple[float, int]] = []  # min-heap; stale entries skipped
-        self.best: dict[int, float] = {}  # best score of each key in the top k
+        self.heap: list[tuple[float, int, int]] = []  # min-heap; stale entries skipped
+        self.best: dict[int, tuple[float, int, int]] = {}  # best tuple of each key in the top k
 
-    def add(self, score: float, key: int) -> None:
+    def add(self, score: float, tiebreaker: int, key: int) -> None:
         best, heap = self.best, self.heap
+        rank = (score, tiebreaker, -key)
         cur = best.get(key)
         if cur is not None:
-            if score <= cur:
+            if rank <= cur:
                 return
-        elif len(best) >= self.k and (not heap or score <= heap[0][0]):
+        elif len(best) >= self.k and (not heap or rank <= heap[0]):
             return  # no better than the k-th best (k < 1 keeps nothing)
-        best[key] = score
-        heapq.heappush(heap, (score, key))
+        best[key] = rank
+        heapq.heappush(heap, rank)
         while True:
-            s, k = heap[0]
-            if best.get(k) != s:  # a superseded score of its key
+            low = heap[0]
+            if best.get(-low[2]) != low:  # a superseded tuple of its key
                 heapq.heappop(heap)
             elif len(best) > self.k:
                 heapq.heappop(heap)
-                del best[k]
+                del best[-low[2]]
             else:
                 break
 
     @property
-    def theta(self) -> float:
+    def theta(self) -> tuple:
         if not self.heap or len(self.best) < self.k:
             return self.floor
-        return max(self.floor, self.heap[0][0])
+        return max(self.floor, self.heap[0])
 
 
-def kth_best(results, k: int) -> float:
-    """θ₀ for the top-up: the ``k``-th best distinct-key score of the
-    round's kept ``results``, or -inf when they have fewer than ``k`` keys
-    or no word hits (pruning needs a kept result with hits)."""
+def kth_best(results, k: int) -> tuple:
+    """θ₀ for the top-up: the ``k``-th best distinct-key rank tuple
+    ``(score, tiebreaker, -key)`` of kept ``results`` (``KthBest``), or
+    ``NO_THETA`` when they have fewer than ``k`` keys or no word hits
+    (pruning needs a kept result with hits). The driver passes every
+    shard's kept results of the round, so the floor can come from other
+    shards' stage-1 docs."""
     top = KthBest(k)
     hits = False
     for r in results:
-        top.add(r[0], r[1])
+        top.add(r[0], r[2], r[1])
         hits = hits or r[3] > 0
-    return top.theta if hits else float("-inf")
+    return top.theta if hits else NO_THETA
 
 
 def _token_table_for(engine, si: int) -> cov.TokenTable:
@@ -253,24 +265,48 @@ def _token_table_for(engine, si: int) -> cov.TokenTable:
     return table
 
 
-def _score_bounds(engine, relations, jobs, docs, positions) -> dict[int, float]:
-    """``coverage.score_bounds`` of each job at ``positions``, one bulk call
-    per (text segment, candidate segment) pair (one pair unless a key
-    repeats across segments); ``docs`` holds each job's (key, text chunk)."""
+def _score_bounds(engine, relations, jobs, docs, positions) -> tuple[list[int], list[tuple]]:
+    """The job ``positions`` in descending order of their rank-tuple bound
+    ``(coverage.score_bounds, tiebreaker, -key)``, and those bounds in the
+    same order: the score bound, and the exact tiebreaker
+    (``fusion.tiebreaker``) read from the token table's text lengths. One
+    bulk call per (text segment, candidate segment) pair (one pair unless a
+    key repeats across segments); ``docs`` holds each job's (key, text
+    chunk)."""
     import numpy as np
 
     text_seg = np.array([docs[p][1] for p in positions])
     text_lid = np.array([docs[p][2] for p in positions])
     seg = np.array([jobs[p][0] for p in positions])
     lid = np.array([jobs[p][1] for p in positions])
+    neg_key = -np.array([docs[p][0] for p in positions], dtype=np.int64)
     bound = np.empty(len(positions))
+    tb = np.empty(len(positions), dtype=np.int64)
     for tsi, si in set(zip(text_seg.tolist(), seg.tolist())):
         at = (text_seg == tsi) & (seg == si)
+        table = _token_table_for(engine, tsi)
         bound[at] = cov.score_bounds(
-            relations, _token_table_for(engine, tsi), text_lid[at],
-            _token_table_for(engine, si), lid[at],
+            relations, table, text_lid[at], _token_table_for(engine, si), lid[at],
         )
-    return dict(zip(positions, bound.tolist()))
+        tb[at] = _tiebreakers(relations, table, text_lid[at])
+    rank = np.lexsort((neg_key, tb, bound))[::-1]
+    return (
+        [positions[i] for i in rank.tolist()],
+        list(zip(bound[rank].tolist(), tb[rank].tolist(), neg_key[rank].tolist())),
+    )
+
+
+def _tiebreakers(relations, table: cov.TokenTable, lids) -> list[int]:
+    """``fusion.tiebreaker`` of chunks ``lids`` of ``table`` as coverage
+    texts, before scoring: it reads only the query length, the query token
+    count (``relations.fusion_n``) and the text length, so it is computed
+    once per distinct length."""
+    import numpy as np
+
+    lens, inv = np.unique(table.text_len[np.asarray(lids, dtype=np.int64)], return_inverse=True)
+    q_len, n = len(relations.query), relations.fusion_n
+    by_len = [tiebreaker(q_len, L, n) for L in lens.tolist()]
+    return [by_len[i] for i in inv.tolist()]
 
 
 def process_candidates(
@@ -279,28 +315,34 @@ def process_candidates(
     jobs: list[tuple[int, int, float, int]],
     best_chunk: dict[int, tuple[int, int]],
     deadline: float | None = None,
-    prune: tuple[int, int, float] | None = None,
+    prune: tuple[int, int, tuple] | None = None,
 ) -> tuple[list, dict[int, list[int]]]:
     """Shard-local candidate scoring (SearchPipeline.ProcessCandidate,
     :449-522). ``jobs`` = (si, lid, base_score, doc_index); all jobs for
     one doc key arrive at the shard owning its segment, so the 2-slot
     LCS/wordHits memo semantics hold locally.
 
-    ``prune`` = (top_k, n_kept, theta0) turns on rank-safe pruning. The
-    first ``n_kept`` jobs are results the driver is certain to keep, and
-    ``theta0`` is a k-th best score the driver already holds. θ is the
-    ``top_k``-th best distinct-key score of the kept results (at least
-    ``theta0``). Memo-slot jobs are scored first, in order (their order
-    fills the memo), then stage-1 jobs in rank order, until pruning can
-    start: θ survives truncation (θ ≥ ``truncation_score`` or truncation
-    off) and a kept result has word hits (no stage-1 fallback). Then the
-    remaining jobs are bounded in bulk (``coverage.score_bounds``) and
-    scored in descending bound order until a bound is strictly below θ;
-    every later job is skipped. Each skipped entry sorts below every entry
-    of the final top k, so ``finalize_coverage`` returns the same hits. A
-    query whose θ never qualifies computes no bound (and builds no token
-    table); a query over 255 characters is not pruned (over that, the
-    driver drops some memo-slot results).
+    ``prune`` = (top_k, n_kept, theta0) turns on rank-safe pruning in the
+    rank order of ``finalize_coverage``, the tuple ``(score, tiebreaker,
+    -key)``. The first ``n_kept`` jobs are results the driver is certain to
+    keep, and ``theta0`` is a k-th best tuple the driver already holds
+    (``NO_THETA`` if none). θ is the ``top_k``-th best distinct-key tuple
+    of the kept results (``KthBest``, at least ``theta0``). Memo-slot jobs
+    are scored first, in order (their order fills the memo), then stage-1
+    jobs in rank order, until pruning can start: θ's score survives
+    truncation (≥ ``truncation_score`` or truncation off) and a kept result
+    has word hits (no stage-1 fallback). Then each remaining job gets the
+    tuple bound ``(coverage.score_bounds, exact tiebreaker, -key)``, in
+    bulk (``_score_bounds``), and the jobs are scored in descending tuple
+    order until one is strictly below θ; every later job is skipped. A
+    score at most its bound with the same tiebreaker and key ranks at most
+    the bound, so each skipped entry sorts below every entry of the final
+    top k and ``finalize_coverage`` returns the same hits. Ties in score
+    (one-term queries at the semantic clamp, where the tiebreaker is 0)
+    are thus cut by key, as the final sort cuts them. A query whose θ
+    never qualifies computes no bound (and builds no token table); a query
+    over 255 characters is not pruned (over that, the driver drops some
+    memo-slot results).
 
     Returns ([(score, key, tiebreaker, word_hits) or None when skipped, one
     per job in job order], {doc_index<2: [lcs, wh]})."""
@@ -329,12 +371,12 @@ def process_candidates(
 
     order = list(range(len(jobs)))
     pruning = prune is not None and len(ctx.query) <= 255
-    bound: dict[int, float] | None = None
+    ranked: list | None = None  # the rank-tuple bound of each order slot, once bounded
     n_memo = 0
     if pruning:
         top_k, n_kept, theta0 = prune
         top = KthBest(top_k, theta0)
-        has_hits = theta0 > float("-inf")
+        has_hits = theta0 > NO_THETA
         # memo-slot jobs first, in order (their order fills the memo), then
         # stage-1 jobs in rank order until pruning can start
         order.sort(key=lambda p: (not 0 <= jobs[p][3] < MEMO_HEIGHT, -jobs[p][2]))
@@ -353,16 +395,17 @@ def process_candidates(
         p = order[n_done]
         if pruning and n_done >= n_memo and has_hits:
             theta = top.theta
-            if theta > float("-inf") and (
-                theta >= setup.truncation_score or not setup.truncate
+            if theta > NO_THETA and (
+                theta[0] >= setup.truncation_score or not setup.truncate
             ):
-                if bound is None:
+                if ranked is None:
                     # pruning can start: bound the rest, then score it in
                     # descending bound order
-                    bound = _score_bounds(engine, relations, jobs, docs, order[n_done:])
-                    order[n_done:] = sorted(order[n_done:], key=lambda q: -bound[q])
+                    rest, bounds = _score_bounds(engine, relations, jobs, docs, order[n_done:])
+                    order[n_done:] = rest
+                    ranked = [None] * n_done + bounds
                     p = order[n_done]
-                if bound[p] < theta:
+                if ranked[n_done] < theta:
                     break  # bounds only fall and θ only rises: skip the rest
         n_done += 1
         si, lid, base_score, di = jobs[p]
@@ -393,14 +436,14 @@ def process_candidates(
                 relations=relations,
             )
             feat_cache[feat_key] = features
-        score, tiebreaker = fusion_calculate(ctx.query, doc_text, features, base_score)
+        score, tb = fusion_calculate(ctx.query, doc_text, features, base_score)
         if 0 <= di < MEMO_HEIGHT:
             m = memo.setdefault(di, [0, 0])
             if m[1] == 0:
                 m[1] = min(features.word_hits, 255)
-        results[p] = (score, key, tiebreaker, features.word_hits)
+        results[p] = (score, key, tb, features.word_hits)
         if pruning and p < n_kept:
-            top.add(score, key)
+            top.add(score, tb, key)
             has_hits = has_hits or features.word_hits > 0
     return results, memo
 
@@ -453,7 +496,7 @@ def coverage_shard(
         for si, lid, key in unique[: n_sure + spec_budget]
     ]
     n_kept = len(overlapping) + len(s1_jobs) + n_sure
-    prune = None if top_k is None else (top_k, n_kept, float("-inf"))
+    prune = None if top_k is None else (top_k, n_kept, NO_THETA)
     results, memo = process_candidates(engine, ctx, jobs, best_chunk, deadline, prune)
     return n_total, overlapping, unique, results, memo
 

@@ -7,7 +7,9 @@ CoverageFeatures and FusionSignals field must agree bit for bit, with one
 ``TokenRelations`` shared across several docs as in ``process_candidates``.
 ``coverage.score_bounds``, which pruning compares with the running k-th
 best score, must never be below the exact fusion score, and must equal the
-per-candidate bound of ``tests/oracle.py`` on every candidate.
+per-candidate bound of ``tests/oracle.py`` on every candidate. The
+tiebreaker pruning ranks a candidate by before scoring it must equal the
+one ``fusion_calculate`` gives it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from oracle import oracle_calculate_features, score_bound
 
 from infidex_ray.config import EngineConfig
 from infidex_ray.query import coverage as cov
+from infidex_ray.query import pipeline as qp
 from infidex_ray.query.fusion import fusion_calculate
+from infidex_ray.synonyms import SynonymMap
 
 SETTINGS = settings(
     max_examples=500,
@@ -297,11 +301,11 @@ def test_bulk_score_bounds_match_oracle(case, data):
 def test_bulk_score_bounds_match_oracle_with_synonyms(tmp_path):
     """Through the engine's lazily built token table: chunk texts are
     synonym-canonicalized before they are tokenized, so the bound of every
-    chunk equals the oracle's on the canonicalized text, for queries that
-    name either word of a synonym group."""
+    chunk equals the oracle's on the canonicalized text, and its
+    pre-scoring tiebreaker equals ``fusion_calculate``'s on that text, for
+    queries that name either word of a synonym group."""
     from infidex_ray.build import build_index_local
     from infidex_ray.engine import Engine
-    from infidex_ray.query import pipeline as qp
 
     docs = [
         (1, "car show tickets on sale"), (2, "Automobile show in the city hall"),
@@ -318,10 +322,62 @@ def test_bulk_score_bounds_match_oracle_with_synonyms(tmp_path):
         relations = cov.TokenRelations(ctx, delims, eng.cfg.min_index_size, setup)
         jobs = [(seg.seg_id, lid, 0.0, -1) for seg in eng.segments for lid in range(len(seg.norm_texts))]
         docs_of = [(0, si, lid) for si, lid, _, _ in jobs]
-        got = qp._score_bounds(eng, relations, jobs, docs_of, range(len(jobs)))
+        got = dict(zip(*qp._score_bounds(eng, relations, jobs, docs_of, list(range(len(jobs))))))
         for p, (si, lid, _, _) in enumerate(jobs):
             text = qp._cov_doc_text(eng, si, lid, delims)
             prep = cov.prepare_doc(text, setup.min_word_size, delims)
-            assert got[p] == score_bound(relations, prep, eng.seg_by_id(si).first_tokens[lid]), (q, text)
+            first = eng.seg_by_id(si).first_tokens[lid]
+            features = cov.calculate_features(
+                ctx, text, 0.0, setup, delims, eng.cfg.min_index_size, first, True,
+                doc_prep=prep, relations=relations,
+            )
+            _, tb = fusion_calculate(ctx.query, text, features, 0.0)
+            assert got[p] == (score_bound(relations, prep, first), tb, 0), (q, text)
     vocab = {t for table in eng._token_tables.values() for t in table.vocab}
     assert "car" in vocab and "automobile" not in vocab  # canonicalized texts
+
+
+@SETTINGS
+@given(_case(), st.data())
+def test_pre_scoring_tiebreaker_matches_fusion(case, data):
+    """Pruning ranks a candidate by ``(bound, tiebreaker, -key)`` before
+    scoring it, with the tiebreaker read from the token table's text
+    lengths and ``TokenRelations.fusion_n`` (``pipeline._tiebreakers``).
+    It must equal ``fusion_calculate``'s tiebreaker for every candidate:
+    texts without coverage tokens (empty, delimiters only, one-char words),
+    queries whose tokens are all below ``min_word_size`` (no features, so
+    n = 0), one-term queries, and synonym maps, which canonicalize the
+    query and the coverage texts (and so change their lengths)."""
+    query, docs = case
+    if data.draw(st.integers(0, 5)) == 0:  # every coverage token filtered
+        query = " ".join(data.draw(st.lists(st.sampled_from("abcß1-"), min_size=1, max_size=4)))
+    texts = list(docs)
+    for t in ("", " - ", "a b", "İ"):
+        texts.insert(data.draw(st.integers(0, len(texts))), t)
+    if data.draw(st.booleans()):
+        words = sorted({w for t in [query, *docs] for w in t.split() if w})
+        groups = data.draw(st.lists(
+            st.lists(st.sampled_from(words + ["automobile", "zz"]), min_size=2, max_size=3),
+            max_size=3,
+        ))
+        smap = SynonymMap(groups)
+        query = smap.canonicalize_text(query, DELIMS)
+        texts = [smap.canonicalize_text(t, DELIMS) for t in texts]
+    setup = CFG.coverage
+    min_stem = data.draw(st.integers(1, 4))
+    ctx = cov.prepare_query(
+        query, setup.min_word_size, DELIMS, CFG.index_sizes,
+        lambda t: len(t) % 3, None, 10, CFG.stop_term_limit,
+    )
+    relations = cov.TokenRelations(ctx, DELIMS, min_stem, setup)
+    table = cov.token_table(texts, [None] * len(texts), setup.min_word_size, DELIMS)
+    lids = data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=12))
+    want = []
+    for j in lids:
+        features = cov.calculate_features(
+            ctx, texts[j], 0.0, setup, DELIMS, min_stem, None, True,
+            doc_prep=cov.prepare_doc(texts[j], setup.min_word_size, DELIMS),
+            relations=relations,
+        )
+        want.append(fusion_calculate(query, texts[j], features, 0.5)[1])
+    assert qp._tiebreakers(relations, table, lids) == want, (query, texts, lids)

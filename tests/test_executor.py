@@ -202,13 +202,13 @@ def test_short_query_state_dropped_after_failed_query(dist_pair, monkeypatch):
 
 
 def _counting_top_ups(monkeypatch, cls):
-    """Count the shard calls of ``cls._coverage_top_up`` (one ``run_jobs``
-    per shard on the distributed engine)."""
+    """Record the shard of each call ``cls._coverage_top_up`` makes (one
+    ``run_jobs`` per shard on the distributed engine)."""
     calls = []
     top_up = cls._coverage_top_up
 
     def counting(self, ctx, jobs_by_shard, *rest):
-        calls.append(len(jobs_by_shard))
+        calls.extend(jobs_by_shard)
         return top_up(self, ctx, jobs_by_shard, *rest)
 
     monkeypatch.setattr(cls, "_coverage_top_up", counting)
@@ -267,28 +267,35 @@ def test_fused_coverage_under_speculation_identity(dist_pair, rounds_index, monk
                     b = [(h.doc_key, round(h.score, 6), h.tiebreaker)
                          for h in deng.search(q, top_k=10)]
                     assert a == b, (budget, q)
-            assert sum(calls) > 0, budget  # the top-up ran
+            assert calls, budget  # the top-up ran
     finally:
         rounds[1].shutdown()
 
 
 def test_coverage_round_count(ray_session, rounds_index, monkeypatch):
     """On a corpus where stage 1 returns fewer than coverage_depth hits and
-    the word matcher finds many more docs, shard 0 scores its certain unique
-    candidates in the first round: a query of 255 characters or less with 2
-    or more stage-1 docs makes no ``run_jobs`` call at 1, 2 or 3 shards (nor
-    a second ``process_candidates`` call in-process), and the hits equal
-    ``Engine.search``. The unique candidates sit in segments 0 and 1, so on
-    shard 0 at every shard count, and are more than the speculative budget."""
+    the word matcher finds many more docs, a query of 255 characters or
+    less with 2 or more stage-1 docs makes exactly one ``run_jobs`` call,
+    on shard 0, iff shard 0 holds fewer than ``top_k`` stage-1 keys and all
+    shards at least ``top_k`` (its unique candidates then wait for the
+    cross-shard k-th best), and none otherwise: shard 0 scores its certain
+    unique candidates in the first round. In-process there is no second
+    ``process_candidates`` call, and the hits equal ``Engine.search`` at
+    1, 2 and 3 shards. The unique candidates sit in segments 0 and 1, so on
+    shard 0 at every shard count, and are more than the speculative budget.
+    Each panel query holds 10 stage-1 keys, 5 of them on shard 0 at 2 and
+    3 shards, so top_k 5, 10 and 11 reach both branches."""
     from infidex_ray.query import pipeline as qp
     from infidex_ray.query.executor import DistributedEngine
 
     eng = Engine.load(rounds_index)
     depth = eng.cfg.coverage_depth
+    s1_keys = {}
     for q in _ROUNDS_PANEL:
         norm, tfidf = eng.prep_query(q)
         top = eng.stage1(tfidf, depth)
         assert 2 <= len({e[1] for e in top}) and len(top) < depth and len(norm) <= 255, q
+        s1_keys[q] = [(e[3], e[1]) for e in top]
         lids: dict = {}
         for e in top:
             lids.setdefault(e[3], []).append(e[4])
@@ -296,23 +303,31 @@ def test_coverage_round_count(ray_session, rounds_index, monkeypatch):
         assert len(unique) > DistributedEngine.SPEC_UNIQUE_BUDGET, q
         assert {si for si, _, _ in unique} <= {0, 1}, q
 
+    top_ks = (5, 10, 11)
     local_calls = _counting_top_ups(monkeypatch, Engine)
     want = {
-        q: [(h.doc_key, h.score, h.tiebreaker) for h in eng.search(q, top_k=10)]
-        for q in _ROUNDS_PANEL
+        (q, k): [(h.doc_key, h.score, h.tiebreaker) for h in eng.search(q, top_k=k)]
+        for q in _ROUNDS_PANEL for k in top_ks
     }
     assert not local_calls and all(want.values())
     calls = _counting_top_ups(monkeypatch, DistributedEngine)
+    branches = set()
     for n in (1, 2, 3):
         deng = DistributedEngine.connect(rounds_index, num_shards=n, num_cpus_per_actor=0.5)
         try:
             for q in _ROUNDS_PANEL:
-                calls.clear()
-                got = [(h.doc_key, h.score, h.tiebreaker) for h in deng.search(q, top_k=10)]
-                assert got == want[q], (n, q)
-                assert sum(calls) == 0, (n, q)  # no run_jobs round
+                keys = {key for _, key in s1_keys[q]}
+                shard0 = {key for si, key in s1_keys[q] if deng._shard_of(si) == 0}
+                for k in top_ks:
+                    calls.clear()
+                    got = [(h.doc_key, h.score, h.tiebreaker) for h in deng.search(q, top_k=k)]
+                    assert got == want[q, k], (n, q, k)
+                    cross = len(shard0) < k <= len(keys)
+                    branches.add(cross)
+                    assert calls == ([0] if cross else []), (n, q, k)
         finally:
             deng.shutdown()
+    assert branches == {True, False}
 
 
 def test_shard_actor_restart_mid_serving(dist_pair):
@@ -531,23 +546,87 @@ def _coverage_case(case, mini):
     return docs, cfg, cfg, [_LONG, _LONG[:270], "zebulon " + _LONG]
 
 
+def _rank(r):
+    """A scored job's rank tuple, the order ``finalize_coverage`` sorts by."""
+    return r[0], r[2], -r[1]
+
+
 def _check_pruned(results, w_results, top_k, where):
     """The scored jobs ``results`` of a pruned run against ``w_results`` of
-    a run that scored every job: identical at or above the final θ (the
-    ``top_k``-th best distinct-key score), and every job left out scores
-    strictly below θ."""
+    a run that scored every job, in the rank order ``(score, tiebreaker,
+    -key)``: identical at or above the final θ (the ``top_k``-th best
+    distinct-key tuple), and every job left out ranks strictly below θ.
+    Returns how many skipped jobs tie θ's score."""
     from collections import Counter
 
     from infidex_ray.query import pipeline as qp
 
     top = qp.KthBest(top_k)
     for r in w_results:
-        top.add(r[0], r[1])
+        top.add(r[0], r[2], r[1])
     theta = top.theta
-    assert [r for r in results if r[0] >= theta] == [r for r in w_results if r[0] >= theta], where
+    assert [r for r in results if _rank(r) >= theta] == [
+        r for r in w_results if _rank(r) >= theta
+    ], where
     assert not Counter(results) - Counter(w_results), where
-    skipped = Counter(w_results) - Counter(results)
-    assert all(r[0] < theta for r in skipped.elements()), where
+    skipped = list((Counter(w_results) - Counter(results)).elements())
+    assert all(_rank(r) < theta for r in skipped), where
+    return sum(r[0] == theta[0] for r in skipped)
+
+
+def test_kth_best_rank_tuple_order():
+    """``KthBest`` holds the k-th best ``(score, tiebreaker, -key)`` over
+    distinct keys, each key at its best tuple: equal scores order by
+    tiebreaker, then by the smaller key; a key's better tuple supersedes
+    its old one and a worse one is ignored; a floor holds until the k-th
+    best passes it; fewer than k keys give the floor; k < 1 keeps nothing.
+    Random sequences agree with sorting every key's best tuple."""
+    import random
+
+    from infidex_ray.query import pipeline as qp
+
+    top = qp.KthBest(2)
+    top.add(5.0, 0, 7)
+    assert top.theta == qp.NO_THETA  # one key, k = 2
+    top.add(5.0, 0, 9)
+    assert top.theta == (5.0, 0, -9)  # a tie in score and tiebreaker: key 9 ranks lower
+    top.add(5.0, 0, 3)
+    assert top.theta == (5.0, 0, -7)
+    top.add(5.0, 10, 9)  # key 9 superseded by a higher tiebreaker
+    assert top.theta == (5.0, 0, -3)
+    top.add(4.0, 255, 9)  # a worse tuple of a kept key
+    assert top.theta == (5.0, 0, -3)
+    top.add(6.0, 0, 7)  # key 7 superseded, key 3 drops out
+    assert top.theta == (5.0, 10, -9)
+
+    floor = qp.KthBest(2, (5.0, 5, -1))
+    floor.add(9.0, 0, 2)
+    floor.add(5.0, 0, 1)
+    assert floor.theta == (5.0, 5, -1)
+    floor.add(5.0, 6, 3)
+    assert floor.theta == (5.0, 6, -3)
+    assert qp.KthBest(3, (1.0, 0, -4)).theta == (1.0, 0, -4)
+    none = qp.KthBest(0)
+    none.add(1.0, 0, 1)
+    assert none.theta == qp.NO_THETA
+
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        top = qp.KthBest(k)
+        best: dict = {}
+        for _ in range(rng.randint(0, 12)):
+            score, tb, key = rng.choice((1.0, 2.0, 2.5)), rng.randint(0, 2), rng.randint(1, 6)
+            top.add(score, tb, key)
+            best[key] = max(best.get(key, (score, tb, -key)), (score, tb, -key))
+            ranked = sorted(best.values(), reverse=True)
+            assert top.theta == (ranked[k - 1] if len(ranked) >= k else qp.NO_THETA)
+
+    results = [(2.0, 4, 0, 0), (2.0, 3, 0, 0), (1.0, 5, 9, 0)]
+    assert qp.kth_best(results, 2) == qp.NO_THETA  # no word hits
+    results.append((0.5, 6, 0, 1))
+    assert qp.kth_best(results, 2) == (2.0, 0, -4)
+    assert qp.kth_best(results, 5) == qp.NO_THETA
 
 
 def _reference_coverage(eng, text, top_k=10):
@@ -604,8 +683,8 @@ def test_coverage_round_cases_match_reference(
     in-process and at 1, 2 and 3 shards, and the driver finalizes the same
     memo and candidate index. The reference scores every job; the engine
     may prune, so its scored jobs must equal the reference's at or above
-    the final θ (the 10th best distinct-key score), and every job it
-    skipped must score strictly below θ in the reference."""
+    the final θ (the 10th best distinct-key rank tuple), and every job it
+    skipped must rank strictly below θ in the reference."""
     from infidex_ray.query import pipeline as qp
     from infidex_ray.query.executor import DistributedEngine
 
@@ -687,6 +766,10 @@ def _pruning_corpus():
              for k in range(16)]
     # one key of ~45 chunks: more entries than a coverage_depth of 16
     docs.append((1000, " ".join(f"zulu yankee filler{j}" for j in range(300))))
+    # the same two words padded with delimiters, longest text at the lowest
+    # key: every doc scores the same on "yodel xylo", so the top k goes by
+    # tiebreaker (shorter text first), the opposite of the key order
+    docs += [(500 + k, "yodel" + " -" * (30 - k) + " xylo") for k in range(30)]
     return docs
 
 
@@ -696,10 +779,14 @@ def test_coverage_pruning_matches_unpruned(ray_session, tmp_path, monkeypatch):
     no job skipped), in-process, at 1, 2 and 3 shards and through
     batch_search: the hits are equal on (doc, score, tiebreaker), the
     driver finalizes the same memo and candidate index, and every job
-    pruning skipped scores below the final θ. The panel reaches each edge of the rule: a 10th score
+    pruning skipped ranks below the final θ in the rank order (score,
+    tiebreaker, -key). The panel reaches each edge of the rule: a 10th score
     under truncation_score (no pruning unless truncation is off),
     truncation off, a query over 255 characters, a multi-chunk key with
-    more entries than coverage_depth, and tombstones."""
+    more entries than coverage_depth, tombstones, a one-term query whose
+    docs tie θ's score at the semantic clamp (tiebreaker 0), where pruning
+    skips tied docs by key, and a two-term query whose top k ties in score
+    and goes by tiebreaker against the key order."""
     from dataclasses import replace
 
     import numpy as np
@@ -728,6 +815,10 @@ def test_coverage_pruning_matches_unpruned(ray_session, tmp_path, monkeypatch):
         "tau rho", "zulu yankee", _PRUNE_LOW_QUERY, _PRUNE_LONG_QUERY,
         # memo-slot docs (the first two stage-1 hits) under θ
         "tau sigma", "kappa gamma beta",
+        # one term: the exact matches tie at the clamp
+        "omega",
+        # two terms: a tie in score broken by tiebreaker
+        "yodel xylo",
     ]
 
     finalized = []
@@ -749,14 +840,17 @@ def test_coverage_pruning_matches_unpruned(ray_session, tmp_path, monkeypatch):
                 ], list(finalized)
         return out
 
+    tied: dict = {}  # skipped jobs that tie θ's score
+
     def check(got, want):
+        tied.clear()
         for key, (hits, finals) in got.items():
             w_hits, w_finals = want[key]
             assert hits == w_hits, key
             assert len(finals) == len(w_finals), key
             for (results, memo, doc_index), (w_results, w_memo, w_index) in zip(finals, w_finals):
                 assert (memo, doc_index) == (w_memo, w_index), key
-                _check_pruned(results, w_results, key[2], key)
+                tied[key] = _check_pruned(results, w_results, key[2], key)
 
     # in-process, counting the jobs pruning skipped
     skipped: dict = {}
@@ -784,6 +878,8 @@ def test_coverage_pruning_matches_unpruned(ray_session, tmp_path, monkeypatch):
     assert shallow[0][0][0] == 1000
     assert sum(r[1] == 1000 for r in shallow[1][0][0]) > cfgs["shallow"].coverage_depth
     assert not {h[0] for v in want.values() for h in v[0]} & set(_PRUNE_DELETED)
+    tied_top = want["default", "yodel xylo", 10][0]
+    assert len({h[1] for h in tied_top}) == 1 and len({h[2] for h in tied_top}) == 10
 
     monkeypatch.setattr(qp, "process_candidates", counting)
     for name, eng in local.items():
@@ -793,6 +889,7 @@ def test_coverage_pruning_matches_unpruned(ray_session, tmp_path, monkeypatch):
         assert skipped[_PRUNE_LONG_QUERY] == 0, name
         # a 10th score under truncation_score prunes only without truncation
         assert (skipped[_PRUNE_LOW_QUERY] > 0) == (name == "no_truncate"), name
+        assert tied[name, "omega", 10] > 0, name
     monkeypatch.setattr(qp, "process_candidates", process)
 
     for n in (1, 2, 3):
