@@ -9,7 +9,8 @@ Pipeline shape (SURVEY §3.1 "Ray Data shape"):
         pre-aggregated to ≤1 row per term per segment, so skewed terms cost
         one row per segment, not one row per posting — this is the skew story
         for common grams like "the"/pad-grams)
-      → stats/ (df.parquet, word_df.parquet, stats.json) + manifest.json
+      → sorted (term, df) parts under stats/vocab/kind=term|word/ and
+        stats/stats.json (layout and lookup: vocabstats.py) + manifest.json
 
 Each segment task analyzes its doc block (vectorized gram counting), builds a
 sorted in-task term dictionary + compressed postings, and writes an immutable
@@ -25,6 +26,7 @@ GatherTermInfo's cross-segment df summation (VectorModel.cs:604-641).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -34,8 +36,10 @@ from itertools import chain
 import numpy as np
 import pyarrow as pa
 
+from . import vocabstats
 from .analyzer import count_tokens_batch, decode_gram_keys, normalize
 from .config import EngineConfig
+from .vocabstats import df_table
 
 _DF_ROW_SCHEMA = pa.schema(
     [("kind", pa.string()), ("term", pa.large_string()), ("df", pa.int64())]
@@ -253,7 +257,7 @@ def _finish_segment(
         for d, w in zip(fdocs.tolist(), flat.take(pa.array(sel)).to_pylist()):
             first_tokens[d] = w
     # word-level df (VectorModel.cs:864-908), words in first-seen order
-    word_df = _df_table("word", [], [])
+    word_df = df_table("word", [], [])
     if nz.any():
         flatnz = flat.filter(pa.array(nz))
         docnz = doc_of[nz]
@@ -265,7 +269,7 @@ def _finish_segment(
         pair_b[0] = True
         pair_b[1:] = (ii[1:] != ii[:-1]) | (dd[1:] != dd[:-1])
         dfc = np.bincount(ii[pair_b], minlength=len(enc.dictionary))
-        word_df = _df_table("word", enc.dictionary, dfc)
+        word_df = df_table("word", enc.dictionary, dfc)
 
     docmap = {
         "local_id": np.arange(len(urls), dtype=np.int32),
@@ -311,22 +315,6 @@ def _finish_segment(
     # what segments.segment_from_tables opens the segment from
     meta["tables"] = (term_table, doc_table, written, extra)
     return meta
-
-
-def _df_table(col: str, keys, dfs) -> pa.Table:
-    """A ``(col, df)`` stats table: large_string keys, int64 dfs."""
-    schema = pa.schema([(col, pa.large_string()), ("df", pa.int64())])
-    return pa.table({col: keys, "df": dfs}).cast(schema)
-
-
-def _sum_df(tables: list[pa.Table], col: str) -> pa.Table:
-    """Σ df per key over ``(col, df)`` tables, sorted by key (Arrow sorts
-    UTF-8 bytes, i.e. Python's code-point order)."""
-    cat = pa.concat_tables(
-        [_df_table(col, [], []), *(_df_table(col, t[col], t["df"]) for t in tables)]
-    )
-    agg = cat.group_by(col).aggregate([("df", "sum")])
-    return _df_table(col, agg[col], agg["df_sum"]).sort_by(col).combine_chunks()
 
 
 class _BuildSegmentFn:
@@ -394,21 +382,7 @@ class _BuildSegmentFn:
             term_df = pq.read_table(
                 os.path.join(seg_dir, "terms.parquet"), columns=["term", "df"]
             )
-            wpath = os.path.join(seg_dir, "word_df.parquet")
-            if os.path.exists(wpath):
-                word_df = pq.read_table(wpath)
-            else:  # segment written by an older build: recompute from texts
-                from .analyzer import _word_splitter
-
-                from .analyzer import normalize_with
-
-                splitter = _word_splitter(self.cfg.delimiters)
-                counts: dict[str, int] = {}
-                for t in texts:
-                    nt = normalize_with(self.cfg.normalizer, t).lower() if t else ""
-                    for w in set(w for w in splitter.split(nt) if w):
-                        counts[w] = counts.get(w, 0) + 1
-                word_df = _df_table("word", list(counts), list(counts.values()))
+            word_df = pq.read_table(os.path.join(seg_dir, "word_df.parquet"))
         else:
             if pa.types.is_integer(batch.schema.field(self.key_column).type):
                 doc_keys = np.asarray(batch[self.key_column].to_numpy(), dtype=np.int64)
@@ -427,7 +401,7 @@ class _BuildSegmentFn:
                 field_columns=field_columns,
                 boundaries=boundaries,
             )
-            term_df = _df_table("term", meta["terms"], meta["term_df"])
+            term_df = df_table("term", meta["terms"], meta["term_df"])
             word_df = meta["word_df"]
 
         # one "__segment__" row per batch: the df stream carries the
@@ -476,6 +450,24 @@ def build_index_local(
     return _build_index_local_impl(docs, out_dir, cfg, n_segments, fields)
 
 
+def _build_docs_segment(docs, fields, cfg, seg_dir, **kw) -> dict:
+    """``build_segment_from_arrays`` over in-memory [(key, text)] docs: int
+    keys are kept, other keys hashed from their string form; ``fields``
+    (one dict per doc) become stored columns."""
+    urls = [str(k) for k, _ in docs]
+    if all(isinstance(k, (int, np.integer)) for k, _ in docs):
+        keys = np.asarray([int(k) for k, _ in docs], dtype=np.int64)
+    else:
+        keys = np.fromiter((hash_key(u) for u in urls), dtype=np.int64, count=len(urls))
+    field_columns = None
+    if fields is not None:
+        names = sorted({n for f in fields for n in f})
+        field_columns = {n: [f.get(n) for f in fields] for n in names}
+    return build_segment_from_arrays(
+        urls, [t for _, t in docs], keys, cfg, seg_dir, field_columns=field_columns, **kw
+    )
+
+
 def _build_index_local_impl(
     docs, out_dir, cfg=None, n_segments=1, fields=None, boundaries=None
 ) -> dict:
@@ -484,8 +476,6 @@ def _build_index_local_impl(
     manifest as ``build_index``."""
     cfg = cfg or EngineConfig()
     os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "stats"), exist_ok=True)
-    import pyarrow.parquet as pq
 
     chunks = np.array_split(np.arange(len(docs)), n_segments)
     term_dfs: list[pa.Table] = []
@@ -495,41 +485,28 @@ def _build_index_local_impl(
     for ci, chunk in enumerate(chunks):
         if len(chunk) == 0:
             continue
-        part = [docs[i] for i in chunk]
-        urls = [str(k) for k, _ in part]
-        texts = [t for _, t in part]
-        if all(isinstance(k, (int, np.integer)) for k, _ in part):
-            keys = np.asarray([int(k) for k, _ in part], dtype=np.int64)
-        else:
-            keys = np.fromiter((hash_key(u) for u in urls), dtype=np.int64, count=len(urls))
-        seg_dir = os.path.join(out_dir, "segments", f"seg-{ci:04d}")
-        field_columns = None
-        if fields is not None:
-            part_fields = [fields[i] for i in chunk]
-            names = sorted({n for f in part_fields for n in f})
-            field_columns = {n: [f.get(n) for f in part_fields] for n in names}
-        meta = build_segment_from_arrays(
-            urls, texts, keys, cfg, seg_dir, field_columns=field_columns,
+        meta = _build_docs_segment(
+            [docs[i] for i in chunk], None if fields is None else [fields[i] for i in chunk],
+            cfg, os.path.join(out_dir, "segments", f"seg-{ci:04d}"),
             boundaries=[boundaries[i] for i in chunk] if boundaries is not None else None,
         )
-        term_dfs.append(_df_table("term", meta["terms"], meta["term_df"]))
+        term_dfs.append(df_table("term", meta["terms"], meta["term_df"]))
         word_dfs.append(meta["word_df"])
         n_docs += meta["n_docs"]
         sum_dl += meta["sum_doc_len"]
         seg_entries.append({"name": f"seg-{ci:04d}", "n_docs": meta["n_docs"], "lineage": {}})
 
-    pq.write_table(_sum_df(term_dfs, "term"), os.path.join(out_dir, "stats", "df.parquet"))
-    pq.write_table(
-        _sum_df(word_dfs, "word"), os.path.join(out_dir, "stats", "word_df.parquet")
-    )
+    vocabstats.write_vocab(out_dir, {
+        "term": vocabstats.sum_df(term_dfs, "term"),
+        "word": vocabstats.sum_df(word_dfs, "word").rename_columns(["term", "df"]),
+    })
     stats = {
         "total_docs": n_docs,
         "sum_doc_len": sum_dl,
         "avg_doc_len": (sum_dl / n_docs) if n_docs else 0.0,
         "n_segments": len(seg_entries),
     }
-    with open(os.path.join(out_dir, "stats", "stats.json"), "w") as f:
-        json.dump(stats, f)
+    vocabstats.write_stats(out_dir, stats)
     manifest = {
         "version": 1,
         "config": manifest_config(cfg),
@@ -539,6 +516,17 @@ def _build_index_local_impl(
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f)
     return manifest
+
+
+@functools.cache
+def _merge_task():
+    """``segments.merge_segments`` as a Ray remote function, made once per
+    process: every ``ray.remote`` call registers one more task type."""
+    import ray
+
+    from . import segments as seglib
+
+    return ray.remote(seglib.merge_segments)
 
 
 def merge_index(
@@ -552,8 +540,9 @@ def merge_index(
     run as parallel Ray tasks (SegmentMerger semantics, SegmentMerger.cs:
     13-136 — doc-range-disjoint inputs, k-way sorted term merge, postings
     concatenated under doc-base offsets). Global stats and df tables are
-    unchanged (the doc set is identical); the output manifest points at the
-    merged segments. Scale note: each round moves every posting once; with
+    unchanged (the doc set is identical; ``vocabstats.copy_stats`` sums the
+    delta parts into one); the output manifest points at the merged
+    segments. Scale note: each round moves every posting once; with
     S segments, ceil(log_fanin S) rounds — run after a build wave to bound
     segment count, exactly like the reference's background merges.
 
@@ -570,14 +559,9 @@ def merge_index(
     current = [os.path.join(seg_root, e["name"]) for e in manifest["segments"]]
 
     os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "stats"), exist_ok=True)
 
     delimiters = tuple(manifest["config"]["delimiters"])
     merge_fn = seglib.merge_segments
-    if use_ray:
-        import ray
-
-        remote_merge = ray.remote(seglib.merge_segments)
 
     target = max(1, int(target_segments))
     level = 0
@@ -604,7 +588,7 @@ def merge_index(
                 nxt.append(group[0])
                 continue
             if use_ray:
-                futures.append(remote_merge.remote(group, dest, delimiters=dlm))
+                futures.append(_merge_task().remote(group, dest, delimiters=dlm))
             else:
                 merge_fn(group, dest, delimiters=dlm)
             nxt.append(dest)
@@ -641,16 +625,7 @@ def merge_index(
 
     import shutil
 
-    for name in ("df.parquet", "word_df.parquet", "stats.json", "df", "word_df", "vocab"):
-        src = os.path.join(index_dir, "stats", name)
-        dst = os.path.join(out_dir, "stats", name)
-        if os.path.isdir(src):
-            # clean replace: ShardedDfLookup SUMS overlapping parts, so
-            # merging into a stale dir would double-count dfs
-            shutil.rmtree(dst, ignore_errors=True)
-            shutil.copytree(src, dst)
-        elif os.path.exists(src):
-            shutil.copy(src, dst)
+    vocabstats.copy_stats(index_dir, out_dir, manifest)
     tomb = os.path.join(index_dir, "tombstones.json")
     if os.path.exists(tomb):
         shutil.copy(tomb, os.path.join(out_dir, "tombstones.json"))
@@ -687,14 +662,14 @@ def append_to_index(
     new doc-range partition; global stats and df are rebuilt/merged, mirroring
     the reference's full stats rebuild after a merge).
 
-    Returns ``(manifest, segment, stats)``: the updated manifest, the delta
-    opened as a :class:`~infidex_ray.segments.SegmentData` from the tables
-    just written (its id is its manifest position), and for ``"df"`` and
-    ``"word_df"`` the ``(path, table)`` each stats write left: the summed
-    single file, or the new sorted part of a sharded layout."""
-    import shutil
+    Its stats are one sorted part per kind, named after the delta segment;
+    they count once the manifest, written last, lists the segment.
 
-    import pyarrow.parquet as pq
+    Returns ``(manifest, segment, parts)``: the updated manifest, the delta
+    opened as a :class:`~infidex_ray.segments.SegmentData` from the tables
+    just written (its id is its manifest position), and the ``(path,
+    table)`` of the term part and of the word part."""
+    import shutil
 
     from . import segments as seglib
     from .engine import config_from_manifest
@@ -710,50 +685,19 @@ def append_to_index(
     # failed before its manifest write; write_segment would keep it
     shutil.rmtree(seg_dir, ignore_errors=True)
 
-    urls = [str(k) for k, _ in docs]
-    texts = [t for _, t in docs]
-    if all(isinstance(k, (int, np.integer)) for k, _ in docs):
-        keys = np.asarray([int(k) for k, _ in docs], dtype=np.int64)
-    else:
-        keys = np.fromiter((hash_key(u) for u in urls), dtype=np.int64, count=len(urls))
-    field_columns = None
-    if fields is not None:
-        names = sorted({n for f in fields for n in f})
-        field_columns = {n: [f.get(n) for f in fields] for n in names}
-    meta = build_segment_from_arrays(
-        urls, texts, keys, cfg, seg_dir, lineage={"delta": True, "rows": len(docs)},
-        field_columns=field_columns,
+    meta = _build_docs_segment(
+        docs, fields, cfg, seg_dir, lineage={"delta": True, "rows": len(docs)}
     )
     seg = seglib.segment_from_tables(
         seg_dir, *meta["tables"], seg_id=len(manifest["segments"])
     )
 
-    # merge the delta's df into the global stats tables. Single-file layout:
-    # read-modify-write (fine at local scale). Sharded layout (distributed
-    # build): APPEND a sorted delta part — ShardedDfLookup sums overlapping
-    # parts, so the base vocab is never rewritten.
-    stats_written = {}
-    for base, col, new in (
-        ("df", "term", _df_table("term", meta["terms"], meta["term_df"])),
-        ("word_df", "word", meta["word_df"]),
-    ):
-        path = os.path.join(index_dir, "stats", f"{base}.parquet")
-        if os.path.exists(path):
-            table = _sum_df([pq.read_table(path), new], col)
-        else:
-            table = new.sort_by(col)
-            d = os.path.join(index_dir, "stats", base)
-            if not os.path.isdir(d):
-                # fused layout: parts live under stats/vocab/kind=<kind>/
-                # with column name "term" for both kinds
-                kind = "term" if base == "df" else "word"
-                d = os.path.join(index_dir, "stats", "vocab", f"kind={kind}")
-                table = table.rename_columns(["term", "df"])
-            os.makedirs(d, exist_ok=True)
-            path = os.path.join(d, f"{name}.parquet")
-        pq.write_table(table, path)
-        stats_written[base] = (path, table)
-
+    parts = (
+        vocabstats.append_part(
+            index_dir, "term", name, df_table("term", meta["terms"], meta["term_df"])
+        ),
+        vocabstats.append_part(index_dir, "word", name, meta["word_df"]),
+    )
     manifest["segments"].append(
         {"name": name, "n_docs": meta["n_docs"], "lineage": meta.get("lineage", {})}
     )
@@ -762,11 +706,10 @@ def append_to_index(
     stats["sum_doc_len"] += meta["sum_doc_len"]
     stats["avg_doc_len"] = stats["sum_doc_len"] / stats["total_docs"]
     stats["n_segments"] = len(manifest["segments"])
-    with open(os.path.join(index_dir, "stats", "stats.json"), "w") as f:
-        json.dump(stats, f)
+    vocabstats.write_stats(index_dir, stats)
     with open(os.path.join(index_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f)
-    return manifest, seg, stats_written
+    return manifest, seg, parts
 
 
 def build_index(
@@ -812,7 +755,6 @@ def build_index(
 
     cfg = cfg or EngineConfig()
     os.makedirs(os.path.join(out_dir, "segments"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "stats"), exist_ok=True)
     cancel_sentinel = os.path.join(out_dir, "_CANCELLED")
     if os.path.exists(cancel_sentinel):  # stale sentinel from an aborted run
         os.remove(cancel_sentinel)
@@ -859,7 +801,7 @@ def build_index(
     # pure exchange overhead at 144 segments for a 137k-row df stream —
     # ray_stats.txt). The df stream is vocab-sized, not corpus-sized; a
     # CPU-scaled partition count keeps the exchange linear and also bounds
-    # the vocab parquet part count that ShardedDfLookup probes.
+    # the vocab parquet part count that vocabstats.VocabLookup probes.
     import ray as _ray
 
     stats_parts = max(4, min(64, int(_ray.cluster_resources().get("CPU", 8))))
@@ -871,7 +813,7 @@ def build_index(
     # Global vocab stats written DISTRIBUTED: sorted, range-partitioned
     # parquet parts per kind — the driver never materializes the vocabulary
     # (round 1 collected it to the driver, which breaks at CC scale where
-    # the word vocab alone is ~1e9 rows). ShardedDfLookup probes only the
+    # the word vocab alone is ~1e9 rows). VocabLookup probes only the
     # parts whose footer [min,max] covers a term and sums matches, so
     # incremental deltas can later append overlapping parts.
     def _rename_df(batch: pa.Table) -> pa.Table:
@@ -885,12 +827,10 @@ def build_index(
     # stats/vocab/kind=<term|word>/ — no driver materialization, no second
     # pass over the vocabulary. The write goes to a TEMP dir and swaps in
     # only on success, so a failed/cancelled build leaves the previous
-    # vocab stats intact (a missing vocab dir would silently read df=0).
+    # vocab stats intact.
     import shutil
 
-    vocab_dest = os.path.join(out_dir, "stats", "vocab")
-    vocab_tmp = vocab_dest + ".tmp"
-    shutil.rmtree(vocab_tmp, ignore_errors=True)
+    vocab_tmp = vocabstats.new_vocab_dir(out_dir)
     vocab_ds = agg.map_batches(_rename_df, batch_format="pyarrow").sort(
         ["kind", "term"]
     )
@@ -913,22 +853,6 @@ def build_index(
             raise BuildCancelled(monitor.error_message)
     else:
         vocab_ds.write_parquet(vocab_tmp, partition_cols=["kind"])
-    # success → swap in the new stats and clear every superseded layout
-    # (stale legacy dirs would shadow the fused layout in load_df_lookup)
-    shutil.rmtree(vocab_dest, ignore_errors=True)
-    os.rename(vocab_tmp, vocab_dest)
-    try:  # Ray Data operator-level stats for observability (best-effort)
-        with open(os.path.join(out_dir, "stats", "ray_stats.txt"), "w") as f:
-            f.write(vocab_ds.stats())
-    except Exception:  # noqa: BLE001 — purely diagnostic
-        pass
-    for legacy in ("df", "word_df", "df.parquet", "word_df.parquet"):
-        p = os.path.join(out_dir, "stats", legacy)
-        if os.path.isdir(p):
-            shutil.rmtree(p, ignore_errors=True)
-        elif os.path.exists(p):
-            os.remove(p)
-    t_exec = time.perf_counter()
 
     # per-segment metas → manifest + global stats. The segment list comes
     # from THIS build's "__segment__" df rows (written into the vocab
@@ -937,7 +861,7 @@ def build_index(
     # dirs behind, and unioning them would silently duplicate the corpus.
     # Stale dirs are pruned here instead.
     seg_root = os.path.join(out_dir, "segments")
-    seg_part = os.path.join(vocab_dest, "kind=__segment__")
+    seg_part = vocabstats.kind_dir(vocab_tmp, "__segment__")
     built_names = None
     if os.path.isdir(seg_part):
         import pyarrow.parquet as _pq
@@ -946,6 +870,14 @@ def build_index(
             _pq.read_table(seg_part, columns=["term"])["term"].to_pylist()
         )
         shutil.rmtree(seg_part, ignore_errors=True)
+    # success → swap in the new stats
+    vocabstats.install_vocab(out_dir, vocab_tmp)
+    try:  # Ray Data operator-level stats for observability (best-effort)
+        with open(vocabstats.stats_path(out_dir, "ray_stats.txt"), "w") as f:
+            f.write(vocab_ds.stats())
+    except Exception:  # noqa: BLE001 — purely diagnostic
+        pass
+    t_exec = time.perf_counter()
     if built_names is not None:
         on_disk = {
             d
@@ -975,8 +907,7 @@ def build_index(
         "avg_doc_len": (sum_dl / n_docs) if n_docs else 0.0,
         "n_segments": len(seg_dirs),
     }
-    with open(os.path.join(out_dir, "stats", "stats.json"), "w") as f:
-        json.dump(stats, f)
+    vocabstats.write_stats(out_dir, stats)
     manifest = {
         "version": 1,
         "config": manifest_config(cfg),

@@ -25,9 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import normalize, split_words
+from . import vocabstats
 from .config import EngineConfig
 from .query import stage1 as s1
 from .segments import SegmentData, read_segment
+from .vocabstats import VocabLookup
 
 
 @dataclass
@@ -122,160 +124,6 @@ def stage1_text(q: str, cfg: EngineConfig) -> str | None:
     return long_words_text if has_mixed else q
 
 
-def _df_arrays(table) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, dfs) of a stats table keyed by a "term" or "word" column."""
-    name = "term" if "term" in table.column_names else "word"
-    return table[name].to_numpy(), table["df"].to_numpy()
-
-
-class DfLookup:
-    """Global term-df lookup backed by the sorted stats/df.parquet table."""
-
-    def __init__(self, terms: np.ndarray, dfs: np.ndarray):
-        self.terms = terms
-        self.dfs = dfs
-
-    @classmethod
-    def from_parquet(cls, path: str) -> "DfLookup":
-        import pyarrow.parquet as pq
-
-        return cls(*_df_arrays(pq.read_table(path)))
-
-    def add_written(self, path: str, table) -> None:
-        """Take in ``table``, the whole summed table just written to this
-        lookup's file ``path``."""
-        self.terms, self.dfs = _df_arrays(table)
-
-    def __call__(self, term: str) -> int:
-        i = np.searchsorted(self.terms, term)
-        if i < len(self.terms) and self.terms[i] == term:
-            return int(self.dfs[i])
-        return 0
-
-    def vocab_size(self) -> int:
-        return len(self.terms)
-
-
-class ShardedDfLookup:
-    """Vocab df lookup over a DIRECTORY of sorted parquet parts — the layout
-    ``build_index`` writes distributed (``agg.sort(col).write_parquet``), so
-    the driver never holds the vocabulary. Part key ranges come from parquet
-    footer statistics; a probe opens only the parts whose [min, max] covers
-    the term and SUMS their dfs (overlapping parts are how incremental delta
-    stats are appended without rewriting the base). Per-part arrays load
-    lazily and stay cached — actor-local state touching O(parts probed)."""
-
-    def __init__(self, parts: list[tuple[str, str, str]], col: str):
-        # parts: (min_term, max_term, path), sorted by min_term
-        self.parts = sorted(parts)
-        self.col = col
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._merged: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def from_dir(cls, d: str) -> "ShardedDfLookup":
-        import glob
-
-        import pyarrow.parquet as pq
-
-        parts = []
-        col = None
-        for p in sorted(glob.glob(os.path.join(d, "*.parquet"))):
-            pf = pq.ParquetFile(p)
-            md = pf.metadata
-            if md.num_rows == 0:
-                continue
-            if col is None:
-                names = pf.schema_arrow.names
-                col = "term" if "term" in names else "word"
-            ci = pf.schema_arrow.names.index(col)
-            mins, maxs = [], []
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(ci).statistics
-                if st is None or st.min is None:
-                    mins, maxs = None, None
-                    break
-                mins.append(st.min)
-                maxs.append(st.max)
-            if mins is None:  # stats stripped → conservative full range
-                parts.append(("", "\U0010ffff" * 4, p))
-            else:
-                parts.append((min(mins), max(maxs), p))
-        return cls(parts, col or "term")
-
-    def add_written(self, path: str, table) -> None:
-        """Take in ``table``, a sorted part just written at ``path``: its key
-        range is its first and last key, and its arrays are already parsed
-        (a delta append only adds parts, never rewrites one)."""
-        if len(table) == 0:
-            return
-        terms, dfs = self._cache[path] = _df_arrays(table)
-        self.parts.append((terms[0], terms[-1], path))
-        self.parts.sort()
-        self._merged = None
-
-    def _load(self, path: str) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._cache.get(path)
-        if hit is None:
-            import pyarrow.parquet as pq
-
-            t = pq.read_table(path)
-            hit = self._cache[path] = (t[self.col].to_numpy(), t["df"].to_numpy())
-        return hit
-
-    def __call__(self, term: str) -> int:
-        total = 0
-        for mn, mx, path in self.parts:
-            if mn <= term <= mx:
-                terms, dfs = self._load(path)
-                i = np.searchsorted(terms, term)
-                if i < len(terms) and terms[i] == term:
-                    total += int(dfs[i])
-        return total
-
-    def vocab_size(self) -> int:
-        """Distinct-term count. When part key ranges are pairwise disjoint
-        (the base distributed build always writes range-partitioned parts),
-        this is the SUM of parquet-footer row counts — zero data read. Only
-        overlapping parts (delta appends) fall back to the merged view."""
-        import pyarrow.parquet as pq
-
-        disjoint = all(
-            self.parts[i][1] < self.parts[i + 1][0]
-            for i in range(len(self.parts) - 1)
-        )
-        if disjoint:
-            return sum(
-                pq.ParquetFile(p).metadata.num_rows for _, _, p in self.parts
-            )
-        return len(self._merge_all()[0])
-
-    def _merge_all(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full materialized view (duplicate keys summed, sorted) — only for
-        small-scale driver conveniences like the contract's term_df dump;
-        query paths never call this."""
-        if self._merged is None:
-            acc: dict = {}
-            for _, _, path in self.parts:
-                terms, dfs = self._load(path)
-                for t, d in zip(terms.tolist(), dfs.tolist()):
-                    acc[t] = acc.get(t, 0) + int(d)
-            keys = sorted(acc)
-            self._merged = (
-                np.asarray(keys, dtype=object),
-                np.asarray([acc[k] for k in keys], dtype=np.int64),
-            )
-        return self._merged
-
-    @property
-    def terms(self) -> np.ndarray:
-        return self._merge_all()[0]
-
-    @property
-    def dfs(self) -> np.ndarray:
-        return self._merge_all()[1]
-
-
 def config_from_manifest(manifest: dict) -> "EngineConfig":
     """Reconstruct the build-time EngineConfig from a manifest — shared by
     ``Engine.load`` and stats-only contexts (ops/batchsearch) that need
@@ -301,21 +149,69 @@ def bm25_idf(total_docs: int, df: int) -> float:
     return float(np.log(ratio + 1.0)) if ratio > 0 else 0.0
 
 
-def load_df_lookup(index_dir: str, base: str):
-    """Open the vocab stats in any layout: single-file (local/test builds,
-    ``stats/<base>.parquet``), a sharded directory (``stats/<base>/``), or
-    the fused kind-partitioned layout the distributed build writes
-    (``stats/vocab/kind=term|word/``)."""
-    f = os.path.join(index_dir, "stats", f"{base}.parquet")
-    if os.path.exists(f):
-        return DfLookup.from_parquet(f)
-    d = os.path.join(index_dir, "stats", base)
-    if os.path.isdir(d):
-        return ShardedDfLookup.from_dir(d)
-    kind = "term" if base == "df" else "word"
-    return ShardedDfLookup.from_dir(
-        os.path.join(index_dir, "stats", "vocab", f"kind={kind}")
-    )
+class SegmentRecord:
+    """One segment's serving state: its ``SegmentData`` and stage-1
+    searcher, plus its short-query scanner, word matcher and coverage token
+    table, each built at first use. All of it depends only on the immutable
+    segment files, so it lives as long as the segment is served."""
+
+    def __init__(self, seg: SegmentData, cfg: EngineConfig, synonym_map):
+        self.seg = seg
+        self.stage1 = s1.SegmentStage1(seg, cfg)
+        self._cfg = cfg
+        self._synonym_map = synonym_map
+        self._delimiters = frozenset(cfg.delimiters)
+        self._short = self._word_matcher = self._token_table = None
+
+    def cov_text(self, lid: int) -> str:
+        """Coverage document text: normalized chunk text, synonym-canonicalized
+        when a map is configured (SearchPipeline.ProcessCandidate, :482-489)."""
+        text = self.seg.norm_texts[lid]
+        if self._synonym_map is not None:
+            text = self._synonym_map.canonicalize_text(text, self._delimiters)
+        return text
+
+    @property
+    def short(self):
+        if self._short is None:
+            from .analyzer import _word_splitter
+            from .query.shortquery import SegmentShortQuery
+
+            self._short = SegmentShortQuery(self.seg, _word_splitter(self._cfg.delimiters))
+        return self._short
+
+    @property
+    def word_matcher(self):
+        """WordMatcher.FinalizeIndex analogue over the 1:1-lowered texts."""
+        if self._word_matcher is None:
+            from .analyzer import _word_splitter
+            from .query.coverage import lower_1to1
+            from .query.wordmatch import SegmentWordMatcher
+
+            wmc = self._cfg.word_matcher
+            self._word_matcher = SegmentWordMatcher(
+                [lower_1to1(t) for t in self.seg.norm_texts],
+                _word_splitter(self._cfg.delimiters),
+                min_exact=wmc.min_word_size_exact,
+                max_exact=wmc.max_word_size_exact,
+                min_ld1=wmc.min_word_size_ld1,
+                max_ld1=wmc.max_word_size_ld1,
+                support_ld1=wmc.support_ld1,
+                support_affix=wmc.support_affix,
+            )
+        return self._word_matcher
+
+    @property
+    def token_table(self):
+        """Coverage token table over the chunks' ``cov_text``."""
+        if self._token_table is None:
+            from .query.coverage import token_table
+
+            self._token_table = token_table(
+                [self.cov_text(lid) for lid in range(len(self.seg.norm_texts))],
+                self.seg.first_tokens, self._cfg.coverage.min_word_size, self._delimiters,
+            )
+        return self._token_table
 
 
 class Engine:
@@ -324,31 +220,55 @@ class Engine:
         index_dir: str,
         cfg: EngineConfig,
         segments: list[SegmentData],
-        df_lookup: DfLookup,
-        word_df: DfLookup,
+        df_lookup: VocabLookup,
+        word_df: VocabLookup,
         total_docs: int,
         avgdl: float,
     ):
         self.index_dir = index_dir
         self.cfg = cfg
-        self.segments = segments
         self.df_lookup = df_lookup
         self.word_df = word_df
         self.total_docs = total_docs
         self.avgdl = avgdl
-        self.searchers = [s1.SegmentStage1(s, cfg) for s in segments]
-        self._wordmatchers = None
-        self._seg_map = {s.seg_id: s for s in segments}
         self.synonym_map = cfg.synonym_map()
+        # GLOBAL segment id → serving record, in segment order (shard
+        # engines hold a subset)
+        self.records: dict[int, SegmentRecord] = {}
+        self._key_index: dict[int, tuple[int, int]] | None = None
+        for seg in segments:
+            self._add_segment(SegmentRecord(seg, cfg, self.synonym_map))
         self.deleted: set[int] = set()
         tomb = os.path.join(index_dir, "tombstones.json")
         if os.path.exists(tomb):
             with open(tomb) as f:
                 self.deleted = set(json.load(f))
 
-    def seg_by_id(self, si: int):
-        """Segment by GLOBAL segment id (shard engines hold a subset)."""
-        return self._seg_map[si]
+    def _add_segment(self, rec: SegmentRecord) -> None:
+        """Serve one more segment; a later segment wins a repeated key."""
+        self.records[rec.seg.seg_id] = rec
+        if self._key_index is not None:
+            self._index_keys(rec.seg)
+
+    def _index_keys(self, seg: SegmentData) -> None:
+        self._key_index.update((k, (seg.seg_id, lid)) for lid, k in enumerate(seg.doc_keys.tolist()))
+
+    @property
+    def key_index(self) -> dict[int, tuple[int, int]]:
+        """doc_key → (global segment id, local_id), built at first use."""
+        if self._key_index is None:
+            self._key_index = {}
+            for rec in self.records.values():
+                self._index_keys(rec.seg)
+        return self._key_index
+
+    @property
+    def segments(self) -> list[SegmentData]:
+        return [rec.seg for rec in self.records.values()]
+
+    def seg_by_id(self, si: int) -> SegmentData:
+        """Segment by GLOBAL segment id."""
+        return self.records[si].seg
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -400,8 +320,8 @@ class Engine:
                 read_segment(os.path.join(seg_root, manifest["segments"][i]["name"]), i)
                 for i in indices
             ]
-            df_lookup = load_df_lookup(index_dir, "df")
-            word_df = load_df_lookup(index_dir, "word_df")
+            df_lookup = vocabstats.open_lookup(index_dir, "term", manifest)
+            word_df = vocabstats.open_lookup(index_dir, "word", manifest)
         if cfg is None:
             cfg = config_from_manifest(manifest)
         stats = manifest["stats"]
@@ -473,7 +393,7 @@ class Engine:
         """Global cardinality of each term's LD1 union = Σ per-segment
         cardinalities (segments are doc-disjoint; VectorModel.ExpandMissingTerm
         sums the per-segment lists into one bitmap)."""
-        return [sum(s.fuzzy_union(t)[1] for s in self.searchers) for t in texts]
+        return [sum(r.stage1.fuzzy_union(t)[1] for r in self.records.values()) for t in texts]
 
     def prep_query(self, query_text: str) -> tuple[str, str | None]:
         """search_ex's query prep: normalize, lower, synonym-canonicalize
@@ -506,18 +426,14 @@ class Engine:
     ) -> list[tuple[float, int, int]]:
         """Stage-1 BM25 over all segments + heap merge + consolidation."""
         plan = self.plan(norm_lower_query, self._fuzzy_global_df_batch)
-        return s1.run_stage1(self.searchers, plan, top_k, self.avgdl)
+        return s1.run_stage1(
+            [r.stage1 for r in self.records.values()], plan, top_k, self.avgdl
+        )
 
     @property
     def shorts(self):
-        """Per-segment short-query scanners, built lazily (actor state)."""
-        if getattr(self, "_shorts", None) is None:
-            from .analyzer import _word_splitter
-            from .query.shortquery import SegmentShortQuery
-
-            splitter = _word_splitter(self.cfg.delimiters)
-            self._shorts = [SegmentShortQuery(s, splitter) for s in self.segments]
-        return self._shorts
+        """Per-segment short-query scanners (each built at first use)."""
+        return [r.short for r in self.records.values()]
 
     SHORT_QUERY_MAX_LENGTH = 3  # SearchPipeline.cs:23
     SHORT_QUERY_COVERAGE_DOC_CAP = 500  # SearchPipeline.cs:24
@@ -640,48 +556,36 @@ class Engine:
             json.dump(sorted(self.deleted), f)
 
     def add_documents(self, docs, fields=None) -> None:
-        """Incremental add: write one delta segment plus its stats parts,
-        then refresh this engine in place (DeltaIndex/IndexMerger: a new
-        doc-range partition and a global stats refresh, IndexMerger.cs:55-92).
+        """Incremental add: write one delta segment plus one stats part per
+        kind, then refresh this engine in place (DeltaIndex/IndexMerger: a
+        new doc-range partition and a global stats refresh,
+        IndexMerger.cs:55-92).
 
-        The delta opens from memory: ``append_to_index`` hands back the
-        segment built from the tables it just wrote (postings map the new
-        ``postings.bin``) and the stats tables it wrote, and the delta
-        opens as a one-segment shard of the updated index; its global id is
-        its manifest position. Nothing written is read back. Kept as they
-        are, because they depend only on immutable segment files: every
-        loaded segment and its stage-1 searcher (with its LD1 fuzzy cache),
-        the word matchers, short-query scanners, coverage token tables,
-        coverage doc-prep cache and key index built so far — the delta is
-        appended to each of these that exists. Refreshed: ``total_docs``
-        and ``avgdl`` from the manifest, both df lookups in place (a
-        sharded lookup gains the new part, already parsed; a single-file
-        lookup takes the summed table),
-        and every searcher's plan memo, whose postings carry the old plan's
-        idf. So an add costs the delta segment plus the stats writes, not
-        the whole index."""
+        Nothing written is read back: ``append_to_index`` hands back the
+        delta built from the tables it just wrote (postings map the new
+        ``postings.bin``) and its two stats parts, which both df lookups
+        take in place. The delta opens through ``Engine.load`` as a
+        one-segment shard of the updated index (its global id is its
+        manifest position), and its record moves into this engine. Every
+        other record is kept: it depends only on immutable segment files.
+        Refreshed: ``total_docs`` and ``avgdl`` from the manifest, and every
+        searcher's plan memo, whose postings carry the old plan's idf. So
+        an add costs the delta segment plus two small part writes, not the
+        whole index."""
         from . import build
 
-        manifest, seg, stats_written = build.append_to_index(
+        manifest, seg, parts = build.append_to_index(
             self.index_dir, docs, self.cfg, fields=fields
         )
-        for name, base in (("df_lookup", "df"), ("word_df", "word_df")):
-            getattr(self, name).add_written(*stats_written[base])
-        si = seg.seg_id
+        for lookup, part in zip((self.df_lookup, self.word_df), parts):
+            lookup.add_written(*part)
         delta = Engine.load(
-            self.index_dir, self.cfg, segment_indices=[si],
+            self.index_dir, self.cfg, segment_indices=[seg.seg_id],
             opened=(manifest, [seg], self.df_lookup, self.word_df),
         )
-        for s in self.searchers:
-            s.clear_plan_memo()
-        self.segments.append(seg)
-        self.searchers.extend(delta.searchers)
-        self._seg_map[si] = seg
-        if getattr(self, "_shorts", None) is not None:
-            self._shorts.extend(delta.shorts)
-        key_index = getattr(self, "_key_index", None)
-        if key_index is not None:  # a later segment wins a repeated key
-            key_index.update((k, (si, lid)) for lid, k in enumerate(seg.doc_keys.tolist()))
+        self._add_segment(delta.records[seg.seg_id])
+        for rec in self.records.values():
+            rec.stage1.clear_plan_memo()
         self.total_docs = delta.total_docs
         self.avgdl = delta.avgdl
 
@@ -864,9 +768,7 @@ class Engine:
     # --------------------------------------------------- Query API (M6)
     def _field_row(self, key: int) -> dict:
         """Stored field values for one doc (url always included)."""
-        from .query.pipeline import _key_index_for
-
-        loc = _key_index_for(self).get(key)
+        loc = self.key_index.get(key)
         if loc is None:
             return {}
         si, lid = loc
@@ -984,11 +886,8 @@ class Engine:
         """SearchEngine.GetStatistics (SearchEngine.cs:378-383):
         (document count, vocabulary size) — vocabulary = distinct WORD terms
         across the index (the reference counts its TermCollection)."""
-        wd = self.word_df
-        vocab = wd.vocab_size() if hasattr(wd, "vocab_size") else len(wd.terms)
         return IndexStatistics(
-            document_count=sum(len(seg.doc_keys) for seg in self.segments),
-            vocabulary_size=int(vocab),
+            document_count=int(self.total_docs), vocabulary_size=self.word_df.vocab_size()
         )
 
     # Match-all + facets walks every stored doc in-process (faithful to the
@@ -1127,7 +1026,8 @@ class Engine:
         terms, fuzzy_terms = self.bm25_terms(query_text, fuzzy)
         out: list[tuple[int, float]] = []
         avgdl = self.avgdl if self.avgdl > 0 else 1.0
-        for si, seg in enumerate(self.segments):
+        for rec in self.records.values():
+            seg = rec.seg
             acc: dict[int, float] = {}
 
             def accumulate(docs, tf, idf):
@@ -1144,7 +1044,7 @@ class Engine:
                 docs, weights = seg.term_postings(i)
                 accumulate(docs, weights.astype(np.float64), idf)
             for t, idf in fuzzy_terms:
-                docs, _card = self.searchers[si].fuzzy_union(t)
+                docs, _card = rec.stage1.fuzzy_union(t)
                 if len(docs):
                     accumulate(docs, np.ones(len(docs), dtype=np.float64), idf)
             keys = seg.doc_keys

@@ -264,7 +264,7 @@ def export_infdx2(index_dir: str, out_path: str | None = None) -> bytes:
     Like the reference's own Save, this is a driver-side single-file dump —
     the whole vocabulary streams through one process by design; use the
     native partitioned tree for anything cluster-scale."""
-    from .engine import load_df_lookup
+    from . import vocabstats
     from .segments import read_segment
 
     with open(os.path.join(index_dir, "manifest.json")) as f:
@@ -315,7 +315,7 @@ def export_infdx2(index_dir: str, out_path: str | None = None) -> bytes:
             for (did, key, text, info, segment, _j, dl) in docs
         ]
 
-    df_lookup = load_df_lookup(index_dir, "df")
+    df_lookup = vocabstats.open_lookup(index_dir, "term", manifest)
     df_terms = df_lookup.terms.tolist()
     missing = set(post_map) - set(df_terms)
     if missing:  # a segment term absent from the df stats would silently
@@ -443,12 +443,12 @@ def import_infdx2(file_path: str, out_dir: str, cfg=None):
     short-query artifacts and the word matcher are rebuilt natively from
     the stored documents — the same derivation the reference runs on load
     (VectorModel.CalculateWeights). Deleted documents become tombstones."""
-    import pyarrow.parquet as pq
-
+    from . import vocabstats
     from .analyzer import normalize_with
-    from .build import _df_table, _finish_segment, _sum_df, manifest_config
+    from .build import _finish_segment, manifest_config
     from .config import EngineConfig
     from .engine import Engine
+    from .vocabstats import df_table, sum_df
 
     cfg = cfg or EngineConfig()
     with open(file_path, "rb") as f:
@@ -487,7 +487,6 @@ def import_infdx2(file_path: str, out_dir: str, cfg=None):
     term_rows.sort(key=lambda e: e[0])
 
     seg_dir = os.path.join(out_dir, "segments", "seg-0000")
-    os.makedirs(os.path.join(out_dir, "stats"), exist_ok=True)
     meta = _finish_segment(
         urls,
         norm_texts,
@@ -510,18 +509,16 @@ def import_infdx2(file_path: str, out_dir: str, cfg=None):
         0.0,
     )
 
-    term_df = _sum_df(  # keep df-only terms in the idf stats
-        [
-            _df_table("term", meta["terms"], meta["term_df"]),
-            _df_table("term", list(empty_df), list(empty_df.values())),
-        ],
-        "term",
-    )
-    pq.write_table(term_df, os.path.join(out_dir, "stats", "df.parquet"))
-    pq.write_table(
-        _sum_df([meta["word_df"]], "word"),
-        os.path.join(out_dir, "stats", "word_df.parquet"),
-    )
+    vocabstats.write_vocab(out_dir, {
+        "term": sum_df(  # keep df-only terms in the idf stats
+            [
+                df_table("term", meta["terms"], meta["term_df"]),
+                df_table("term", list(empty_df), list(empty_df.values())),
+            ],
+            "term",
+        ),
+        "word": sum_df([meta["word_df"]], "word").rename_columns(["term", "df"]),
+    })
     n_docs = len(docs)
     sum_dl = float(doc_len.sum())
     stats = {
@@ -530,8 +527,7 @@ def import_infdx2(file_path: str, out_dir: str, cfg=None):
         "avg_doc_len": (sum_dl / n_docs) if n_docs else 0.0,
         "n_segments": 1,
     }
-    with open(os.path.join(out_dir, "stats", "stats.json"), "w") as f:
-        json.dump(stats, f)
+    vocabstats.write_stats(out_dir, stats)
     manifest = {
         "version": 1,
         "config": manifest_config(cfg),

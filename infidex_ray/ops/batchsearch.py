@@ -224,7 +224,9 @@ class _ShardCountsActor(_ShardActor):
             if plan.n_levels == 1:
                 vec = []  # level fixed at 1, no cardinality round needed
             else:
-                vec = sum_counts([s.phase_a(plan) for s in self.eng.searchers]).tolist()
+                vec = sum_counts(
+                    [r.stage1.phase_a(plan) for r in self.eng.records.values()]
+                ).tolist()
             out["query"].append(raw)
             out["fuzzy_json"].append(f)
             out["counts"].append(vec)
@@ -276,7 +278,10 @@ class _ShardScoreActor(_ShardActor):
             # would let live entries the whole-index path truncated away
             # sneak back in; the final merge filters
             packed = s1.pack_topk(
-                [s.phase_b(plan, int(level), depth, eng.avgdl) for s in eng.searchers],
+                [
+                    r.stage1.phase_b(plan, int(level), depth, eng.avgdl)
+                    for r in eng.records.values()
+                ],
                 depth,
             )
             if self.score_mode == "float64_sql":

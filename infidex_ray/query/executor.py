@@ -41,8 +41,9 @@ import time
 import numpy as np
 import ray
 
+from .. import vocabstats
 from ..config import EngineConfig
-from ..engine import Engine, config_from_manifest, load_df_lookup
+from ..engine import Engine, config_from_manifest
 from . import pipeline as qp
 from . import shortquery as sq
 from . import stage1 as s1
@@ -90,11 +91,11 @@ class IndexShardActor:
         """Pre-build word-matcher tables and coverage token tables
         (actor-init cost paid once, in parallel across the pool)."""
         cfg = self.engine.cfg
-        for seg in self.engine.segments:
-            if cfg.enable_word_matcher:
-                qp._word_matcher_for(self.engine, seg.seg_id)
+        for rec in self.engine.records.values():
+            if cfg.enable_word_matcher:  # each property builds at first use
+                rec.word_matcher
             if cfg.enable_coverage:
-                qp._token_table_for(self.engine, seg.seg_id)
+                rec.token_table
         return self.engine.total_docs
 
     # ---- stage 1 ------------------------------------------------------
@@ -102,10 +103,10 @@ class IndexShardActor:
         return self.engine._fuzzy_global_df_batch(texts)
 
     def phase_a(self, plan) -> list[int]:
-        return s1.sum_counts([s.phase_a(plan) for s in self.engine.searchers]).tolist()
+        return s1.sum_counts([r.stage1.phase_a(plan) for r in self.engine.records.values()]).tolist()
 
     def phase_b(self, plan, level: int, top_k: int, avgdl: float):
-        per = [s.phase_b(plan, level, top_k, avgdl) for s in self.engine.searchers]
+        per = [r.stage1.phase_b(plan, level, top_k, avgdl) for r in self.engine.records.values()]
         # packed columns: the driver merges 16 shards' results per query —
         # numpy columns cross the wire ~9x cheaper than Python tuples
         return s1.pack_topk(per, top_k)
@@ -275,6 +276,8 @@ class DistributedEngine(Engine):
         if num_shards is None:
             num_shards = max(1, min(n_segments, int(ray.cluster_resources().get("CPU", 4)) - 1))
         num_shards = min(num_shards, n_segments)
+        df_lookup = vocabstats.open_lookup(index_dir, "term", manifest)
+        word_df = vocabstats.open_lookup(index_dir, "word", manifest)
         slices = np.array_split(np.arange(n_segments), num_shards)
         # max_restarts=-1: a shard killed by node loss / OOM is transparently
         # restarted and reloads its slice (incl. persisted tombstones) from
@@ -291,8 +294,6 @@ class DistributedEngine(Engine):
         for ai, s in enumerate([s for s in slices if len(s)]):
             for si in s.tolist():
                 shard_of_seg[si] = ai
-        df_lookup = load_df_lookup(index_dir, "df")
-        word_df = load_df_lookup(index_dir, "word_df")
         stats = manifest["stats"]
         eng = cls(
             index_dir, cfg, df_lookup, word_df, stats["total_docs"],
@@ -587,21 +588,6 @@ class DistributedEngine(Engine):
                 merged.update(part)
         deleted = getattr(self, "deleted", set())
         return [merged[k] for k in keys if k in merged and k not in deleted]
-
-    def get_statistics(self):
-        """GetStatistics parity: the driver-side engine holds no segments —
-        document count comes from the manifest stats, vocabulary size from
-        the word-df lookup (cheap range-metadata path when sharded)."""
-        from ..engine import IndexStatistics
-
-        wd = self.word_df
-        if hasattr(wd, "vocab_size"):
-            vocab = wd.vocab_size()
-        else:
-            vocab = len(getattr(wd, "terms", ()))
-        return IndexStatistics(
-            document_count=int(self.total_docs), vocabulary_size=int(vocab)
-        )
 
     def _empty_query_with_facets(self, q):
         raise ValueError(

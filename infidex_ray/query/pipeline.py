@@ -49,46 +49,19 @@ class DeadlineExceeded(Exception):
 _DEADLINE_STRIDE = 16
 
 
-def _word_matcher_for(engine, si: int):
-    """Build (once) a segment's word-matcher tables — actor-init-style lazy
-    state (WordMatcher.FinalizeIndex analogue). ``si`` is the global segment
-    id; the cache lives on the engine/shard that owns the segment."""
-    if engine._wordmatchers is None:
-        engine._wordmatchers = {}
-    wm = engine._wordmatchers.get(si)
-    if wm is None:
-        from ..analyzer import _word_splitter
-        from .wordmatch import SegmentWordMatcher
-
-        seg = engine.seg_by_id(si)
-        wmc = engine.cfg.word_matcher
-        wm = SegmentWordMatcher(
-            [cov.lower_1to1(t) for t in seg.norm_texts],
-            _word_splitter(engine.cfg.delimiters),
-            min_exact=wmc.min_word_size_exact,
-            max_exact=wmc.max_word_size_exact,
-            min_ld1=wmc.min_word_size_ld1,
-            max_ld1=wmc.max_word_size_ld1,
-            support_ld1=wmc.support_ld1,
-            support_affix=wmc.support_affix,
-        )
-        engine._wordmatchers[si] = wm
-    return wm
-
-
 _PREP_CACHE_MAX = 100_000  # ~tens of MB of slices at typical chunk sizes
 
 
-def _prep_for(engine, si: int, lid: int, setup, delimiters):
-    """Per-doc-chunk tokenization prep, cached on the engine/shard — the
-    dominant per-candidate cost, query-independent so computed once."""
+def _prep_for(engine, si: int, lid: int, text: str, setup, delimiters):
+    """Per-doc-chunk tokenization prep of coverage text ``text``, cached on
+    the engine/shard — the dominant per-candidate cost, query-independent
+    so computed once."""
     cache = getattr(engine, "_doc_prep_cache", None)
     if cache is None:
         cache = engine._doc_prep_cache = {}
     key = (si, lid)
     prep = cache.get(key)
     if prep is None:
-        text = _cov_doc_text(engine, si, lid, delimiters)
         prep = cov.prepare_doc(text, setup.min_word_size, delimiters)
         # bounded LRU-ish cache: hot candidates recur across queries, but a
         # long-lived serving shard must not accumulate prep state without
@@ -98,28 +71,6 @@ def _prep_for(engine, si: int, lid: int, setup, delimiters):
             cache.pop(next(iter(cache)))
         cache[key] = prep
     return prep
-
-
-def _cov_doc_text(engine, si: int, lid: int, delimiters) -> str:
-    """Coverage document text: normalized chunk text, synonym-canonicalized
-    when a map is configured (SearchPipeline.ProcessCandidate, :482-489)."""
-    text = engine.seg_by_id(si).norm_texts[lid]
-    smap = getattr(engine, "synonym_map", None)
-    if smap is not None:
-        text = smap.canonicalize_text(text, delimiters)
-    return text
-
-
-def _key_index_for(engine):
-    """doc_key → (global segment id, local_id), built once per engine."""
-    idx = getattr(engine, "_key_index", None)
-    if idx is None:
-        idx = {}
-        for seg in engine.segments:
-            for lid, key in enumerate(seg.doc_keys.tolist()):
-                idx[key] = (seg.seg_id, lid)
-        engine._key_index = idx
-    return idx
 
 
 def wm_scan(
@@ -149,9 +100,9 @@ def wm_scan(
     n_total = 0
     overlapping: list[tuple[int, int, int]] = []
     unique: list[tuple[int, int, int]] = []
-    for seg in engine.segments:
-        wm = _word_matcher_for(engine, seg.seg_id)
-        ids = wm.candidates_for_query(query_words, cfg.coverage.cover_prefix_suffix)
+    for rec in engine.records.values():
+        seg = rec.seg
+        ids = rec.word_matcher.candidates_for_query(query_words, cfg.coverage.cover_prefix_suffix)
         if getattr(engine, "deleted", None) and len(ids):
             keep = ~np.isin(
                 seg.doc_keys[ids], np.fromiter(engine.deleted, dtype=np.int64)
@@ -247,24 +198,6 @@ def kth_best(results, k: int) -> tuple:
     return top.theta if hits else NO_THETA
 
 
-def _token_table_for(engine, si: int) -> cov.TokenTable:
-    """Build (once) a segment's coverage token table from its coverage doc
-    texts (``_cov_doc_text``) — lazy like the word matcher; the cache lives
-    on the engine/shard that owns the segment."""
-    tables = getattr(engine, "_token_tables", None)
-    if tables is None:
-        tables = engine._token_tables = {}
-    table = tables.get(si)
-    if table is None:
-        delimiters = frozenset(engine.cfg.delimiters)
-        seg = engine.seg_by_id(si)
-        texts = [_cov_doc_text(engine, si, lid, delimiters) for lid in range(len(seg.norm_texts))]
-        table = tables[si] = cov.token_table(
-            texts, seg.first_tokens, engine.cfg.coverage.min_word_size, delimiters
-        )
-    return table
-
-
 def _score_bounds(engine, relations, jobs, docs, positions) -> tuple[list[int], list[tuple]]:
     """The job ``positions`` in descending order of their rank-tuple bound
     ``(coverage.score_bounds, tiebreaker, -key)``, and those bounds in the
@@ -284,9 +217,9 @@ def _score_bounds(engine, relations, jobs, docs, positions) -> tuple[list[int], 
     tb = np.empty(len(positions), dtype=np.int64)
     for tsi, si in set(zip(text_seg.tolist(), seg.tolist())):
         at = (text_seg == tsi) & (seg == si)
-        table = _token_table_for(engine, tsi)
+        table = engine.records[tsi].token_table
         bound[at] = cov.score_bounds(
-            relations, table, text_lid[at], _token_table_for(engine, si), lid[at],
+            relations, table, text_lid[at], engine.records[si].token_table, lid[at],
         )
         tb[at] = _tiebreakers(relations, table, text_lid[at])
     rank = np.lexsort((neg_key, tb, bound))[::-1]
@@ -411,8 +344,8 @@ def process_candidates(
         si, lid, base_score, di = jobs[p]
         key, tsi, tlid = docs[p]
         seg = engine.seg_by_id(si)
-        doc_text = _cov_doc_text(engine, tsi, tlid, delimiters)
-        prep = _prep_for(engine, tsi, tlid, setup, delimiters)
+        doc_text = engine.records[tsi].cov_text(tlid)
+        prep = _prep_for(engine, tsi, tlid, doc_text, setup, delimiters)
         lcs = 0
         if 0 <= di < MEMO_HEIGHT:
             m = memo.setdefault(di, [0, 0])

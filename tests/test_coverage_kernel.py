@@ -324,7 +324,7 @@ def test_bulk_score_bounds_match_oracle_with_synonyms(tmp_path):
         docs_of = [(0, si, lid) for si, lid, _, _ in jobs]
         got = dict(zip(*qp._score_bounds(eng, relations, jobs, docs_of, list(range(len(jobs))))))
         for p, (si, lid, _, _) in enumerate(jobs):
-            text = qp._cov_doc_text(eng, si, lid, delims)
+            text = eng.records[si].cov_text(lid)
             prep = cov.prepare_doc(text, setup.min_word_size, delims)
             first = eng.seg_by_id(si).first_tokens[lid]
             features = cov.calculate_features(
@@ -333,7 +333,7 @@ def test_bulk_score_bounds_match_oracle_with_synonyms(tmp_path):
             )
             _, tb = fusion_calculate(ctx.query, text, features, 0.0)
             assert got[p] == (score_bound(relations, prep, first), tb, 0), (q, text)
-    vocab = {t for table in eng._token_tables.values() for t in table.vocab}
+    vocab = {t for r in eng.records.values() for t in r.token_table.vocab}
     assert "car" in vocab and "automobile" not in vocab  # canonicalized texts
 
 

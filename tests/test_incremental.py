@@ -142,13 +142,14 @@ def test_read_corpus_csv(ray_session, tmp_path):
 
 def test_sharded_stats_layout_and_delta_append(ray_session, tmp_path):
     """Distributed builds write vocab stats as sorted parquet part dirs; a
-    delta append adds an overlapping part and ShardedDfLookup sums them."""
+    delta append adds an overlapping part and VocabLookup sums them."""
     import os
 
     import ray.data
 
     from infidex_ray.config import EngineConfig
-    from infidex_ray.engine import Engine, ShardedDfLookup, load_df_lookup
+    from infidex_ray.engine import Engine
+    from infidex_ray.vocabstats import VocabLookup, open_lookup
 
     rows = [{"doc_key": i, "text": f"alpha beta doc{i}"} for i in range(1, 21)]
     out = str(tmp_path / "sharded_idx")
@@ -159,11 +160,11 @@ def test_sharded_stats_layout_and_delta_append(ray_session, tmp_path):
     assert os.path.isdir(os.path.join(out, "stats", "vocab", "kind=term"))
     assert os.path.isdir(os.path.join(out, "stats", "vocab", "kind=word"))
     assert not os.path.exists(os.path.join(out, "stats", "df.parquet"))
-    assert isinstance(eng.df_lookup, ShardedDfLookup)
+    assert isinstance(eng.df_lookup, VocabLookup)
     assert eng.word_df("alpha") == 20
 
     eng.add_documents([(100, "alpha gamma fresh")])
-    lk = load_df_lookup(out, "word_df")
+    lk = open_lookup(out, "word")
     assert lk("alpha") == 21  # base part + delta part summed
     assert lk("gamma") == 1
     assert lk("nonexistent") == 0
@@ -172,8 +173,8 @@ def test_sharded_stats_layout_and_delta_append(ray_session, tmp_path):
 
 
 def test_rebuild_clears_stale_stats_layouts(ray_session, tmp_path):
-    """An in-place rebuild must not leave older stats layouts behind —
-    load_df_lookup prefers them and would serve stale dfs."""
+    """An in-place rebuild must not leave an older vocab part behind — the
+    lookup sums every part it finds and would serve stale dfs."""
     import os
 
     import pyarrow as pa
@@ -181,21 +182,20 @@ def test_rebuild_clears_stale_stats_layouts(ray_session, tmp_path):
     import ray.data
 
     from infidex_ray.config import EngineConfig
-    from infidex_ray.engine import Engine, load_df_lookup
+    from infidex_ray.engine import Engine
+    from infidex_ray.vocabstats import open_lookup
 
     out = str(tmp_path / "stale_idx")
-    os.makedirs(os.path.join(out, "stats", "df"), exist_ok=True)
-    pq.write_table(
-        pa.table({"term": ["alpha"], "df": [999]}),
-        os.path.join(out, "stats", "df", "stale.parquet"),
-    )
+    stale = os.path.join(out, "stats", "vocab", "kind=word", "stale.parquet")
+    os.makedirs(os.path.dirname(stale), exist_ok=True)
+    pq.write_table(pa.table({"term": ["alpha"], "df": [999]}), stale)
     rows = [{"doc_key": i, "text": f"alpha beta doc{i}"} for i in range(1, 11)]
     Engine.build(
         ray.data.from_items(rows), out, EngineConfig(target_docs_per_segment=5),
         text_column="text", key_column="doc_key",
     )
-    assert not os.path.exists(os.path.join(out, "stats", "df"))
-    lk = load_df_lookup(out, "word_df")
+    assert not os.path.exists(stale)
+    lk = open_lookup(out, "word")
     assert lk("alpha") == 10  # fresh, not the stale 999
 
 
@@ -320,19 +320,19 @@ def _hits(eng, q, cov):
     ]
 
 
-@pytest.fixture(params=["single_file_stats", "sharded_stats"])
+@pytest.fixture(params=["local_build", "ray_build"])
 def refresh_index(request, tmp_path):
-    """A 3-segment index in both stats layouts: the single-file df table
-    (rewritten in place by an add) and the distributed build's sharded part
-    directories (an add appends a part)."""
-    if request.param == "sharded_stats":
+    """A 3-segment index from both builders: the local build's one vocab
+    part per kind and the Ray build's range-partitioned parts (an add
+    appends a part to either)."""
+    if request.param == "ray_build":
         request.getfixturevalue("ray_session")
     return _build_refresh_index(str(tmp_path / "refresh_idx"), request.param)
 
 
-def _build_refresh_index(out: str, layout: str) -> str:
+def _build_refresh_index(out: str, build: str) -> str:
     docs = _corpus(240, seed=7)
-    if layout == "single_file_stats":
+    if build == "local_build":
         build_index_local(docs, out, n_segments=3)
     else:
         import ray.data
@@ -375,11 +375,9 @@ def test_incremental_refresh_matches_fresh_load(refresh_index):
 
 
 def test_incremental_add_opens_only_the_delta(ray_session, tmp_path, monkeypatch):
-    """In both stats layouts, one add followed by one search reads no
-    segment and no parquet file back, and builds at most one word matcher
-    (the delta's); the unchanged segments keep theirs. The single-file
-    stats layout's read-modify-write of its summed table is the one read
-    allowed."""
+    """From both builders, one add followed by one search reads no segment
+    and no parquet file back, and builds at most one word matcher (the
+    delta's); the unchanged segments keep theirs."""
     import pyarrow.parquet as pq
 
     from infidex_ray import engine as engine_mod
@@ -407,11 +405,12 @@ def test_incremental_add_opens_only_the_delta(ray_session, tmp_path, monkeypatch
         reads.append(str(source))
         return real_parquet_file(source, *a, **kw)
 
-    for layout in ("single_file_stats", "sharded_stats"):
-        out = _build_refresh_index(str(tmp_path / layout), layout)
+    for build in ("local_build", "ray_build"):
+        out = _build_refresh_index(str(tmp_path / build), build)
         eng = Engine.load(out)
         assert eng.search("harbor quantum", top_k=10)  # builds every matcher
-        assert len(eng._wordmatchers) == len(eng.segments) == 3
+        assert len(eng.records) == 3
+        assert all(r._word_matcher is not None for r in eng.records.values())
 
         calls.update(read_segment=0, word_matcher=0)
         reads.clear()
@@ -423,12 +422,9 @@ def test_incremental_add_opens_only_the_delta(ray_session, tmp_path, monkeypatch
         eng.add_documents([(5000, "harbor quantum lantern")])
         assert eng.search("harbor quantum", top_k=10)
         monkeypatch.undo()
-        assert calls["read_segment"] == 0, layout
-        stats_files = {
-            os.path.join(out, "stats", f) for f in ("df.parquet", "word_df.parquet")
-        }
-        assert [p for p in reads if p not in stats_files] == [], layout
-        assert calls["word_matcher"] <= 1, layout
+        assert calls["read_segment"] == 0, build
+        assert reads == [], build
+        assert calls["word_matcher"] <= 1, build
 
 
 def test_add_replaces_delta_left_by_a_failed_add(tmp_path):
@@ -521,25 +517,114 @@ def test_delta_opened_from_memory_equals_read_segment(case, tmp_path):
 def test_df_lookups_after_adds_equal_fresh_load(refresh_index):
     """After each of three adds, both in-place df lookups answer every delta
     term so far and a sample of base terms exactly as a fresh
-    ``load_df_lookup``, and so do their merged views."""
-    from infidex_ray.engine import load_df_lookup
+    ``open_lookup``, and so do their merged views (non-ASCII keys included:
+    the merged view sorts in code-point order)."""
+    from infidex_ray.vocabstats import open_lookup
 
     eng = Engine.load(refresh_index)
     assert eng.search("harbor quantum", top_k=10)  # parse some base parts
-    base = {b: load_df_lookup(refresh_index, b).terms[::7].tolist() for b in ("df", "word_df")}
-    delta = {"df": [], "word_df": []}
+    base = {k: open_lookup(refresh_index, k).terms[::7].tolist() for k in ("term", "word")}
+    delta = {"term": [], "word": []}
     for step in range(3):
         batch = _corpus(5, seed=40 + step, start_key=2000 + 10 * step)
-        batch.append((2100 + step, f"brandnew{step} harbor zzzword{step}"))
+        batch.append((2100 + step, f"brandnew{step} harbor zzzword{step} ſtep{step} 東京"))
         eng.add_documents(batch)
         seg = eng.segments[-1]
-        delta["df"] += seg.terms.tolist()
-        delta["word_df"] += [w for t in seg.norm_texts for w in t.lower().split()]
-        for name, b in (("df_lookup", "df"), ("word_df", "word_df")):
-            got, fresh = getattr(eng, name), load_df_lookup(refresh_index, b)
+        delta["term"] += seg.terms.tolist()
+        delta["word"] += [w for t in seg.norm_texts for w in t.lower().split()]
+        for name, b in (("df_lookup", "term"), ("word_df", "word")):
+            got, fresh = getattr(eng, name), open_lookup(refresh_index, b)
             assert type(got) is type(fresh)
             probes = delta[b] + base[b] + ["", "absent-term", "\U0010ffff"]
             assert [got(t) for t in probes] == [fresh(t) for t in probes], (step, b)
             assert got.vocab_size() == fresh.vocab_size(), (step, b)
             assert got.terms.tolist() == fresh.terms.tolist(), (step, b)
+            assert got.terms.tolist() == sorted(got.terms.tolist()), (step, b)
             assert got.dfs.tolist() == fresh.dfs.tolist(), (step, b)
+        assert eng.word_df("東京") == step + 1
+
+
+def test_stats_of_a_failed_add_do_not_count(refresh_index):
+    """The manifest is the commit point: an add that wrote its stats parts
+    but died before its manifest write leaves parts a load must not count,
+    and the next add replaces them."""
+    import shutil
+
+    manifest = os.path.join(refresh_index, "manifest.json")
+    shutil.copy(manifest, manifest + ".saved")
+    before = Engine.load(refresh_index)
+    harbor = before.word_df("harbor")
+    Engine.load(refresh_index).add_documents([(700, "harbor zephyr")])
+    shutil.copy(manifest + ".saved", manifest)  # undo only the manifest write
+
+    eng = Engine.load(refresh_index)
+    assert eng.total_docs == before.total_docs
+    assert (eng.word_df("harbor"), eng.word_df("zephyr")) == (harbor, 0)
+    assert eng.df_lookup.dfs.tolist() == before.df_lookup.dfs.tolist()
+    eng.add_documents([(800, "harbor quantum")])
+    fresh = Engine.load(refresh_index)
+    assert (fresh.word_df("harbor"), fresh.word_df("zephyr")) == (harbor + 1, 0)
+    assert fresh.word_df.terms.tolist() == eng.word_df.terms.tolist()
+
+
+def test_missing_vocab_stats_fail_loudly(ray_session, tmp_path):
+    """An index without ``stats/vocab/kind=*/`` (here the old single-file
+    layout) raises on load instead of reading every df as 0; an empty local
+    or Ray build still writes both kind dirs and loads."""
+    import shutil
+
+    import ray.data
+
+    out = str(tmp_path / "old")
+    build_index_local(_corpus(20, seed=1), out)
+    for kind, name in (("term", "df"), ("word", "word_df")):
+        shutil.copy(
+            os.path.join(out, "stats", "vocab", f"kind={kind}", "base.parquet"),
+            os.path.join(out, "stats", f"{name}.parquet"),
+        )
+    shutil.rmtree(os.path.join(out, "stats", "vocab"))
+    with pytest.raises(FileNotFoundError, match="kind=term"):
+        Engine.load(out)
+
+    empty = str(tmp_path / "empty")
+    build_index_local([], empty)
+    rows = ray.data.from_items([{"doc_key": 1, "text": "harbor"}]).filter(lambda r: False)
+    Engine.build(rows, str(tmp_path / "empty_ray"), text_column="text", key_column="doc_key")
+    for out in (empty, str(tmp_path / "empty_ray")):
+        for kind in ("term", "word"):
+            assert os.path.isdir(os.path.join(out, "stats", "vocab", f"kind={kind}"))
+        eng = Engine.load(out)
+        assert eng.search("harbor", top_k=5) == []
+        assert eng.word_df("harbor") == 0 and eng.get_statistics().vocabulary_size == 0
+
+
+def test_merge_index_folds_delta_stats(tmp_path):
+    """``merge_index`` of an index with adds (and the parts of a failed add)
+    serves the same dfs; its live delta parts are summed into one part, so
+    the merged index's own adds, which restart at ``delta-0000``, count
+    once."""
+    import shutil
+
+    from infidex_ray.build import merge_index
+
+    src, merged = str(tmp_path / "src"), str(tmp_path / "merged")
+    build_index_local(_corpus(40, seed=2), src, n_segments=2)
+    eng = Engine.load(src)
+    eng.add_documents([(500, "harbor zephyr")])
+    eng.add_documents([(501, "zephyr quantum")])
+    manifest = os.path.join(src, "manifest.json")
+    shutil.copy(manifest, manifest + ".saved")
+    eng.add_documents([(502, "zephyr never committed")])
+    shutil.copy(manifest + ".saved", manifest)
+    want = Engine.load(src)
+
+    merge_index(src, merged, use_ray=False, target_segments=1)
+    got = Engine.load(merged)
+    for name in ("df_lookup", "word_df"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.terms.tolist(), a.dfs.tolist()) == (b.terms.tolist(), b.dfs.tolist())
+    assert got.word_df("zephyr") == 2
+    got.add_documents([(600, "zephyr again")])
+    assert Engine.load(merged).word_df("zephyr") == got.word_df("zephyr") == 3
+    merge_index(merged, str(tmp_path / "twice"), use_ray=False)
+    assert Engine.load(str(tmp_path / "twice")).word_df("zephyr") == 3
