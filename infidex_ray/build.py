@@ -9,8 +9,8 @@ Pipeline shape (SURVEY §3.1 "Ray Data shape"):
         pre-aggregated to ≤1 row per term per segment, so skewed terms cost
         one row per segment, not one row per posting — this is the skew story
         for common grams like "the"/pad-grams)
-      → sorted (term, df) parts under stats/vocab/kind=term|word/ and
-        stats/stats.json (layout and lookup: vocabstats.py) + manifest.json
+      → sorted (term, df) parts under stats/vocab/kind=term|word/ (layout and
+        lookup: vocabstats.py) + manifest.json
 
 Each segment task analyzes its doc block (vectorized gram counting), builds a
 sorted in-task term dictionary + compressed postings, and writes an immutable
@@ -506,7 +506,6 @@ def _build_index_local_impl(
         "avg_doc_len": (sum_dl / n_docs) if n_docs else 0.0,
         "n_segments": len(seg_entries),
     }
-    vocabstats.write_stats(out_dir, stats)
     manifest = {
         "version": 1,
         "config": manifest_config(cfg),
@@ -706,7 +705,6 @@ def append_to_index(
     stats["sum_doc_len"] += meta["sum_doc_len"]
     stats["avg_doc_len"] = stats["sum_doc_len"] / stats["total_docs"]
     stats["n_segments"] = len(manifest["segments"])
-    vocabstats.write_stats(index_dir, stats)
     with open(os.path.join(index_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f)
     return manifest, seg, parts
@@ -907,7 +905,6 @@ def build_index(
         "avg_doc_len": (sum_dl / n_docs) if n_docs else 0.0,
         "n_segments": len(seg_dirs),
     }
-    vocabstats.write_stats(out_dir, stats)
     manifest = {
         "version": 1,
         "config": manifest_config(cfg),

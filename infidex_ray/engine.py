@@ -214,6 +214,15 @@ class SegmentRecord:
         return self._token_table
 
 
+def read_tombstones(index_dir: str) -> set[int]:
+    """The index's soft-deleted keys (``delete_documents`` writes them)."""
+    tomb = os.path.join(index_dir, "tombstones.json")
+    if not os.path.exists(tomb):
+        return set()
+    with open(tomb) as f:
+        return set(json.load(f))
+
+
 class Engine:
     def __init__(
         self,
@@ -238,11 +247,9 @@ class Engine:
         self._key_index: dict[int, tuple[int, int]] | None = None
         for seg in segments:
             self._add_segment(SegmentRecord(seg, cfg, self.synonym_map))
+        # soft-deleted keys: read where an engine is opened from disk
+        # (``load``, ``DistributedEngine.connect``), not per construction
         self.deleted: set[int] = set()
-        tomb = os.path.join(index_dir, "tombstones.json")
-        if os.path.exists(tomb):
-            with open(tomb) as f:
-                self.deleted = set(json.load(f))
 
     def _add_segment(self, rec: SegmentRecord) -> None:
         """Serve one more segment; a later segment wins a repeated key."""
@@ -325,7 +332,7 @@ class Engine:
         if cfg is None:
             cfg = config_from_manifest(manifest)
         stats = manifest["stats"]
-        return cls(
+        eng = cls(
             index_dir,
             cfg,
             segments,
@@ -334,6 +341,9 @@ class Engine:
             stats["total_docs"],
             stats["avg_doc_len"],
         )
+        if opened is None:
+            eng.deleted = read_tombstones(index_dir)
+        return eng
 
     # ------------------------------------------------------- single-file I/O
     def save_file(self, file_path: str) -> None:

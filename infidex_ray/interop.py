@@ -527,7 +527,6 @@ def import_infdx2(file_path: str, out_dir: str, cfg=None):
         "avg_doc_len": (sum_dl / n_docs) if n_docs else 0.0,
         "n_segments": 1,
     }
-    vocabstats.write_stats(out_dir, stats)
     manifest = {
         "version": 1,
         "config": manifest_config(cfg),

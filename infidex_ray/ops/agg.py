@@ -20,9 +20,16 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .dedup import _default_num_slices, _md5_u64, round_half_up4_arr
+from . import dataflow
+from .dedup import round_half_up4_arr
 
-_MIX = np.uint64(0xBF58476D1CE4E5B9)
+
+def _key_slice(t: pa.Table, keys: list, num_slices: int) -> np.ndarray:
+    """Slice of each row's key tuple; no keys (a grand total) is slice 0."""
+    if not keys:
+        return np.zeros(t.num_rows, dtype=np.int32)
+    return dataflow.slice_of(num_slices, *(t[k] for k in keys))
+
 
 # how a partial kernel's outputs merge across blocks
 _MERGE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -40,7 +47,7 @@ def grouped_agg(ds, keys, aggs: dict, num_slices: int | None = None):
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     # canonical partials, deduped per (col, kernel): two aggs over the same
     # column (e.g. sum + mean) share one partial column
@@ -68,21 +75,7 @@ def grouped_agg(ds, keys, aggs: dict, num_slices: int | None = None):
         proj = batch.select(list(dict.fromkeys(keys + in_cols)))
         res = proj.group_by(keys).aggregate([(c, f) for (c, f), _n in pairs])
         res = _rename(res, {f"{c}_{f}": n for (c, f), n in pairs})
-        h = np.zeros(len(res), dtype=np.uint64)
-        for kcol in keys:
-            enc = res[kcol].combine_chunks().dictionary_encode()
-            idx = enc.indices
-            codes = idx.fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
-            # per-batch dictionary codes are NOT globally stable — hash the
-            # VALUE bytes so the same key lands in the same slice everywhere;
-            # null is a valid SQL group → it gets its own reserved hash
-            vals = enc.dictionary.cast(pa.string()).to_pylist()
-            vh = np.asarray(
-                [_md5_u64(str(v)) for v in vals] + [_md5_u64("\x00<NULL>")],
-                dtype=np.uint64,
-            )
-            h = (h * _MIX) ^ vh[codes]  # codes==-1 (null) → last slot
-        sl = (h % np.uint64(num_slices)).astype(np.int32)
+        sl = _key_slice(res, keys, num_slices)
         return res.append_column("slice", pa.array(sl))
 
     def final(group: pa.Table) -> pa.Table:
@@ -134,7 +127,7 @@ def grouped_corr(
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
     import pyarrow.compute as pc
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -164,21 +157,7 @@ def grouped_corr(
         ren = {"__x_count": "n", "__x_sum": "sx", "__y_sum": "sy",
                "__xx_sum": "sxx", "__yy_sum": "syy", "__xy_sum": "sxy"}
         res = res.rename_columns([ren.get(c, c) for c in res.column_names])
-        h = np.zeros(len(res), dtype=np.uint64)
-        for kcol in keys:
-            enc = res[kcol].combine_chunks().dictionary_encode()
-            codes = (
-                enc.indices.fill_null(-1)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            vals = enc.dictionary.cast(pa.string()).to_pylist()
-            vh = np.asarray(
-                [_md5_u64(str(v)) for v in vals] + [_md5_u64("\x00<NULL>")],
-                dtype=np.uint64,
-            )
-            h = (h * _MIX) ^ vh[codes]
-        sl = (h % np.uint64(num_slices)).astype(np.int32)
+        sl = _key_slice(res, keys, num_slices)
         return res.append_column("slice", pa.array(sl))
 
     def final(group: pa.Table) -> pa.Table:
@@ -226,27 +205,10 @@ def grouped_count_distinct(ds, keys, aggs: dict, num_slices: int | None = None):
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
     import pyarrow.compute as pc
 
     items = list(aggs.items())  # [(out_col, in_col)]
-
-    def _key_hash(table: pa.Table, extra_col: str | None) -> np.ndarray:
-        h = np.zeros(len(table), dtype=np.uint64)
-        for kcol in keys + ([extra_col] if extra_col else []):
-            enc = table[kcol].combine_chunks().dictionary_encode()
-            codes = (
-                enc.indices.fill_null(-1)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            vals = enc.dictionary.cast(pa.string()).to_pylist()
-            vh = np.asarray(
-                [_md5_u64(str(v)) for v in vals] + [_md5_u64("\x00<NULL>")],
-                dtype=np.uint64,
-            )
-            h = (h * _MIX) ^ vh[codes]
-        return h
 
     def pairs(batch: pa.Table) -> pa.Table:
         parts = []
@@ -255,9 +217,7 @@ def grouped_count_distinct(ds, keys, aggs: dict, num_slices: int | None = None):
         # keys hash alone so every copy lands in one slice
         if keys:
             pres = batch.select(keys).group_by(keys).aggregate([])
-            slp = (_key_hash(pres, None) % np.uint64(num_slices)).astype(
-                np.int32
-            )
+            slp = _key_slice(pres, keys, num_slices)
             parts.append(
                 pa.table(
                     {
@@ -272,7 +232,7 @@ def grouped_count_distinct(ds, keys, aggs: dict, num_slices: int | None = None):
             t = batch.select(list(dict.fromkeys(keys + [col])))
             t = t.filter(pc.is_valid(t[col]))
             dt = t.group_by(keys + [col]).aggregate([])
-            sl = (_key_hash(dt, col) % np.uint64(num_slices)).astype(np.int32)
+            sl = _key_slice(dt, keys + [col], num_slices)
             parts.append(
                 pa.table(
                     {
@@ -295,21 +255,7 @@ def grouped_count_distinct(ds, keys, aggs: dict, num_slices: int | None = None):
         cnt = dt.group_by(["__agg"] + keys).aggregate([("__v", "count")])
         ren = {"__v_count": "__n"}
         cnt = cnt.rename_columns([ren.get(c, c) for c in cnt.column_names])
-        h = np.zeros(len(cnt), dtype=np.uint64)
-        for kcol in keys:
-            enc = cnt[kcol].combine_chunks().dictionary_encode()
-            codes = (
-                enc.indices.fill_null(-1)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            vals = enc.dictionary.cast(pa.string()).to_pylist()
-            vh = np.asarray(
-                [_md5_u64(str(v)) for v in vals] + [_md5_u64("\x00<NULL>")],
-                dtype=np.uint64,
-            )
-            h = (h * _MIX) ^ vh[codes]
-        sl2 = (h % np.uint64(num_slices)).astype(np.int32)
+        sl2 = _key_slice(cnt, keys, num_slices)
         return cnt.append_column("slice2", pa.array(sl2))
 
     def final(group: pa.Table) -> pa.Table:
@@ -514,7 +460,7 @@ def grouped_mode(ds, key_col: str, value_col: str, num_slices: int | None = None
     import pyarrow.compute as pc
 
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select([key_col, value_col]).filter(
@@ -523,13 +469,7 @@ def grouped_mode(ds, key_col: str, value_col: str, num_slices: int | None = None
         agg = t.group_by([key_col, value_col]).aggregate([(value_col, "count")])
         cnt = agg[f"{value_col}_count"].cast(pa.int64())
         keys = agg[key_col]
-        sl = np.asarray(
-            [
-                _md5_u64(str(v)) % num_slices
-                for v in keys.to_pylist()
-            ],
-            dtype=np.int32,
-        )
+        sl = dataflow.slice_of(num_slices, keys)
         return pa.table(
             {
                 key_col: keys,
@@ -912,7 +852,7 @@ def grouped_string_agg(
     Returns ``(key, n_values, values)``.
     """
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     def partial(batch: pa.Table) -> pa.Table:
         proj = pa.table({key_col: batch[key_col], val_col: batch[val_col]})
@@ -964,12 +904,13 @@ def grouped_string_agg(
             }
         )
 
-    from .windows import _add_key_slice
-
     return (
         ds.select_columns([key_col, val_col])
         .map_batches(partial, batch_format="pyarrow")
-        .map_batches(_add_key_slice(key_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(key_col, num_slices),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(final, batch_format="pyarrow")
     )
@@ -993,7 +934,7 @@ def spearman_corr(ds, keys, x_col: str, y_col: str, num_slices: int | None = Non
     Returns ``(keys…, n, spearman)``; NULL when rank variance is zero.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
-    from .windows import _add_key_slice, _sorted_key_ranks
+    from .windows import _sorted_key_ranks
 
     def _min_ranks(kr: np.ndarray, v: np.ndarray) -> np.ndarray:
         """SQL rank() of v within each kr group (1-based, ties → min)."""
@@ -1079,7 +1020,10 @@ def spearman_corr(ds, keys, x_col: str, y_col: str, num_slices: int | None = Non
 
     return (
         ds.map_batches(add_key, batch_format="pyarrow")
-        .map_batches(_add_key_slice("__k"), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice("__k", dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(corr_slice, batch_format="pyarrow")
     )
@@ -1216,7 +1160,7 @@ def grouped_trimmed_mean(
     requires a group's values to fit in one worker — sample or bin first
     when they don't.
     """
-    from .windows import _add_key_slice, _sorted_key_ranks
+    from .windows import _sorted_key_ranks
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     if len(keys) != 1:
@@ -1283,7 +1227,10 @@ def grouped_trimmed_mean(
 
     return (
         ds.map_batches(snap, batch_format="pyarrow")
-        .map_batches(_add_key_slice(key_col, num_slices), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(key_col, num_slices or dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(final, batch_format="pyarrow")
     )
@@ -1832,7 +1779,7 @@ def grouped_topk_share(
 
     Output: ``(group_col, n_items, total, topk_sum, topk_share)``.
     """
-    from .windows import _add_key_slice, _sorted_key_ranks
+    from .windows import _sorted_key_ranks
 
     def drop_null_items(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1888,7 +1835,10 @@ def grouped_topk_share(
         )
 
     return (
-        counts.map_batches(_add_key_slice(group_col, num_slices), batch_format="pyarrow")
+        counts.map_batches(
+            dataflow.add_slice(group_col, num_slices or dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(final, batch_format="pyarrow")
     )
@@ -1917,7 +1867,7 @@ def grouped_gini(
 
     Output: ``(key, n, sum_x, gini)``.
     """
-    from .windows import _add_key_slice, _sorted_key_ranks
+    from .windows import _sorted_key_ranks
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     if len(keys) != 1:
@@ -1980,7 +1930,10 @@ def grouped_gini(
 
     return (
         ds.map_batches(snap, batch_format="pyarrow")
-        .map_batches(_add_key_slice(key_col, num_slices), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(key_col, num_slices or dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(final, batch_format="pyarrow")
     )
@@ -2068,15 +2021,13 @@ def benford_deviation(
         # typed empty: keep the group column's REAL type (an int group col
         # must not come back as string just because no rows survived)
         gtype = ds.schema().base_schema.field(group_col).type
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    group_col: pa.array([], gtype),
-                    "n_values": pa.array([], pa.int64()),
-                    **{f"d{d}": pa.array([], pa.int64()) for d in range(1, 10)},
-                    "chi2": pa.array([], pa.float64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {
+                group_col: gtype,
+                "n_values": pa.int64(),
+                **{f"d{d}": pa.int64() for d in range(1, 10)},
+                "chi2": pa.float64(),
+            }
         )
     tbl = pa.concat_tables(parts).combine_chunks()
     grp = np.asarray(tbl[group_col].to_pylist(), dtype=object)

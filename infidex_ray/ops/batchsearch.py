@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
+
 
 class _SearchActor:
     def __init__(
@@ -355,8 +357,6 @@ def batch_search_sharded(
 
     from ..engine import Engine, config_from_manifest
     from ..query import stage1 as s1
-    from .dedup import _default_num_slices, _slice_hash_strings
-
     if score_mode not in ("engine", "float64_sql"):
         raise ValueError(f"unknown score_mode {score_mode!r}")
     with open(os.path.join(index_dir, "manifest.json")) as f:
@@ -372,7 +372,7 @@ def batch_search_sharded(
         for i in range(n_shards)
         if bounds[i] < bounds[i + 1]
     ]
-    num_slices = _default_num_slices()
+    num_slices = dataflow.num_slices()
 
     def fan_out(ds, actor):
         """One actor pool per shard over ``ds``; the union of their rows."""
@@ -392,11 +392,7 @@ def batch_search_sharded(
         """``fn`` over coarse query slices: every row of a query meets in
         one group."""
 
-        def add_slice(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "slice", pa.array(_slice_hash_strings(t["query"], num_slices))
-            )
-
+        add_slice = dataflow.add_slice("query", num_slices)
         return (
             ds.map_batches(add_slice, batch_format="pyarrow")
             .groupby("slice")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .dedup import _default_num_slices, _md5_u64
+from . import dataflow
 
 __all__ = ["bpe_train", "bpe_encode_counts"]
 
@@ -66,15 +66,12 @@ def _word_counts(ds, text_col: str, num_slices: int):
                 }
             )
         uniq, counts = np.unique(np.asarray(words, dtype=object), return_counts=True)
-        # _md5_u64, NOT Python hash(): the builtin is salt-randomized per
-        # process, which would scatter one word across slices on different
-        # workers and double-count it
-        h = np.asarray([_md5_u64(w) % (1 << 62) for w in uniq], dtype=np.int64)
+        w = pa.array(list(uniq), pa.string())
         return pa.table(
             {
-                "w": pa.array(list(uniq), pa.string()),
+                "w": w,
                 "cnt": pa.array(counts.astype(np.int64), pa.int64()),
-                "slice": pa.array((h % num_slices).astype(np.int32)),
+                "slice": pa.array(dataflow.slice_of(num_slices, w)),
             }
         )
 
@@ -106,7 +103,7 @@ def bpe_train(
     ``num_merges`` is below that horizon (always, on natural corpora).
     """
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     def init_seq(batch: pa.Table) -> pa.Table:
         seqs = [_wrap(list(w)) for w in batch["w"].to_pylist()]
@@ -142,16 +139,14 @@ def bpe_train(
                 }
             )
         aa, bb, cc = zip(*((a, b, c) for (a, b), c in acc.items()))
-        h = np.asarray(
-            [_md5_u64(a + SEP + b) % (1 << 62) for a, b in zip(aa, bb)],
-            dtype=np.int64,
-        )
+        a = pa.array(list(aa), pa.string())
+        b = pa.array(list(bb), pa.string())
         return pa.table(
             {
-                "a": pa.array(list(aa), pa.string()),
-                "b": pa.array(list(bb), pa.string()),
+                "a": a,
+                "b": b,
                 "c": pa.array(list(cc), pa.int64()),
-                "slice": pa.array((h % num_slices).astype(np.int32)),
+                "slice": pa.array(dataflow.slice_of(num_slices, a, b)),
             }
         )
 

@@ -17,15 +17,13 @@ common use, and both are served by the same vectorized pipeline:
 Scale design: one ``map_batches`` pass emits COMBINED partial counts —
 per-batch distinct unigrams via ``value_counts`` and distinct bigrams via a
 dictionary-encode + packed-code ``np.unique`` (no Python loop over tokens)
-— tagged by kind and keyed by a coarse md5 SLICE of the key (never one Ray
+— tagged by kind and keyed by a coarse SLICE of the key (never one Ray
 group per n-gram; a ~unique-key groupby pays per group — the
 duplicate_spans lesson). Slices sum vectorized; pair-mode marginals are two
 more slice-grouped sums OVER THE BIGRAM TABLE (vocab-sized, not corpus-
 sized). The bigram table is thresholded by ``min_count`` BEFORE the two
-marginal joins (chained ``Dataset.join`` with the repartition+materialize
-normalization the Ray 2.49 quirks require, partition count via
-``_join_partitions``). The final PMI ranking sorts the thresholded table
-only.
+marginal joins (``ops.dataflow.join``). The final PMI ranking sorts the
+thresholded table only.
 
 Determinism: counts are exact integers; PMI is computed with one fixed
 float64 expression then ``log``, rounded half-up to 4 decimals on BOTH
@@ -39,13 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import (
-    _default_num_slices,
-    _join_partitions,
-    _md5_u64,
-    _slice_hash_strings,
-    round_half_up4_arr,
-)
+from . import dataflow
+from .dedup import round_half_up4_arr
 
 __all__ = ["collocations"]
 
@@ -114,13 +107,7 @@ def _partial_counts(
         w1 = b1.cast(pa.large_string())
         w2 = b2.cast(pa.large_string())
         n = pcounts.astype(np.int64)
-    sl = np.asarray(
-        [
-            _md5_u64(f"{k}\x1f{a}\x1f{b}") % num_slices
-            for k, a, b in zip(kind, w1.to_pylist(), w2.to_pylist())
-        ],
-        dtype=np.int32,
-    )
+    sl = dataflow.slice_of(num_slices, kind, w1, w2)
     return pa.table(
         {
             "kind": pa.array(kind),
@@ -151,7 +138,7 @@ def collocations(
     if lowercase is None:
         lowercase = marginals == "unigrams"
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
     with_unigrams = marginals == "unigrams"
 
     def sum_group(group: pa.Table) -> pa.Table:
@@ -229,29 +216,16 @@ def collocations(
             }
         )
 
-    nparts = _join_partitions(num_partitions, chained=True)
-    bi = bi_full.map_batches(threshold, batch_format="pyarrow")
-    # Ray 2.49 join quirks: normalize block schemas (repartition+materialize)
-    # before EACH join — see ops/dedup._attach_sketches
-    bi = bi.repartition(nparts).materialize()
+    bi = bi_full.map_batches(threshold, batch_format="pyarrow").materialize()
     if bi.count() == 0 or total == 0:
-        import ray.data
-
-        cols = {
-            "w1": pa.array([], pa.string()),
-            "w2": pa.array([], pa.string()),
-            count_col: pa.array([], pa.int64()),
-        }
+        cols = {"w1": pa.string(), "w2": pa.string(), count_col: pa.int64()}
         if with_unigrams:
-            cols["n_a"] = pa.array([], pa.int64())
-            cols["n_b"] = pa.array([], pa.int64())
-        cols["pmi"] = pa.array([], pa.float64())
-        # typed empty DATASET (same API as the normal path; joins against
-        # empty sides would crash in Ray 2.49 anyway — see CLAUDE.md)
-        return ray.data.from_arrow(pa.table(cols))
-    j1 = bi.join(left, "inner", nparts, on=("w1",))
-    j1 = j1.repartition(nparts).materialize()
-    j2 = j1.join(right, "inner", nparts, on=("w2",))
+            cols["n_a"] = pa.int64()
+            cols["n_b"] = pa.int64()
+        cols["pmi"] = pa.float64()
+        return dataflow.typed_empty(cols)
+    j1 = dataflow.join(bi, left, "inner", "w1", num_partitions)
+    j2 = dataflow.join(j1, right, "inner", "w2", num_partitions)
 
     def score(batch: pa.Table) -> pa.Table:
         c_ab = batch[count_col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -303,7 +277,7 @@ def ngram_freq(
     if n < 2:
         raise ValueError("n must be >= 2 (use token counts for unigrams)")
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     def partial(batch: pa.Table) -> pa.Table:
         texts = pc.fill_null(pc.cast(batch[text_col], pa.large_string()), "")
@@ -360,7 +334,7 @@ def ngram_freq(
             ]
         sep = pa.scalar(" ", pa.large_string())
         grams = pc.binary_join_element_wise(*cols, sep)
-        sl = _slice_hash_strings(grams, num_slices)
+        sl = dataflow.slice_of(num_slices, grams)
         return pa.table(
             {
                 "gram": grams,

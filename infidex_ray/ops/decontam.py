@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
 from .asciiws import split_ascii_ws
 from .dedup import _shingle_hashes, _word_hashes
 
@@ -286,9 +287,7 @@ def contamination_report(
     if ids can repeat. ``id_col`` names the BENCHMARK id column."""
     import ray
 
-    from .dedup import _default_num_slices
-
-    num_slices = _default_num_slices()
+    num_slices = dataflow.num_slices()
     H, offs, codes, all_bids = benchmark_gram_owners(
         bench_ds, n=n, id_col=id_col, text_col=text_col
     )

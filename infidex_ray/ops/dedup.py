@@ -24,27 +24,28 @@ import numpy as np
 import pyarrow as pa
 
 from ..analyzer import normalize
+from . import dataflow
+from .dataflow import _MIX1, _MIX2
 
 # --- exact dedup -------------------------------------------------------------
 
 
-def _hash_slice_batch(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
-    """(h, doc_id, slice) rows — slice is a coarse md5 bucket of the content
+def _hash_slice_batch(
+    batch: pa.Table, id_col: str, text_col: str, num_slices: int
+) -> pa.Table:
+    """(h, doc_id, slice) rows — slice is a coarse bucket of the content
     hash, so every copy of a text lands in ONE slice without a per-hash Ray
     group (content hashes are ~unique; Ray's aggregate pays per GROUP — the
     29M-key groupby cliff)."""
-    num_slices = _default_num_slices(mult=8, floor=64)
-    hashes = [
-        hashlib.blake2b((t or "").encode("utf-8"), digest_size=16).hexdigest()
-        for t in batch[text_col].to_pylist()
-    ]
-    sl = np.asarray([_md5_u64(h) % num_slices for h in hashes], dtype=np.int32)
+    h = pa.array(
+        [
+            hashlib.blake2b((t or "").encode("utf-8"), digest_size=16).hexdigest()
+            for t in batch[text_col].to_pylist()
+        ],
+        pa.string(),
+    )
     return pa.table(
-        {
-            "h": pa.array(hashes, pa.string()),
-            "doc_id": batch[id_col],
-            "slice": pa.array(sl),
-        }
+        {"h": h, "doc_id": batch[id_col], "slice": dataflow.slice_of(num_slices, h)}
     )
 
 
@@ -69,7 +70,12 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
 
     return (
         ds.map_batches(
-            functools.partial(_hash_slice_batch, id_col=id_col, text_col=text_col),
+            functools.partial(
+                _hash_slice_batch,
+                id_col=id_col,
+                text_col=text_col,
+                num_slices=dataflow.num_slices(mult=8, floor=64),
+            ),
             batch_format="pyarrow",
         )
         .groupby("slice")
@@ -115,7 +121,12 @@ def exact_dup_pairs(ds, id_col: str = "doc_id", text_col: str = "text"):
 
     return (
         ds.map_batches(
-            functools.partial(_hash_slice_batch, id_col=id_col, text_col=text_col),
+            functools.partial(
+                _hash_slice_batch,
+                id_col=id_col,
+                text_col=text_col,
+                num_slices=dataflow.num_slices(mult=8, floor=64),
+            ),
             batch_format="pyarrow",
         )
         .groupby("slice")
@@ -153,58 +164,6 @@ def _hash64(s: str) -> int:
     return int.from_bytes(
         hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "little"
     )
-
-
-def _default_num_slices(mult: int = 4, floor: int = 16) -> int:
-    """Coarse slice count for hash-slice groupbys, scaled to cluster CPUs —
-    the ONE place the slicing policy lives (duplicate_spans rationale:
-    never a per-key Ray group; a slice is a pure function of the key)."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(floor, cpus * mult)
-
-
-def _ray_chained_join_deadlock() -> bool:
-    """True while the running Ray has the chained-``Dataset.join`` deadlock
-    (probed empirically on 2.49: chained joins hang when num_partitions
-    exceeds ~CPUs/2; tests/test_ops.py::test_chained_join_deadlock_probe
-    reproduces the shape). Version-gated so the cap self-deletes on a fixed
-    Ray — bump the tuple when a release is verified clean."""
-    import ray
-
-    try:
-        v = tuple(int(x) for x in ray.__version__.split(".")[:2])
-    except Exception:
-        return True  # unknown version: assume affected
-    return v <= (2, 49)
-
-
-def _join_partitions(requested: int | None = None, chained: bool = True) -> int:
-    """Join partition count: `Dataset.join` spawns one aggregator actor per
-    partition.
-
-    * ``requested`` is honored (the corpus-scale escape hatch) — clamped to
-      CPUs/2 only for ``chained`` joins on a deadlock-affected Ray
-      (``_ray_chained_join_deadlock``).
-    * The default scales with cluster CPUs — ``max(8, cpus/4)`` bounded by
-      the CPUs/2 safety line: aggregator-actor startup dominates small and
-      medium joins (A/B at sf0.1: 4 parts 7.7 s, 8 parts 8.4 s, 16 parts
-      11.4 s), so small sessions stay at 8 while a 256-node cluster gets
-      hundreds of partitions.
-    """
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    safety = max(2, cpus // 2)
-    if requested:
-        if chained and _ray_chained_join_deadlock():
-            return min(requested, safety)
-        return requested
-    return max(2, min(safety, max(8, cpus // 4)))
 
 
 #: Pair-count ceiling for the broadcast verify path (id pairs are 16 B each,
@@ -371,27 +330,19 @@ def _attach_sketches(
                 num_partitions = max(2, -(-rows // 500_000))
         except Exception:  # noqa: BLE001 — sizing is a pure optimization
             pass
-    num_partitions = _join_partitions(num_partitions)
-    # a sparse groupby upstream leaves MIXED physical block schemas (Ray 2.49
-    # logs "RefBundle with a different schema"); the join's aggregator then
-    # builds schema-less empty left partitions and pyarrow's FieldRef(id_a)
-    # fails. One pair-table-sized repartition rewrites the blocks uniformly
-    # (pairs ≪ corpus, so this pass is noise next to the joins themselves).
-    pairs = pairs.repartition(num_partitions).materialize()
-    j1 = pairs.join(
-        sketches, "inner", num_partitions, on=("id_a",), right_on=("doc_id",)
+    # the pair table (and j1) are the derived sides; the sketches stream
+    j1 = dataflow.join(
+        pairs, sketches, "inner", "id_a", num_partitions, right_on="doc_id",
+        stream="right",
     )
-    # same normalization between the chained joins: a Ray 2.49 join emits
-    # schema-LESS empty partitions, and feeding those into a second join
-    # fails pyarrow's FieldRef resolution whenever the pair table is small
-    # enough to leave a partition empty (minimal repro: 1 pair, 2 partitions)
-    j1 = j1.repartition(num_partitions).materialize()
-    return j1.join(
+    return dataflow.join(
+        j1,
         sketches_b,
         "inner",
+        "id_b",
         num_partitions,
-        on=("id_b",),
-        right_on=("doc_id",),
+        right_on="doc_id",
+        stream="right",
         left_suffix="_a",
         right_suffix="_b",
     )
@@ -450,17 +401,6 @@ def _pair_slice_agg(cand, aggs=None):
     aggregate pays per GROUP — the duplicate_spans lesson). ``aggs`` is a
     pyarrow aggregate list like ``[("hamming", "min")]`` (None = distinct
     pairs only); aggregated columns keep their original names."""
-    num_slices = _default_num_slices(mult=8, floor=64)
-
-    def add_slice(batch: pa.Table) -> pa.Table:
-        a = batch["id_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["id_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = (a * _MIX1) ^ (b * _MIX2)
-        return batch.append_column(
-            "slice", pa.array((h % np.uint64(num_slices)).astype(np.int32))
-        )
-
     def agg_slice(group: pa.Table) -> pa.Table:
         t = group.drop_columns(["slice"])
         if aggs is None:
@@ -469,6 +409,9 @@ def _pair_slice_agg(cand, aggs=None):
         ren = {f"{c}_{f}": c for c, f in aggs}
         return res.rename_columns([ren.get(c, c) for c in res.column_names])
 
+    add_slice = dataflow.add_slice(
+        ("id_a", "id_b"), dataflow.num_slices(mult=8, floor=64)
+    )
     return (
         cand.map_batches(add_slice, batch_format="pyarrow")
         .groupby("slice")
@@ -654,16 +597,12 @@ def ngram_jaccard_pairs(
     joined = _verify_pairs(cand, sketches, num_partitions)
     if joined is None:
         # empty Datasets lose their column schema, which breaks the joins
-        import ray
-
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    metric: pa.array([], pa.float64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {
+                "id_a": pa.int64(),
+                "id_b": pa.int64(),
+                metric: pa.float64(),
+            }
         )
 
     def score(batch: pa.Table) -> pa.Table:
@@ -763,11 +702,6 @@ def word_shingles(text: str, n: int = 3) -> set:
     if len(ws) < n:
         return {" ".join(ws)} if ws else set()
     return {" ".join(ws[i : i + n]) for i in range(len(ws) - n + 1)}
-
-
-# odd 64-bit mixing constants (splitmix64 finalizer multipliers — public)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _word_hashes(ws: list[str], cache: dict[str, int]) -> np.ndarray:
@@ -1025,14 +959,7 @@ def minhash_lsh_pairs(
     # is metadata-only.
     N_SLICES = int(min(65536, max(64, (sigs.count() * bands) // 2_000_000)))
 
-    def add_slice(batch: pa.Table) -> pa.Table:
-        bk = batch["bucket"].to_numpy(zero_copy_only=False)
-        bd = batch["band"].to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            sl = ((bk.view(np.uint64) ^ (bd.view(np.uint64) * _MIX1)) * _MIX2)
-        return batch.append_column(
-            "slice", pa.array((sl % np.uint64(N_SLICES)).astype(np.int32))
-        )
+    add_slice = dataflow.add_slice(("bucket", "band"), N_SLICES)
 
     def pairs_in_slice(group: pa.Table) -> pa.Table:
         ids = group["doc_id"].to_numpy(zero_copy_only=False)
@@ -1080,17 +1007,13 @@ def minhash_lsh_pairs(
     joined = _verify_pairs(cand, sigs, num_partitions)
     if joined is None:
         # empty Datasets lose their column schema, which breaks the joins
-        import ray
-
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    "est_jaccard": pa.array([], pa.float64()),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {
+                "id_a": pa.int64(),
+                "id_b": pa.int64(),
+                "est_jaccard": pa.float64(),
+                "jaccard": pa.float64(),
+            }
         )
 
     def score(batch: pa.Table) -> pa.Table:
@@ -1306,7 +1229,6 @@ def embedding_dup_pairs(
 
     refs = ds.select_columns([id_col, vec_col]).materialize().to_arrow_refs()
 
-    @ray.remote
     def cross(ta: pa.Table, tb: pa.Table, same: bool) -> pa.Table:
         ids_a, ma = _unpack_vec_block(ta, id_col, vec_col)
         ids_b, mb = _unpack_vec_block(tb, id_col, vec_col)
@@ -1330,11 +1252,13 @@ def embedding_dup_pairs(
             }
         )
 
-    futures = [
-        cross.remote(refs[i], refs[j], i == j)
-        for i in range(len(refs))
-        for j in range(i, len(refs))
-    ]
+    ij = [(i, j) for i in range(len(refs)) for j in range(i, len(refs))]
+    futures = dataflow.on_blocks(
+        cross,
+        [refs[i] for i, _ in ij],
+        [refs[j] for _, j in ij],
+        [i == j for i, j in ij],
+    )
     parts = [t for t in ray.get(futures) if t.num_rows]
     return pa.concat_tables(parts) if parts else _EMPTY_PAIRS
 
@@ -1496,7 +1420,7 @@ def dedup_clusters_ds(pairs_ds, num_partitions: int | None = None, max_iters: in
     chain depth per round, so convergence is O(log diameter) instead of
     O(diameter) — a planted 50-deep chain converges in ~7 rounds.
     ``max_iters`` bounds pathological graphs."""
-    num_partitions = _join_partitions(num_partitions)
+    num_partitions = dataflow.join_partitions(num_partitions)
     edges_fwd = pairs_ds.select_columns(["id_a", "id_b"])
 
     def both_dirs(batch: pa.Table) -> pa.Table:
@@ -1509,25 +1433,11 @@ def dedup_clusters_ds(pairs_ds, num_partitions: int | None = None, max_iters: in
             }
         )
 
-    # every materialize below is preceded by a repartition: the upstream
-    # sparse groupbys / joins leave MIXED block schemas (schema-less empties;
-    # Ray 2.49 logs "RefBundle with a different schema"), and a hash-join
-    # aggregator fed such blocks fails pyarrow FieldRef resolution — the same
-    # normalization `_attach_sketches` applies between its chained joins.
-    # All four datasets are pair-graph-sized, so the extra pass is noise.
-    edges = (
-        edges_fwd.map_batches(both_dirs, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .materialize()
-    )
+    edges = edges_fwd.map_batches(both_dirs, batch_format="pyarrow").materialize()
     if edges.count() == 0:
-        import ray
-
-        return ray.data.from_arrow(
-            pa.table(
-                {"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())}
-            )
-        )
+        return dataflow.typed_empty({"node": pa.int64(), "label": pa.int64()})
+    # every round's joins reuse edges and labels: uniform once, here
+    edges = dataflow.uniform(edges, num_partitions)
 
     def init_labels(batch: pa.Table) -> pa.Table:
         return pa.table({"node": batch["src"], "label": batch["src"]})
@@ -1545,14 +1455,13 @@ def dedup_clusters_ds(pairs_ds, num_partitions: int | None = None, max_iters: in
             ),
             batch_format="pyarrow",
         )
-        .repartition(num_partitions)
-        .materialize()
     )
+    labels = dataflow.uniform(labels, num_partitions)
 
     for _ in range(max_iters):
         # neighbor-label candidates: label(dst) proposed to src
-        prop = edges.join(
-            labels, "inner", num_partitions, on=("dst",), right_on=("node",)
+        prop = dataflow.join(
+            edges, labels, "inner", "dst", num_partitions, right_on="node"
         )
 
         def as_node_label(batch: pa.Table) -> pa.Table:
@@ -1574,18 +1483,18 @@ def dedup_clusters_ds(pairs_ds, num_partitions: int | None = None, max_iters: in
                 ),
                 batch_format="pyarrow",
             )
-            .repartition(num_partitions)
-            .materialize()
         )
+        cand = dataflow.uniform(cand, num_partitions)  # joined twice below
 
         # pointer jumping: attach each node's label's OWN label (labels are
         # always existing node ids, so the inner self-join is total)
-        jumped = cand.join(
+        jumped = dataflow.join(
+            cand,
             cand,
             "inner",
+            "label",
             num_partitions,
-            on=("label",),
-            right_on=("node",),
+            right_on="node",
             left_suffix="_x",
             right_suffix="_p",
         )
@@ -1600,18 +1509,17 @@ def dedup_clusters_ds(pairs_ds, num_partitions: int | None = None, max_iters: in
                 }
             )
 
-        cand = (
-            jumped.map_batches(jump_min, batch_format="pyarrow")
-            .repartition(num_partitions)
-            .materialize()
-        )
+        cand = dataflow.uniform(
+            jumped.map_batches(jump_min, batch_format="pyarrow"), num_partitions
+        )  # the next round's labels
 
         # convergence: any node whose label shrank this round?
-        changed_ds = cand.join(
+        changed_ds = dataflow.join(
+            cand,
             labels,
             "inner",
+            "node",
             num_partitions,
-            on=("node",),
             left_suffix="_new",
             right_suffix="_old",
         )
@@ -1663,10 +1571,7 @@ def dedup_corpus_ds(ds, pairs_ds, id_col: str = "doc_id", num_partitions: int | 
             return dedup_corpus(
                 ds, pa.concat_tables(blocks).combine_chunks(), id_col=id_col
             )
-    num_partitions = _join_partitions(num_partitions)
     labels = dedup_clusters_ds(pairs_ds, num_partitions=num_partitions)
-    if labels.count() == 0:  # no pairs → nothing to drop (and the anti-join
-        return ds  # would fail on the schema-less empty right side)
 
     def drops_only(batch: pa.Table) -> pa.Table:
         keep = (
@@ -1675,11 +1580,9 @@ def dedup_corpus_ds(ds, pairs_ds, id_col: str = "doc_id", num_partitions: int | 
         )
         return pa.table({"node": batch["node"].filter(pa.array(keep))})
 
-    drops = labels.map_batches(drops_only, batch_format="pyarrow").materialize()
-    if drops.count() == 0:  # e.g. only self-pairs → schema-less empty side
-        return ds
-    return ds.join(
-        drops, "left_anti", num_partitions, on=(id_col,), right_on=("node",)
+    drops = labels.map_batches(drops_only, batch_format="pyarrow")
+    return dataflow.join(
+        ds, drops, "left_anti", id_col, num_partitions, right_on="node", stream="left"
     )
 
 
@@ -1790,12 +1693,13 @@ def dedup_against(
         )
         return pa.table({"__h": pa.array(hexes, pa.string())})
 
-    num_partitions = _join_partitions(num_partitions)
     hashed = corpus_ds.map_batches(add_hash, batch_format="pyarrow")
     ref = reference_ds.select_columns([ref_text_col]).map_batches(
         ref_hashes, batch_format="pyarrow"
     )
-    joined = hashed.join(ref, "left_anti", num_partitions, on=("__h",))
+    joined = dataflow.join(
+        hashed, ref, "left_anti", "__h", num_partitions, stream="left"
+    )
     return joined.map_batches(
         lambda t: t.drop_columns(["__h"]), batch_format="pyarrow"
     )
@@ -1831,7 +1735,7 @@ def dedup_lines(
 
     B = np.int64(1 << pos_bits)
     _BLANK = " \t\r\x0b\x0c"
-    num_slices = _default_num_slices(mult=8, floor=64)
+    num_slices = dataflow.num_slices(mult=8, floor=64)
 
     def line_rows(batch: pa.Table) -> pa.Table:
         # one Arrow split for the batch; md5 once per DISTINCT line via
@@ -1882,7 +1786,7 @@ def dedup_lines(
             {
                 "h": pa.array(h),
                 "pos": pa.array(pos),
-                "slice": pa.array((h % num_slices).astype(np.int32)),
+                "slice": pa.array(dataflow.slice_of(num_slices, h)),
             }
         )
 
@@ -1901,8 +1805,10 @@ def dedup_lines(
         )
 
     winners = lines.groupby("slice").map_groups(slice_min, batch_format="pyarrow")
-    k = _join_partitions(num_partitions, chained=False)
-    joined = lines.drop_columns(["slice"]).join(winners, "inner", k, on=("h",))
+    joined = dataflow.join(
+        lines.drop_columns(["slice"]), winners, "inner", "h", num_partitions,
+        chained=False, stream="left",
+    )
 
     def losers(batch: pa.Table) -> pa.Table:
         p = batch["pos"].to_numpy(zero_copy_only=False)
@@ -1914,12 +1820,6 @@ def dedup_lines(
                 id_col: pa.array((p >> pos_bits).astype(np.int64)),
                 "line_no": pa.array((p & (int(B) - 1)).astype(np.int64)),
             }
-        )
-
-    def add_doc_slice(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "slice", pa.array((ids % num_slices).astype(np.int32))
         )
 
     def collect_slice(group: pa.Table) -> pa.Table:
@@ -1958,17 +1858,12 @@ def dedup_lines(
 
     loser_lists = (
         joined.map_batches(losers, batch_format="pyarrow")
-        .map_batches(add_doc_slice, batch_format="pyarrow")
+        .map_batches(dataflow.add_slice(id_col, num_slices), batch_format="pyarrow")
         .groupby("slice")
         .map_groups(
             lambda g: collect_slice(g.drop_columns(["slice"])),
             batch_format="pyarrow",
         )
-        # sparse groupby → schema-less empty blocks → pyarrow FieldRef crash
-        # in the rebuild join's aggregators (Ray 2.49; surfaced on tiny
-        # corpora) — normalize like _attach_sketches / dedup_clusters_ds.
-        # Loser lists are duplicate-sized, so the extra pass is noise.
-        .repartition(k)
         .materialize()
     )
 
@@ -1985,8 +1880,9 @@ def dedup_lines(
             passthrough, batch_format="pyarrow"
         )
 
-    cleaned = ds.select_columns([id_col, text_col]).join(
-        loser_lists, "left_outer", k, on=(id_col,)
+    cleaned = dataflow.join(
+        ds.select_columns([id_col, text_col]), loser_lists, "left_outer", id_col,
+        num_partitions, chained=False, stream="left",
     )
 
     def rebuild(batch: pa.Table) -> pa.Table:
@@ -2046,7 +1942,6 @@ def dedup_against_minhash(
     ids are routinely negative when viewed as int64): the two sides are
     kept in separate sketch tables and separated by an explicit ``src``
     column rather than a packed key bit, so no id bits are ever lost."""
-    import ray
     from ray.data.aggregate import Count, Max
 
     from ..analyzer import _word_splitter
@@ -2120,14 +2015,7 @@ def dedup_against_minhash(
     n_sigs = corpus_sigs.count() + ref_sigs.count()
     n_slices = int(min(65536, max(64, (n_sigs * bands) // 2_000_000)))
 
-    def add_slice(batch: pa.Table) -> pa.Table:
-        bk = batch["bucket"].to_numpy(zero_copy_only=False)
-        bd = batch["band"].to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            sl = (bk.view(np.uint64) ^ (bd.view(np.uint64) * _MIX1)) * _MIX2
-        return batch.append_column(
-            "slice", pa.array((sl % np.uint64(n_slices)).astype(np.int32))
-        )
+    add_slice = dataflow.add_slice(("bucket", "band"), n_slices)
 
     def cross_pairs_in_slice(group: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -2222,16 +2110,11 @@ def dedup_against_minhash(
     def rename(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(["doc_id", "n_near", "max_jaccard"])
 
-    parts = _join_partitions(num_partitions, chained=True)
-    agg = (
-        agg.map_batches(rename, batch_format="pyarrow")
-        .repartition(parts)
-        .materialize()
-    )
+    agg = agg.map_batches(rename, batch_format="pyarrow").materialize()
     if agg.count() == 0:  # candidates existed but none verified
         return tot_ds.map_batches(zeros, batch_format="pyarrow")
-    out = tot_ds.join(
-        agg, "left_outer", parts, on=("doc_id",), right_on=("doc_id",)
+    out = dataflow.join(
+        tot_ds, agg, "left_outer", "doc_id", num_partitions, stream="left"
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -2372,7 +2255,7 @@ def corpus_overlap(
     import pandas as pd
 
     if num_slices is None:
-        num_slices = _default_num_slices(mult=8, floor=64)
+        num_slices = dataflow.num_slices(mult=8, floor=64)
 
     def emit(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
@@ -2396,7 +2279,7 @@ def corpus_overlap(
         keep[1:] = (gi[1:] != gi[:-1]) | (hh[1:] != hh[:-1])
         gi, hh = gi[keep], hh[keep]
         gvals = pa.array(uniq, pa.string()).take(pa.array(gi))
-        sl = ((hh * _MIX2) % np.uint64(num_slices)).astype(np.int32)
+        sl = dataflow.slice_of(num_slices, hh)
         return pa.table({"g": gvals, "h": pa.array(hh, pa.uint64()), "slice": pa.array(sl)})
 
     def slice_counts(tbl: pa.Table) -> pa.Table:
@@ -2519,8 +2402,7 @@ def snapshot_diff(
     vectorized (lexsort + run boundaries). One all-to-all of ~24-byte rows
     total."""
     if num_slices is None:
-        num_slices = _default_num_slices()
-    mix = _MIX1
+        num_slices = dataflow.num_slices()
 
     def digest_side(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -2528,7 +2410,7 @@ def snapshot_diff(
             dg = _text_digests(batch[text_col].to_pylist())
             lo = dg["a"].copy() if len(dg) else np.empty(0, np.uint64)
             hi = dg["b"].copy() if len(dg) else np.empty(0, np.uint64)
-            sl = ((ids.view(np.uint64) * mix) % np.uint64(num_slices)).astype(np.int32)
+            sl = dataflow.slice_of(num_slices, ids)
             return pa.table(
                 {
                     "k": pa.array(ids),
@@ -2702,10 +2584,7 @@ def jaccard_prefix_pairs(
     Jaccard. Rare-first ordering keeps buckets small on natural corpora;
     unlike the LSH path there is no bucket cap — losslessness is the
     contract."""
-    import ray.data
-
-    flat_parts = _join_partitions(num_partitions, chained=False)
-    num_slices = _default_num_slices(mult=8, floor=64)
+    num_slices = dataflow.num_slices(mult=8, floor=64)
 
     def sketch(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
@@ -2755,13 +2634,7 @@ def jaccard_prefix_pairs(
     flat = sketches.map_batches(explode, batch_format="pyarrow")
 
     # ② shared-shingle df (df ≥ 2 only) via coarse hash slices
-    def sh_slice(batch: pa.Table) -> pa.Table:
-        h = batch["shingle"].to_numpy(zero_copy_only=False).view(np.uint64)
-        with np.errstate(over="ignore"):
-            sl = ((h * _MIX1) % np.uint64(num_slices)).astype(np.int32)
-        return pa.table(
-            {"shingle": batch["shingle"], "slice": pa.array(sl)}
-        )
+    sh_slice = dataflow.add_slice("shingle", num_slices)
 
     def df_slice(g: pa.Table) -> pa.Table:
         h = g["shingle"].to_numpy(zero_copy_only=False)
@@ -2775,25 +2648,23 @@ def jaccard_prefix_pairs(
         )
 
     shared_df = (
-        flat.map_batches(sh_slice, batch_format="pyarrow")
+        flat.select_columns(["shingle"])
+        .map_batches(sh_slice, batch_format="pyarrow")
         .groupby("slice")
         .map_groups(df_slice, batch_format="pyarrow")
         .materialize()
     )
     if shared_df.count() == 0:
-        return ray.data.from_arrow(_empty_jaccard_pairs())
+        return dataflow.typed_empty(_JACCARD_PAIRS)
 
     # ③ attach df to the flat stream (inner join drops unshareable rows)
-    shared_flat = flat.join(
-        shared_df, "inner", flat_parts, on=("shingle",)
+    shared_flat = dataflow.join(
+        flat, shared_df, "inner", "shingle", num_partitions, chained=False,
+        stream="left",
     )
 
     # ④ per-doc prefix selection (doc-slice groupby, one lexsort per slice)
-    def doc_slice(batch: pa.Table) -> pa.Table:
-        d = batch["doc_id"].to_numpy(zero_copy_only=False).view(np.uint64)
-        with np.errstate(over="ignore"):
-            sl = ((d * _MIX2) % np.uint64(num_slices)).astype(np.int32)
-        return batch.append_column("slice", pa.array(sl))
+    doc_slice = dataflow.add_slice("doc_id", num_slices)
 
     def prefix_slice(g: pa.Table) -> pa.Table:
         d = g["doc_id"].to_numpy(zero_copy_only=False)
@@ -2878,7 +2749,7 @@ def jaccard_prefix_pairs(
         )
 
     cand = (
-        prefixes.map_batches(sh_slice_keyed, batch_format="pyarrow")
+        prefixes.map_batches(sh_slice, batch_format="pyarrow")
         .groupby("slice")
         .map_groups(cand_slice, batch_format="pyarrow")
     )
@@ -2886,7 +2757,7 @@ def jaccard_prefix_pairs(
     # ⑥ exact verify
     joined = _verify_pairs(cand, sketches, num_partitions)
     if joined is None:
-        return ray.data.from_arrow(_empty_jaccard_pairs())
+        return dataflow.typed_empty(_JACCARD_PAIRS)
 
     def score(batch: pa.Table) -> pa.Table:
         oa, ob, oj = [], [], []
@@ -2916,24 +2787,7 @@ def jaccard_prefix_pairs(
     return joined.map_batches(score, batch_format="pyarrow")
 
 
-def _empty_jaccard_pairs() -> pa.Table:
-    return pa.table(
-        {
-            "id_a": pa.array([], pa.int64()),
-            "id_b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64()),
-        }
-    )
-
-
-def sh_slice_keyed(batch: pa.Table) -> pa.Table:
-    """Append a coarse shingle-hash slice, keeping the other columns (the
-    prefix-candidate stage needs doc_id/sz to ride along)."""
-    num_slices = _default_num_slices(mult=8, floor=64)
-    h = batch["shingle"].to_numpy(zero_copy_only=False).view(np.uint64)
-    with np.errstate(over="ignore"):
-        sl = ((h * _MIX1) % np.uint64(num_slices)).astype(np.int32)
-    return batch.append_column("slice", pa.array(sl))
+_JACCARD_PAIRS = {"id_a": pa.int64(), "id_b": pa.int64(), "jaccard": pa.float64()}
 
 
 def jaccard_join(
@@ -3036,10 +2890,8 @@ def doc_novelty(
 
     Output: ``(doc_id, n_shingles, n_shared, novelty)``.
     """
-    import ray.data
-
-    flat_parts = _join_partitions(num_partitions, chained=False)
-    num_slices = _default_num_slices(mult=8, floor=64)
+    num_slices = dataflow.num_slices(mult=8, floor=64)  # shingle slices
+    doc_slices = dataflow.num_slices()
 
     def sketch(batch: pa.Table) -> pa.Table:
         # ONE shingling pass: compact (doc, packed hashes, count) sketches
@@ -3091,12 +2943,6 @@ def doc_novelty(
         lambda b: b.select(["doc_id", "ns"]), batch_format="pyarrow"
     )
 
-    def sh_slice(batch: pa.Table) -> pa.Table:
-        h = batch["shingle"].to_numpy(zero_copy_only=False).view(np.uint64)
-        with np.errstate(over="ignore"):
-            sl = ((h * _MIX1) % np.uint64(num_slices)).astype(np.int32)
-        return pa.table({"shingle": batch["shingle"], "slice": pa.array(sl)})
-
     def df_slice(g: pa.Table) -> pa.Table:
         h = g["shingle"].to_numpy(zero_copy_only=False)
         vals, counts = np.unique(h, return_counts=True)
@@ -3104,7 +2950,8 @@ def doc_novelty(
         return pa.table({"shingle": pa.array(vals[keep], pa.int64())})
 
     shared_df = (
-        flat.map_batches(sh_slice, batch_format="pyarrow")
+        flat.select_columns(["shingle"])
+        .map_batches(dataflow.add_slice("shingle", num_slices), batch_format="pyarrow")
         .groupby("slice")
         .map_groups(df_slice, batch_format="pyarrow")
         .materialize()
@@ -3113,11 +2960,10 @@ def doc_novelty(
     if shared_df.count() == 0:
         shared_counts = None
     else:
-        # sparse groupby output carries schema-LESS empty blocks that crash
-        # the Ray 2.49 hash-join FieldRef resolution — repartition +
-        # materialize normalizes the small side (the _attach_sketches fix)
-        shared_df = shared_df.repartition(flat_parts).materialize()
-        joined = flat.join(shared_df, "inner", flat_parts, on=("shingle",))
+        joined = dataflow.join(
+            flat, shared_df, "inner", "shingle", num_partitions, chained=False,
+            stream="left",
+        )
 
         def doc_count(batch: pa.Table) -> pa.Table:
             d = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -3130,8 +2976,6 @@ def doc_novelty(
             )
 
         shared_counts = joined.map_batches(doc_count, batch_format="pyarrow")
-
-    from .windows import _add_key_slice
 
     def tag(kind: int, val_col: str):
         def fn(batch: pa.Table) -> pa.Table:
@@ -3190,7 +3034,9 @@ def doc_novelty(
         )
 
     return (
-        unioned.map_batches(_add_key_slice("doc_id"), batch_format="pyarrow")
+        unioned.map_batches(
+            dataflow.add_slice("doc_id", doc_slices), batch_format="pyarrow"
+        )
         .groupby("slice")
         .map_groups(finish, batch_format="pyarrow")
     )
@@ -3255,38 +3101,3 @@ def cluster_size_histogram(
             }
         )
     )
-
-
-def _slice_hash_strings(arr, num_slices: int) -> np.ndarray:
-    """Vectorized coarse-slice assignment for a STRING array: one
-    polynomial byte hash per value (uint64 wraparound) via a single
-    ``np.add.reduceat`` over the Arrow data buffer — no Python per-value
-    hashing (the round-4 "per-row Python md5" class). Distribution-
-    quality only: slice ids are NOT a cross-engine contract hash (use
-    ``_md5_u64`` for anything an oracle recomputes)."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    n = len(arr)
-    out_empty = np.zeros(n, dtype=np.int32)
-    if n == 0:
-        return out_empty
-    a = arr.cast(pa.large_string())
-    buf_off = np.frombuffer(a.buffers()[1], dtype=np.int64)[
-        a.offset : a.offset + n + 1
-    ]
-    data = np.frombuffer(a.buffers()[2], dtype=np.uint8)
-    starts = buf_off[:-1] - buf_off[0]
-    lens = np.diff(buf_off)
-    total = int(buf_off[-1] - buf_off[0])
-    if total == 0:
-        return out_empty
-    flat = data[buf_off[0] : buf_off[-1]].astype(np.uint64)
-    rel = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-    with np.errstate(over="ignore"):
-        pows = _MIX1 ** np.arange(int(lens.max()), dtype=np.uint64)
-        contrib = flat * pows[rel]
-        seg = np.minimum(starts, total - 1)  # trailing empties: clip,
-        sums = np.add.reduceat(contrib, seg)  # then overwrite below
-        sums[lens == 0] = np.uint64(0)
-        h = (sums * _MIX2) ^ (lens.astype(np.uint64) * _MIX1)
-    return (h % np.uint64(num_slices)).astype(np.int32)

@@ -28,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
+
 __all__ = ["entity_cooccurrence"]
 
 
@@ -47,10 +49,8 @@ def entity_cooccurrence(
     ORDER BY entity)``)."""
     import pyarrow.compute as pc
 
-    from .dedup import _default_num_slices, _md5_u64
-
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     def pairs(batch: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -123,16 +123,7 @@ def entity_cooccurrence(
             }
         )
 
-    def add_pair_slice(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("slice", pa.array([], pa.int32()))
-        a = batch["ent_a"].to_pylist()
-        b = batch["ent_b"].to_pylist()
-        sl = np.asarray(
-            [_md5_u64(x + "\x00" + y) % num_slices for x, y in zip(a, b)],
-            dtype=np.int32,
-        )
-        return batch.append_column("slice", pa.array(sl))
+    add_pair_slice = dataflow.add_slice(("ent_a", "ent_b"), num_slices)
 
     def final(group: pa.Table) -> pa.Table:
         t = group.drop_columns(["slice"])

@@ -43,13 +43,14 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from .dedup import _MIX1, _MIX2, _default_num_slices, _hash64, _md5_u64
+from . import dataflow
+from .dedup import _hash64
 
 
 def _distinct_keys(ds, col: str):
     """Distinct non-empty values of ``col`` — local per-batch distinct
-    first, then one coarse md5-slice groupby (values are ~unique keys)."""
-    num_slices = _default_num_slices(mult=8, floor=64)
+    first, then one coarse slice groupby (values are ~unique keys)."""
+    num_slices = dataflow.num_slices(mult=8, floor=64)
 
     def local(batch: pa.Table) -> pa.Table:
         t = batch.select([col]).rename_columns(["w"])
@@ -58,10 +59,7 @@ def _distinct_keys(ds, col: str):
         ws = t["w"].to_pylist()
         keep = pa.array([i for i, w in enumerate(ws) if w], pa.int64())
         t = t.take(keep)
-        sl = np.asarray(
-            [_md5_u64(w) % num_slices for w in t["w"].to_pylist()], dtype=np.int32
-        )
-        return t.append_column("slice", pa.array(sl))
+        return t.append_column("slice", pa.array(dataflow.slice_of(num_slices, t["w"])))
 
     def per_slice(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:  # Ray 2.49 can emit schema-less empty groups
@@ -156,7 +154,7 @@ def fuzzy_pairs(
     """
     if max_dist not in (1, 2):
         raise ValueError("fuzzy_pairs supports max_dist 1 or 2")
-    num_slices = _default_num_slices(mult=8, floor=64)
+    num_slices = dataflow.num_slices(mult=8, floor=64)
 
     keys = _distinct_keys(ds, col)
 
@@ -171,7 +169,7 @@ def fuzzy_pairs(
             {
                 "h": pa.array(h.view(np.int64)),
                 "w": pa.array(ws, pa.string()),
-                "slice": pa.array((h % np.uint64(num_slices)).view(np.int64).astype(np.int32)),
+                "slice": pa.array(dataflow.slice_of(num_slices, h)),
             }
         )
 
@@ -222,18 +220,7 @@ def fuzzy_pairs(
         .map_groups(pairs_in_slice, batch_format="pyarrow")
     )
 
-    def add_pair_slice(batch: pa.Table) -> pa.Table:
-        a = np.asarray(
-            [_hash64(w) for w in batch["word_a"].to_pylist()], dtype=np.uint64
-        )
-        b = np.asarray(
-            [_hash64(w) for w in batch["word_b"].to_pylist()], dtype=np.uint64
-        )
-        with np.errstate(over="ignore"):
-            h = (a * _MIX1) ^ (b * _MIX2)
-        return batch.append_column(
-            "slice", pa.array((h % np.uint64(num_slices)).astype(np.int32))
-        )
+    add_pair_slice = dataflow.add_slice(("word_a", "word_b"), num_slices)
 
     def verify_slice(group: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -289,8 +276,6 @@ def fuzzy_key_clusters(
     canonical = per-label min word via one label-slice groupby; two
     key-scale hash joins map words → labels → canonicals.
     """
-    import ray
-
     from .dedup import dedup_clusters_ds
 
     keys = _distinct_keys(ds, col)
@@ -321,9 +306,7 @@ def fuzzy_key_clusters(
             }
         )
 
-    id_pairs = pairs.map_batches(pair_ids, batch_format="pyarrow")
-    id_pairs = id_pairs.repartition(4).materialize()  # normalize empty blocks
-    words = words.repartition(4).materialize()
+    id_pairs = pairs.map_batches(pair_ids, batch_format="pyarrow").materialize()
     if id_pairs.count() == 0:
         # no fuzzy neighbors anywhere: every key is its own canonical
         def identity(batch: pa.Table) -> pa.Table:
@@ -332,12 +315,10 @@ def fuzzy_key_clusters(
         return words.map_batches(identity, batch_format="pyarrow")
 
     labels = dedup_clusters_ds(id_pairs, num_partitions=num_partitions)
-    labels = labels.repartition(4).materialize()
 
     # words ⟕ labels: keys absent from every pair keep their own node label
-    joined = words.join(
-        labels, "left_outer", _num_join_partitions(num_partitions), on=("node",)
-    )
+    joined = dataflow.join(words, labels, "left_outer", "node", num_partitions)
+    num_slices = dataflow.num_slices()
 
     def fill_label(batch: pa.Table) -> pa.Table:
         node = batch["node"].to_numpy(zero_copy_only=False)
@@ -345,18 +326,15 @@ def fuzzy_key_clusters(
             [n if v is None else v for v, n in zip(batch["label"].to_pylist(), node)],
             dtype=np.int64,
         )
-        num_slices = _default_num_slices()
         return pa.table(
             {
                 "word": batch["w"],
                 "label": pa.array(lab.astype(np.int64)),
-                "slice": pa.array(
-                    (lab.view(np.uint64) % np.uint64(num_slices)).astype(np.int32)
-                ),
+                "slice": pa.array(dataflow.slice_of(num_slices, lab)),
             }
         )
 
-    wl = joined.map_batches(fill_label, batch_format="pyarrow")
+    wl = joined.map_batches(fill_label, batch_format="pyarrow").materialize()
 
     def canon_in_slice(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -375,25 +353,15 @@ def fuzzy_key_clusters(
             }
         )
 
-    canon = (
-        wl.groupby("slice")
-        .map_groups(canon_in_slice, batch_format="pyarrow")
-        .repartition(4)
-        .materialize()
+    canon = wl.groupby("slice").map_groups(canon_in_slice, batch_format="pyarrow")
+    out = dataflow.join(
+        wl.drop_columns(["slice"]), canon, "inner", "label", num_partitions
     )
-    wl2 = wl.drop_columns(["slice"]).repartition(4).materialize()
-    out = wl2.join(canon, "inner", _num_join_partitions(num_partitions), on=("label",))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({"word": batch["word"], "canonical": batch["canonical"]})
 
     return out.map_batches(project, batch_format="pyarrow")
-
-
-def _num_join_partitions(requested: int | None) -> int:
-    from .dedup import _join_partitions
-
-    return _join_partitions(requested)
 
 
 def jaro_winkler_pairs(
@@ -411,7 +379,7 @@ def jaro_winkler_pairs(
     probed over adversarial pairs — so the threshold filter and the
     rounded score are both hash-checkable.
 
-    Scale shape: one global sort (ops.ranking._sorted_block_offsets), then
+    Scale shape: one global sort (ops.dataflow.sorted_blocks), then
     each sorted block pairs itself with only the ``window`` straddling
     rows shipped from its predecessors (O(blocks·window) driver rows —
     the sorted_neighborhood_pairs plan with the key strings riding

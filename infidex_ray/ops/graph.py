@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .dedup import _MIX1, _MIX2, _join_partitions, round_half_up4_arr
+from . import dataflow
+from .dedup import round_half_up4_arr
 
 __all__ = [
     "graph_nodes",
@@ -71,20 +72,18 @@ def pagerank(
     one dst-keyed ``groupby().sum`` of contributions, one ``left_outer``
     join back onto the node set — rank state is a materialized Dataset, the
     driver never sees a per-node row. Join parallelism follows
-    :func:`infidex_ray.ops.dedup._join_partitions` (pass ``num_partitions``
+    :func:`infidex_ray.ops.dataflow.join_partitions` (pass ``num_partitions``
     explicitly for billion-edge graphs).
     """
-    num_partitions = _join_partitions(num_partitions)
     nodes = graph_nodes(edges_ds, src_col, dst_col).materialize()
     n = float(nodes.count())
     if n == 0:
-        return nodes.map_batches(
-            lambda t: pa.table(
-                {"node": pa.array([], pa.int64()), "rank": pa.array([], pa.float64())}
-            ),
-            batch_format="pyarrow",
-        )
+        return dataflow.typed_empty({"node": pa.int64(), "rank": pa.float64()})
     base = (1.0 - damping) / n
+    num_partitions = dataflow.join_partitions(num_partitions)
+    # every iteration's joins reuse the node set and the edge list:
+    # uniform once, here
+    nodes = dataflow.uniform(nodes, num_partitions)
 
     outdeg = edges_ds.groupby(src_col).count()
 
@@ -94,12 +93,17 @@ def pagerank(
             {src_col: t[src_col], "od": t[c].cast(pa.float64())}
         )
 
-    edges_od = edges_ds.join(
-        outdeg.map_batches(od_rename, batch_format="pyarrow"),
-        "inner",
+    edges_od = dataflow.uniform(
+        dataflow.join(
+            edges_ds,
+            outdeg.map_batches(od_rename, batch_format="pyarrow"),
+            "inner",
+            src_col,
+            num_partitions,
+            stream="left",
+        ),
         num_partitions,
-        on=(src_col,),
-    ).materialize()
+    )
 
     def init_r(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -109,8 +113,8 @@ def pagerank(
     ranks = nodes.map_batches(init_r, batch_format="pyarrow").materialize()
 
     for _ in range(num_iters):
-        joined = edges_od.join(
-            ranks, "inner", num_partitions, on=(src_col,), right_on=("node",)
+        joined = dataflow.join(
+            edges_od, ranks, "inner", src_col, num_partitions, right_on="node"
         )
 
         def contrib(t: pa.Table) -> pa.Table:
@@ -128,11 +132,12 @@ def pagerank(
             c = "sum(c)" if "sum(c)" in t.column_names else "c"
             return pa.table({"node": t["node"], "c": t[c]})
 
-        merged = nodes.join(
+        merged = dataflow.join(
+            nodes,
             contribs.map_batches(c_rename, batch_format="pyarrow"),
             "left_outer",
+            "node",
             num_partitions,
-            on=("node",),
         )
 
         def update(t: pa.Table) -> pa.Table:
@@ -196,13 +201,11 @@ def connected_components(
                 if t.num_rows
             ]
             if not blocks:
-                return ray.data.from_arrow(
-                    pa.table(
-                        {
-                            "node": pa.array([], pa.int64()),
-                            "component": pa.array([], pa.int64()),
-                        }
-                    )
+                return dataflow.typed_empty(
+                    {
+                        "node": pa.int64(),
+                        "component": pa.int64(),
+                    }
                 )
             labels = dedup_clusters(pa.concat_tables(blocks).combine_chunks())
             nodes = sorted(labels)
@@ -224,20 +227,10 @@ def connected_components(
     return out.map_batches(comp_rename, batch_format="pyarrow")
 
 
-def _pair_slice_vec(x: np.ndarray, y: np.ndarray, num_slices: int) -> np.ndarray:
-    """Vectorized coarse slice of an int64 pair — one uint64 multiply-mix
-    per side (the dedup-module _MIX family), replacing the per-row Python
-    md5 that serialized the canonical-edge / wedge hot paths."""
-    with np.errstate(over="ignore"):
-        h = (x.view(np.uint64) * _MIX1) ^ (y.view(np.uint64) * _MIX2)
-        return ((h * _MIX1) % np.uint64(num_slices)).astype(np.int32)
-
-
 def _canonical_edges(edges_ds, src_col: str, dst_col: str, num_slices: int):
     """Distinct undirected edges as canonical ``(a, b)`` with ``a < b`` —
     per-batch unique partials, one coarse pair-hash slice shuffle, one
     vectorized per-slice dedup (never a per-edge Ray group)."""
-    from .dedup import _md5_u64
 
     def canon(t: pa.Table) -> pa.Table:
         s = t[src_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -246,11 +239,7 @@ def _canonical_edges(edges_ds, src_col: str, dst_col: str, num_slices: int):
         b = np.maximum(s, d)
         keep = a != b  # drop self-loops
         pairs = np.unique(np.stack([a[keep], b[keep]], axis=1), axis=0)
-        sl = _pair_slice_vec(
-            np.ascontiguousarray(pairs[:, 0]),
-            np.ascontiguousarray(pairs[:, 1]),
-            num_slices,
-        )
+        sl = dataflow.slice_of(num_slices, pairs[:, 0], pairs[:, 1])
         return pa.table(
             {
                 "a": pa.array(pairs[:, 0], pa.int64()),
@@ -303,10 +292,8 @@ def triangle_count(
     import ray
 
     from .agg import grouped_agg
-    from .dedup import _default_num_slices, _md5_u64
-
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     edges = _canonical_edges(edges_ds, src_col, dst_col, num_slices).materialize()
 
@@ -324,11 +311,7 @@ def triangle_count(
     ).materialize()
     n_nodes = deg.count()
     if n_nodes == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {"node": pa.array([], pa.int64()), "triangles": pa.array([], pa.int64())}
-            )
-        )
+        return dataflow.typed_empty({"node": pa.int64(), "triangles": pa.int64()})
     if n_nodes > max_broadcast_nodes:
         raise ValueError(
             f"triangle_count: {n_nodes} nodes > max_broadcast_nodes="
@@ -356,10 +339,7 @@ def triangle_count(
         a_first = da <= db
         src = np.where(a_first, a, b)
         dst = np.where(a_first, b, a)
-        with np.errstate(over="ignore"):
-            sl = ((src.view(np.uint64) * _MIX1) % np.uint64(num_slices)).astype(
-                np.int32
-            )
+        sl = dataflow.slice_of(num_slices, src)
         return pa.table(
             {
                 "src": pa.array(src, pa.int64()),
@@ -416,7 +396,7 @@ def triangle_count(
         q = np.concatenate(q_l)
         lo = np.minimum(p, q)
         hi = np.maximum(p, q)
-        sl = _pair_slice_vec(lo, hi, num_slices)
+        sl = dataflow.slice_of(num_slices, lo, hi)
         return pa.table(
             {
                 "apex": pa.array(apex, pa.int64()),
@@ -431,7 +411,7 @@ def triangle_count(
     def tag_edge(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy(zero_copy_only=False)
         b = t["b"].to_numpy(zero_copy_only=False)
-        sl = _pair_slice_vec(np.ascontiguousarray(a), np.ascontiguousarray(b), num_slices)
+        sl = dataflow.slice_of(num_slices, a, b)
         return pa.table(
             {
                 "apex": pa.nulls(len(a), pa.int64()),
@@ -491,8 +471,9 @@ def _half_step(edges_ds, scores, nodes, key_col, other_col, out_col, scale, num_
     """One HITS half-step: gather ``scores`` across edges onto ``key_col``'s
     endpoints (sum of the OTHER endpoint's score), then max-normalize back
     to ``[0, scale]`` in pure int64 arithmetic."""
-    joined = edges_ds.join(
-        scores, "inner", num_partitions, on=(other_col,), right_on=("node",)
+    joined = dataflow.join(
+        edges_ds, scores, "inner", other_col, num_partitions, right_on="node",
+        stream="left",
     )
     val_col = [c for c in scores.schema().names if c != "node"][0]
 
@@ -502,7 +483,7 @@ def _half_step(edges_ds, scores, nodes, key_col, other_col, out_col, scale, num_
     from .agg import grouped_agg
 
     # node keys are ~unique at graph scale — the slice-combiner grouped_agg
-    # (per-block Arrow partials + coarse md5 slices) replaces the per-node
+    # (per-block Arrow partials + coarse hash slices) replaces the per-node
     # Ray groupby (the repo-wide "never groupby a ~unique key" policy);
     # int64 sums are exact either way, so scores are bit-identical
     raw = grouped_agg(
@@ -514,12 +495,7 @@ def _half_step(edges_ds, scores, nodes, key_col, other_col, out_col, scale, num_
     if not mx:
         return _nodes_with_value(nodes, 0, out_col).materialize()
 
-    merged = nodes.join(
-        raw,
-        "left_outer",
-        num_partitions,
-        on=("node",),
-    )
+    merged = dataflow.join(nodes, raw, "left_outer", "node", num_partitions)
 
     def norm(t: pa.Table) -> pa.Table:
         v = t["v"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -560,20 +536,14 @@ def hits_scores(
     """
     if num_iters < 1:
         raise ValueError("hits_scores requires num_iters >= 1")
-    import ray.data
 
-    num_partitions = _join_partitions(num_partitions)
     nodes = graph_nodes(edges_ds, src_col, dst_col).materialize()
     if nodes.count() == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array([], pa.int64()),
-                    "hub": pa.array([], pa.int64()),
-                    "authority": pa.array([], pa.int64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {"node": pa.int64(), "hub": pa.int64(), "authority": pa.int64()}
         )
+    num_partitions = dataflow.join_partitions(num_partitions)
+    nodes = dataflow.uniform(nodes, num_partitions)  # every half-step joins it
     hub = _nodes_with_value(nodes, scale, "h").materialize()
     auth = None
     for _ in range(num_iters):
@@ -586,7 +556,7 @@ def hits_scores(
             edges_ds, auth, nodes, src_col, dst_col, "h", scale, num_partitions
         )
 
-    out = hub.join(auth, "inner", num_partitions, on=("node",))
+    out = dataflow.join(hub, auth, "inner", "node", num_partitions)
     return out.map_batches(
         lambda t: pa.table(
             {"node": t["node"], "hub": t["h"], "authority": t["a"]}
@@ -602,14 +572,11 @@ def _distinct_nodes(ds, num_slices: int | None = None):
     """Distinct ``node`` values via per-batch unique partials + a coarse
     mixed-hash slice groupby (node ids are ~unique keys — never one Ray
     group per node)."""
-    from .dedup import _default_num_slices
-
-    num_slices = num_slices or _default_num_slices()
+    num_slices = num_slices or dataflow.num_slices()
 
     def partial(t: pa.Table) -> pa.Table:
         u = np.unique(t["node"].to_numpy(zero_copy_only=False)).astype(np.int64)
-        with np.errstate(over="ignore"):
-            sl = ((u.view(np.uint64) * _MIX1) % np.uint64(num_slices)).astype(np.int32)
+        sl = dataflow.slice_of(num_slices, u)
         return pa.table({"node": pa.array(u, pa.int64()), "slice": pa.array(sl)})
 
     def dedup_slice(g: pa.Table) -> pa.Table:
@@ -643,9 +610,7 @@ def bfs_levels(
     scalar. The oracle is the recursive-CTE reachability closure with
     ``min(level)``.
     """
-    import ray.data
-
-    num_partitions = _join_partitions(num_partitions)
+    num_partitions = dataflow.join_partitions(num_partitions)
 
     def with_level(ds, lvl: int):
         return ds.map_batches(
@@ -658,40 +623,25 @@ def bfs_levels(
             batch_format="pyarrow",
         )
 
-    # slice-groupby outputs carry schema-less empty blocks that crash the
-    # Ray 2.49 hash-join aggregators (the _attach_sketches lesson) —
-    # normalize every join input with repartition+materialize
-    frontier = (
-        _distinct_nodes(seeds_ds, num_partitions)
-        .repartition(num_partitions)
-        .materialize()
-    )
+    frontier = _distinct_nodes(seeds_ds, num_partitions).materialize()
     visited = with_level(frontier, 0).materialize()
     if frontier.count() == 0:
         return visited
     for lvl in range(1, max_depth + 1):
-        nxt = edges_ds.join(
-            frontier, "inner", num_partitions, on=(src_col,), right_on=("node",)
+        nxt = dataflow.join(
+            edges_ds, frontier, "inner", src_col, num_partitions, right_on="node",
+            stream="left",
         )
-        ring = (
-            _distinct_nodes(
-                nxt.map_batches(
-                    lambda t: pa.table({"node": t[dst_col].cast(pa.int64())}),
-                    batch_format="pyarrow",
-                ),
-                num_partitions,
-            )
-            .repartition(num_partitions)
-            .materialize()
+        ring = _distinct_nodes(
+            nxt.map_batches(
+                lambda t: pa.table({"node": t[dst_col].cast(pa.int64())}),
+                batch_format="pyarrow",
+            ),
+            num_partitions,
         )
-        if ring.count() == 0:
-            break
-        new = (
-            ring.join(visited.repartition(num_partitions).materialize(),
-                      "left_anti", num_partitions, on=("node",))
-            .repartition(num_partitions)
-            .materialize()
-        )
+        new = dataflow.join(
+            ring, visited, "left_anti", "node", num_partitions
+        ).materialize()
         if new.count() == 0:
             break
         visited = visited.union(with_level(new, lvl)).materialize()
@@ -721,30 +671,16 @@ def k_core(
     Plan per round: degree via :func:`infidex_ray.ops.agg.grouped_agg`
     (per-block Arrow count partials — never one Ray group per ~unique
     node), survivors filtered row-locally, then two ``left_semi`` joins
-    restrict the edge list (normalized with repartition+materialize around
-    the Ray 2.49 empty-block join quirk). Edges and survivor sets stay
+    restrict the edge list (``ops.dataflow.join``). Edges and survivor sets stay
     Dataset-resident; the driver sees only per-round counts."""
-    import ray.data
-
     from .agg import grouped_agg
-    from .dedup import _default_num_slices
 
-    num_partitions = _join_partitions(num_partitions)
-    edges = (
-        _canonical_edges(edges_ds, src_col, dst_col, _default_num_slices())
-        .repartition(num_partitions)
-        .materialize()
-    )
+    edges = _canonical_edges(
+        edges_ds, src_col, dst_col, dataflow.num_slices()
+    ).materialize()
 
     def empty_out():
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array([], pa.int64()),
-                    "degree": pa.array([], pa.int64()),
-                }
-            )
-        )
+        return dataflow.typed_empty({"node": pa.int64(), "degree": pa.int64()})
 
     def endpoints(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy(zero_copy_only=False)
@@ -768,23 +704,14 @@ def k_core(
         surv = (
             deg.filter(lambda r, kk=k: r["degree"] >= kk)
             .select_columns(["node"])
-            .repartition(num_partitions)
             .materialize()
         )
-        if surv.count() == 0:
-            return empty_out()
-        e2 = (
-            edges.join(surv, "left_semi", num_partitions, on=("a",), right_on=("node",))
-            .repartition(num_partitions)
-            .materialize()
+        e2 = dataflow.join(
+            edges, surv, "left_semi", "a", num_partitions, right_on="node"
         )
-        if e2.count() == 0:
-            return empty_out()
-        e2 = (
-            e2.join(surv, "left_semi", num_partitions, on=("b",), right_on=("node",))
-            .repartition(num_partitions)
-            .materialize()
-        )
+        e2 = dataflow.join(
+            e2, surv, "left_semi", "b", num_partitions, right_on="node"
+        ).materialize()
         n2 = e2.count()
         if n2 == 0:
             return empty_out()
@@ -895,13 +822,10 @@ def scc(
             }
         )
 
-    empty = pa.table(
-        {"node": pa.array([], pa.int64()), "scc_id": pa.array([], pa.int64())}
-    )
     edges0 = edges_ds.map_batches(norm, batch_format="pyarrow").materialize()
     n_edges = edges0.count()
     if n_edges == 0:
-        return ray.data.from_arrow(empty)
+        return dataflow.typed_empty({"node": pa.int64(), "scc_id": pa.int64()})
 
     if num_partitions is None and n_edges <= _BROADCAST_VERIFY_MAX_PAIRS:
         blocks = [t for t in ray.get(edges0.to_arrow_refs()) if t.num_rows]
@@ -920,22 +844,22 @@ def scc(
             )
         )
 
-    num_partitions = _join_partitions(num_partitions)
-
-    def _mat(ds):
-        return ds.repartition(num_partitions).materialize()
+    num_partitions = dataflow.join_partitions(num_partitions)
 
     def col_min(t: pa.Table, a: str, out: str) -> pa.Table:
         name = f"min({a})" if f"min({a})" in t.column_names else a
         return pa.table({"node": t["node"], out: t[name]})
 
-    edges = _mat(edges0)
+    def join(left, right, how, on, right_on=None):
+        return dataflow.join(left, right, how, on, num_partitions, right_on=right_on)
+
+    edges = edges0
     done_parts: list = []
     for _round in range(max_rounds):
         if edges.count() == 0:
             break
         # --- forward min-color fixpoint --------------------------------
-        nodes = _mat(_distinct_nodes(
+        nodes = _distinct_nodes(
             edges.map_batches(
                 lambda t: pa.table(
                     {"node": pa.concat_arrays(
@@ -945,38 +869,34 @@ def scc(
                 batch_format="pyarrow",
             ),
             num_partitions,
-        ))
-        colors = _mat(nodes.map_batches(
+        ).materialize()
+        colors = nodes.map_batches(
             lambda t: pa.table({"node": t["node"], "color": t["node"]}),
             batch_format="pyarrow",
-        ))
+        ).materialize()
         for _ in range(max_iters):
-            prop = edges.join(
-                colors, "inner", num_partitions, on=("src",), right_on=("node",)
-            ).map_batches(
+            prop = join(edges, colors, "inner", "src", "node").map_batches(
                 lambda t: pa.table({"node": t["dst"], "color": t["color"]}),
                 batch_format="pyarrow",
             )
             merged = (
-                _mat(colors.union(_mat(prop)))
+                colors.union(prop.materialize())
                 .groupby("node")
                 .min("color")
                 .map_batches(
                     lambda t: col_min(t, "color", "color"),
                     batch_format="pyarrow",
                 )
+                .materialize()
             )
-            merged = _mat(merged)
             # changed-count: one scalar to the driver
-            old = _mat(colors.map_batches(
+            old = colors.map_batches(
                 lambda t: pa.table(
                     {"node": t["node"], "old": t["color"]}
                 ),
                 batch_format="pyarrow",
-            ))
-            diff = merged.join(
-                old, "inner", num_partitions, on=("node",),
-            ).map_batches(
+            )
+            diff = join(merged, old, "inner", "node").map_batches(
                 lambda t: t.filter(
                     pa.compute.not_equal(t["color"], t["old"])
                 ).select(["node"]),
@@ -999,48 +919,41 @@ def scc(
         # edge (u→v) is INTERNAL to a class iff color(u) == color(v);
         # mark(v) starts at pivots (color == node) and flows BACKWARD
         # along internal edges to exactly the pivot's SCC.
-        ec = edges.join(
-            colors, "inner", num_partitions, on=("src",), right_on=("node",)
-        ).map_batches(
+        ec = join(edges, colors, "inner", "src", "node").map_batches(
             lambda t: pa.table(
                 {"src": t["src"], "dst": t["dst"], "c_src": t["color"]}
             ),
             batch_format="pyarrow",
         )
-        cd = _mat(colors.map_batches(
+        cd = colors.map_batches(
             lambda t: pa.table({"node": t["node"], "c_dst": t["color"]}),
             batch_format="pyarrow",
-        ))
-        ec = _mat(ec).join(
-            cd, "inner", num_partitions, on=("dst",), right_on=("node",),
-        ).map_batches(
+        )
+        internal = join(ec, cd, "inner", "dst", "node").map_batches(
             lambda t: t.filter(
                 pa.compute.equal(t["c_src"], t["c_dst"])
             ).select(["src", "dst"]),
             batch_format="pyarrow",
-        )
-        internal = _mat(ec)
-        marked = _mat(colors.map_batches(
+        ).materialize()
+        marked = colors.map_batches(
             lambda t: t.filter(
                 pa.compute.equal(t["node"], t["color"])
             ).select(["node"]),
             batch_format="pyarrow",
-        ))
+        ).materialize()
         frontier = marked
         for _ in range(max_iters):
             if frontier.count() == 0:
                 break
-            nxt = internal.join(
-                frontier, "inner", num_partitions, on=("dst",), right_on=("node",)
-            ).map_batches(
+            nxt = join(internal, frontier, "inner", "dst", "node").map_batches(
                 lambda t: pa.table({"node": t["src"]}),
                 batch_format="pyarrow",
             )
-            nxt = _mat(_distinct_nodes(nxt, num_partitions))
-            new = _mat(nxt.join(marked, "left_anti", num_partitions, on=("node",)))
+            nxt = _distinct_nodes(nxt, num_partitions)
+            new = join(nxt, marked, "left_anti", "node").materialize()
             if new.count() == 0:
                 break
-            marked = _mat(marked.union(new))
+            marked = marked.union(new).materialize()
             frontier = new
         else:
             raise RuntimeError(
@@ -1048,28 +961,16 @@ def scc(
                 f"max_iters={max_iters}; raise max_iters (an SCC has a "
                 "cycle longer than the bound)"
             )
-        settled = _mat(marked.join(
-            colors, "inner", num_partitions, on=("node",),
-        ).map_batches(
+        settled = join(marked, colors, "inner", "node").map_batches(
             lambda t: pa.table({"node": t["node"], "scc_id": t["color"]}),
             batch_format="pyarrow",
-        ))
+        ).materialize()
         done_parts.append(settled)
         # singletons with no internal edges never get marked twice —
         # remove settled nodes and their edges, loop
-        settled_ids = _mat(settled.select_columns(["node"]))
-        edges = _mat(
-            edges.join(settled_ids, "left_anti",
-                       num_partitions, on=("src",), right_on=("node",))
-        )
-        # a fully-empty join result is SCHEMA-LESS in Ray 2.49 — feeding it
-        # to the next join crashes pyarrow FieldRef; stop while typed
-        if edges.count() == 0:
-            break
-        edges = _mat(
-            edges.join(settled_ids, "left_anti",
-                       num_partitions, on=("dst",), right_on=("node",))
-        )
+        settled_ids = settled.select_columns(["node"])
+        edges = join(edges, settled_ids, "left_anti", "src", "node")
+        edges = join(edges, settled_ids, "left_anti", "dst", "node").materialize()
         if edges.count() == 0:
             break
     else:
@@ -1083,10 +984,10 @@ def scc(
     out = done_parts[0]
     for p in done_parts[1:]:
         out = out.union(p)
-    out = _mat(out)
+    out = out.materialize()
     # nodes stranded edge-less after earlier removals never re-enter the
     # loop's node set — they are singleton SCCs of themselves
-    all_nodes = _mat(_distinct_nodes(
+    all_nodes = _distinct_nodes(
         edges0.map_batches(
             lambda t: pa.table(
                 {"node": pa.concat_arrays(
@@ -1096,11 +997,10 @@ def scc(
             batch_format="pyarrow",
         ),
         num_partitions,
-    ))
-    leftover = _mat(
-        all_nodes.join(_mat(out.select_columns(["node"])), "left_anti",
-                       num_partitions, on=("node",))
     )
+    leftover = join(
+        all_nodes, out.select_columns(["node"]), "left_anti", "node"
+    ).materialize()
     if leftover.count() > 0:
         out = out.union(
             leftover.map_batches(
@@ -1108,7 +1008,7 @@ def scc(
                 batch_format="pyarrow",
             )
         )
-    return _mat(out)
+    return out.materialize()
 
 
 def bowtie(
@@ -1132,9 +1032,6 @@ def bowtie(
     attachment). Raises when a BFS frontier is still live at
     ``max_depth`` (reachability would be under-approximated — raise the
     bound instead of silently misclassifying)."""
-    import ray
-    import ray.data
-
     labels = scc(edges_ds, src_col, dst_col, num_partitions).materialize()
     sizes = labels.groupby("scc_id").count()
 
@@ -1149,14 +1046,7 @@ def bowtie(
         .take_all()
     )
     if not top:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array([], pa.int64()),
-                    "region": pa.array([], pa.string()),
-                }
-            )
-        )
+        return dataflow.typed_empty({"node": pa.int64(), "region": pa.string()})
     core_id = int(top[0]["scc_id"])
 
     def core_only(t: pa.Table) -> pa.Table:
@@ -1171,10 +1061,7 @@ def bowtie(
     def rev(t: pa.Table) -> pa.Table:
         return pa.table({src_col: t[dst_col], dst_col: t[src_col]})
 
-    num_partitions = _join_partitions(num_partitions)
-
-    def _mat(ds):
-        return ds.repartition(num_partitions).materialize()
+    num_partitions = dataflow.join_partitions(num_partitions)
 
     def reach_flags(e_ds, flag: str):
         """(node, <flag>=1) Dataset of nodes reachable from the core —
@@ -1191,7 +1078,7 @@ def bowtie(
                 f"bowtie: BFS frontier still live at max_depth={max_depth}; "
                 "raise max_depth"
             )
-        return _mat(lv.map_batches(
+        return lv.map_batches(
             lambda t, fl=flag: pa.table(
                 {
                     "node": t["node"],
@@ -1199,15 +1086,15 @@ def bowtie(
                 }
             ),
             batch_format="pyarrow",
-        ))
+        )
 
     fwd = reach_flags(edges_ds, "f")
     bwd = reach_flags(
         edges_ds.map_batches(rev, batch_format="pyarrow"), "b"
     )
-    weak = _mat(connected_components(
+    weak = connected_components(
         edges_ds, src_col, dst_col, num_partitions
-    ))
+    ).materialize()
     core_weak_rows = weak.filter(
         expr=f"node == {core_id}"
     ).take_all()  # one scalar: the core's weak-component label
@@ -1215,9 +1102,9 @@ def bowtie(
         int(core_weak_rows[0]["component"]) if core_weak_rows else None
     )
 
-    x = _mat(labels).join(fwd, "left_outer", num_partitions, on=("node",))
-    x = _mat(x).join(bwd, "left_outer", num_partitions, on=("node",))
-    x = _mat(x).join(weak, "left_outer", num_partitions, on=("node",))
+    x = labels
+    for side in (fwd, bwd, weak):
+        x = dataflow.join(x, side, "left_outer", "node", num_partitions)
 
     def classify(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1249,7 +1136,7 @@ def bowtie(
             {"node": t["node"], "region": pa.array(region.tolist(), pa.string())}
         )
 
-    return _mat(x).map_batches(classify, batch_format="pyarrow")
+    return x.map_batches(classify, batch_format="pyarrow")
 
 
 def link_prediction(
@@ -1284,10 +1171,8 @@ def link_prediction(
     import ray
 
     from .agg import grouped_agg
-    from .dedup import _default_num_slices
-
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     edges = _canonical_edges(edges_ds, src_col, dst_col, num_slices).materialize()
 
@@ -1339,10 +1224,7 @@ def link_prediction(
         nbr = np.concatenate([b, a])
         keep = dg[np.searchsorted(nd, ctr)] <= max_center_degree
         ctr, nbr = ctr[keep], nbr[keep]
-        with np.errstate(over="ignore"):
-            sl = ((ctr.view(np.uint64) * _MIX1) % np.uint64(num_slices)).astype(
-                np.int32
-            )
+        sl = dataflow.slice_of(num_slices, ctr)
         return pa.table(
             {
                 "ctr": pa.array(ctr, pa.int64()),
@@ -1382,7 +1264,7 @@ def link_prediction(
         q = np.concatenate(q_l)
         lo = np.minimum(p, q)
         hi = np.maximum(p, q)
-        sl = _pair_slice_vec(lo, hi, num_slices)
+        sl = dataflow.slice_of(num_slices, lo, hi)
         return pa.table(
             {
                 "p": pa.array(lo, pa.int64()),
@@ -1395,7 +1277,7 @@ def link_prediction(
     def tag_edge(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy(zero_copy_only=False)
         b = t["b"].to_numpy(zero_copy_only=False)
-        sl = _pair_slice_vec(np.ascontiguousarray(a), np.ascontiguousarray(b), num_slices)
+        sl = dataflow.slice_of(num_slices, a, b)
         return pa.table(
             {
                 "p": pa.array(a, pa.int64()),

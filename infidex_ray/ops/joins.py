@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
 from .windows import _ts_us as _ts_us_arr  # one timestamp-normalization helper
 
 
@@ -282,7 +283,7 @@ def broadcast_join(
     ``how`` ∈ inner / left outer / left semi / left anti (pyarrow join_type
     names; 'left'/'semi'/'anti' accepted as aliases). The small side is
     materialized and must stay under ``max_small_rows`` (raise → use
-    ``Dataset.join`` with the ``_join_partitions`` guard instead). Output
+    ``ops.dataflow.join`` instead). Output
     column order: big-side columns, then non-key small-side columns."""
     import ray
 
@@ -351,8 +352,6 @@ def hash_join(
     heap — raise ``num_slices`` for very large inputs; salt hot keys
     upstream if a single key alone exceeds a worker.
     """
-    from .windows import _add_key_slice
-
     jt = {
         "inner": "inner",
         "left": "left outer",
@@ -405,7 +404,10 @@ def hash_join(
                 list(dict.fromkeys([right_on] + rcols))
             ).map_batches(tag_right, batch_format="pyarrow")
         )
-        .map_batches(_add_key_slice(on, num_slices), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(on, num_slices or dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
     )
 
     def join_group(group: pa.Table) -> pa.Table:
@@ -518,24 +520,16 @@ def neighborhood_fanout(proj, order_cols, window: int, pairs_fn, empty):
     import ray
     import ray.data
 
-    from .ranking import _sorted_block_offsets
-
-    refs, _offsets, _total = _sorted_block_offsets(proj, order_cols)
+    refs, _sizes, _offsets = dataflow.sorted_blocks(proj, order_cols)
     if not refs:
         return ray.data.from_arrow(empty)
 
-    @ray.remote
     def tail(t: pa.Table) -> pa.Table:
         return t.slice(max(0, len(t) - window))
 
-    tails = ray.get([tail.remote(r) for r in refs])
-    remote_pairs = ray.remote(pairs_fn)
-    futures = []
-    for k, r in enumerate(refs):
-        if k == 0:
-            prev = tails[0].slice(0, 0)
-        else:
-            strip = pa.concat_tables(tails[:k])
-            prev = strip.slice(max(0, len(strip) - window))
-        futures.append(remote_pairs.remote(r, prev))
-    return ray.data.from_arrow_refs(futures)
+    tails = ray.get(dataflow.on_blocks(tail, refs))
+    prevs = [tails[0].slice(0, 0)]
+    for k in range(1, len(refs)):
+        strip = pa.concat_tables(tails[:k])
+        prevs.append(strip.slice(max(0, len(strip) - window)))
+    return ray.data.from_arrow_refs(dataflow.on_blocks(pairs_fn, refs, prevs))

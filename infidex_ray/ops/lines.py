@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import _default_num_slices, _md5_u64
+from . import dataflow
 
 __all__ = ["frequent_lines", "drop_frequent_lines"]
 
@@ -82,9 +82,7 @@ def _line_partials(
         vc = pc.value_counts(flat)
         lines = vc.field("values").cast(pa.large_string())
         ns = vc.field("counts").cast(pa.int64())
-    from .dedup import _slice_hash_strings
-
-    sl = _slice_hash_strings(lines, num_slices)
+    sl = dataflow.slice_of(num_slices, lines)
     return pa.table({"line": lines, "n": ns, "slice": pa.array(sl)})
 
 
@@ -110,7 +108,7 @@ def frequent_lines(
     ``skip_blank=True`` exempts whitespace-only lines (:data:`BLANK_CHARS`,
     matching DuckDB ``trim(line, ...)``) from counting entirely."""
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     def mine(group: pa.Table) -> pa.Table:
         agg = group.group_by(["line"]).aggregate([("n", "sum")])

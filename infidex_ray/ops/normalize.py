@@ -25,30 +25,10 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
 from .dedup import round_half_up4_arr
 
 __all__ = ["ntile_bucket", "winsorize", "zscore_cols"]
-
-
-def _sorted_refs_and_sizes(ds, value_col: str, id_col: str):
-    """Global (value, id) sort → (arrow refs, per-block sizes). Skips the
-    schema-less empty blocks Ray 2.49's sort emits."""
-    import ray
-
-    sorted_ds = (
-        ds.select_columns(list(dict.fromkeys([id_col, value_col])))
-        .sort([value_col, id_col])
-        .materialize()
-    )
-    refs = sorted_ds.to_arrow_refs()
-
-    @ray.remote
-    def block_len(t: pa.Table) -> int:
-        return len(t)
-
-    ns = ray.get([block_len.remote(r) for r in refs])
-    keep = [(r, n) for r, n in zip(refs, ns) if n > 0]
-    return [r for r, _ in keep], np.asarray([n for _, n in keep], dtype=np.int64)
 
 
 def ntile_bucket(ds, value_col: str, id_col: str = "doc_id", n: int = 10):
@@ -63,26 +43,19 @@ def ntile_bucket(ds, value_col: str, id_col: str = "doc_id", n: int = 10):
     Returns ``(id_col, value_col, bucket)`` ordered by (value, id);
     buckets are exact integers, bit-identical to the SQL window.
     """
-    import ray
     import ray.data
 
-    refs, ns = _sorted_refs_and_sizes(ds, value_col, id_col)
-    total = int(ns.sum()) if len(ns) else 0
+    refs, ns, offsets = dataflow.sorted_blocks(
+        ds, [value_col, id_col], columns=[id_col, value_col]
+    )
+    total = int(ns.sum())
     if total == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    value_col: pa.array([], pa.float64()),
-                    "bucket": pa.array([], pa.int64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {id_col: pa.int64(), value_col: pa.float64(), "bucket": pa.int64()}
         )
-    offsets = np.concatenate([[0], np.cumsum(ns)[:-1]])
     q, rem = divmod(total, n)
     thresh = rem * (q + 1)
 
-    @ray.remote
     def finalize(t: pa.Table, offset: int) -> pa.Table:
         r = offset + np.arange(len(t), dtype=np.int64)  # 0-based global row
         if q == 0:  # N < n: one row per bucket
@@ -97,32 +70,31 @@ def ntile_bucket(ds, value_col: str, id_col: str = "doc_id", n: int = 10):
             }
         )
 
-    return ray.data.from_arrow_refs(
-        [finalize.remote(r, int(o)) for r, o in zip(refs, offsets)]
-    )
+    return ray.data.from_arrow_refs(dataflow.on_blocks(finalize, refs, offsets))
 
 
-def _quantile_at(refs, ns, value_col: str, p: float):
+def _quantile_at(refs, ns, offsets, value_col: str, p: float):
     """Exact linear-interpolated global quantile (numpy 'linear' ==
     DuckDB ``quantile_cont``) from the sorted blocks: fetch only the two
     straddling rows, never a block's full values."""
     import ray
 
     total = int(ns.sum())
-    offsets = np.concatenate([[0], np.cumsum(ns)[:-1]])
     pos = p * (total - 1)
     lo_i, hi_i = int(math.floor(pos)), int(math.ceil(pos))
     frac = pos - math.floor(pos)
 
-    @ray.remote
     def value_at(t: pa.Table, local: int) -> float:
         return float(t[value_col][local].as_py())
 
-    def fetch(gidx: int):
-        b = int(np.searchsorted(offsets, gidx, side="right") - 1)
-        return value_at.remote(refs[b], gidx - int(offsets[b]))
-
-    v_lo, v_hi = ray.get([fetch(lo_i), fetch(hi_i)])
+    blocks = [int(np.searchsorted(offsets, g, side="right") - 1) for g in (lo_i, hi_i)]
+    v_lo, v_hi = ray.get(
+        dataflow.on_blocks(
+            value_at,
+            [refs[b] for b in blocks],
+            [g - int(offsets[b]) for g, b in zip((lo_i, hi_i), blocks)],
+        )
+    )
     return v_lo + (v_hi - v_lo) * frac
 
 
@@ -146,21 +118,15 @@ def winsorize(
     numpy's ``_lerp`` by 1 ulp (observed: 475096.4305 vs …49999996), so
     the raw clamped value is not bit-stable across engines.
     """
-    refs, ns = _sorted_refs_and_sizes(ds, value_col, id_col)
+    refs, ns, offsets = dataflow.sorted_blocks(
+        ds, [value_col, id_col], columns=[id_col, value_col]
+    )
     if len(refs) == 0:
-        import ray.data
-
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    value_col: pa.array([], pa.float64()),
-                    "winsorized": pa.array([], pa.float64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {id_col: pa.int64(), value_col: pa.float64(), "winsorized": pa.float64()}
         )
-    t_lo = _quantile_at(refs, ns, value_col, lo)
-    t_hi = _quantile_at(refs, ns, value_col, hi)
+    t_lo = _quantile_at(refs, ns, offsets, value_col, lo)
+    t_hi = _quantile_at(refs, ns, offsets, value_col, hi)
 
     def clamp(batch: pa.Table) -> pa.Table:
         v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)

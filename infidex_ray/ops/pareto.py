@@ -29,7 +29,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .windows import _add_key_slice
+from . import dataflow
+
 
 __all__ = ["pareto_frontier"]
 
@@ -103,7 +104,10 @@ def pareto_frontier(
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(_add_key_slice(group_col, num_slices), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(group_col, num_slices or dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(final, batch_format="pyarrow")
     )

@@ -17,54 +17,28 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
+
 __all__ = ["profile_columns", "group_checksum", "constraint_check"]
 
 
-def _exact_distinct(one, col_name: str, num_slices: int | None = None) -> int:
+def _exact_distinct(one, col_name: str, num_slices: int) -> int:
     """Exact distinct (nulls excluded) of one column: per-batch unique
-    partials → ONE coarse md5 value-slice groupby with a vectorized
+    partials → ONE coarse value-slice groupby with a vectorized
     per-slice unique — never a per-value Ray group (Ray 2.49 pays per
     GROUP; a web-scale value domain hits the 29M-key groupby cliff)."""
-    from .dedup import _default_num_slices, _slice_hash_strings
-
-    if num_slices is None:
-        num_slices = _default_num_slices()
 
     def uniq_partial(batch: pa.Table) -> pa.Table:
         v = batch[col_name].drop_null().combine_chunks()
         if pa.types.is_floating(v.type):
             # SQL count(DISTINCT) semantics: -0.0 == 0.0 and every NaN
-            # payload is one NaN — Arrow unique (and the bit mix below)
-            # keeps each apart
+            # payload is one NaN — Arrow unique keeps each apart
             x = v.to_numpy(zero_copy_only=False)
             x = np.where(np.isnan(x), np.nan, x)
             x[x == 0] = 0.0
             v = pa.array(x, v.type)
         v = v.unique()
-        # vectorized slice assignment (balance only — distinctness stays
-        # on the real values): byte hash for strings, multiply-mix for
-        # fixed-width numerics, str() fallback for exotic types
-        if pa.types.is_string(v.type) or pa.types.is_large_string(v.type):
-            sl = _slice_hash_strings(v, num_slices)
-        elif pa.types.is_integer(v.type) or pa.types.is_floating(v.type):
-            from .dedup import _MIX1, _MIX2
-
-            raw = v.to_numpy(zero_copy_only=False)
-            bits = raw.astype(np.float64).view(np.uint64) if pa.types.is_floating(
-                v.type
-            ) else raw.astype(np.int64).view(np.uint64)
-            with np.errstate(over="ignore"):
-                sl = (((bits * _MIX1) ^ _MIX2) % np.uint64(num_slices)).astype(
-                    np.int32
-                )
-        else:
-            from .dedup import _md5_u64
-
-            sl = np.asarray(
-                [_md5_u64(str(x)) % num_slices for x in v.to_pylist()],
-                dtype=np.int32,
-            )
-        return pa.table({"v": v, "slice": pa.array(sl)})
+        return pa.table({"v": v, "slice": pa.array(dataflow.slice_of(num_slices, v))})
 
     def uniq_slice(g: pa.Table) -> pa.Table:
         n = len(g["v"].combine_chunks().unique())
@@ -84,6 +58,7 @@ def profile_columns(ds, columns) -> pa.Table:
     ordered by column name. ``n_distinct`` excludes nulls (SQL
     ``count(DISTINCT col)`` semantics)."""
     rows = []
+    num_slices = dataflow.num_slices()
     for col in sorted(columns):
         one = ds.select_columns([col])
 
@@ -103,7 +78,7 @@ def profile_columns(ds, columns) -> pa.Table:
         n = int(row[0]["sum(n)"]) if row else 0
         n_null = int(row[0]["sum(n_null)"]) if row else 0
 
-        rows.append((col, n, n_null, _exact_distinct(one, col)))
+        rows.append((col, n, n_null, _exact_distinct(one, col, num_slices)))
 
     return pa.table(
         {
@@ -150,7 +125,7 @@ def group_checksum(
     import numpy as np
 
     from .dedup import _md5_u64
-    from .windows import _add_key_slice, _sorted_key_ranks
+    from .windows import _sorted_key_ranks
 
     cols = list(cols)
     mod = 1 << 62
@@ -223,7 +198,10 @@ def group_checksum(
 
     return (
         ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(_add_key_slice(key_col, num_slices), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(key_col, num_slices or dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(final, batch_format="pyarrow")
     )
@@ -247,15 +225,13 @@ def constraint_check(ds, constraints, num_slices: int | None = None):
     name.
 
     Scale: row-local kinds fold per batch into O(1) partials; ``unique``
-    streams per-batch distinct values through a coarse md5 value-slice
+    streams per-batch distinct values through a coarse value-slice
     (never a per-value Ray group) and counts distinct per slice."""
     import pyarrow.compute as pc
     import ray
 
-    from .dedup import _default_num_slices
-
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
     known = {"not_null", "range", "regex", "in_set", "unique"}
     for c in constraints:
         if c["kind"] not in known:

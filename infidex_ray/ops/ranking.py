@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .dedup import _default_num_slices, _md5_u64
+from . import dataflow
 
 __all__ = [
     "rrf_fuse",
@@ -53,7 +53,7 @@ def grouped_percentile_rank(
     ratio semantics clean on both engines — mirror with ``WHERE value IS
     NOT NULL``). Output: ``id_cols + (group_col, value_col, cume_dist)``.
     """
-    from .windows import _add_key_slice, _sorted_key_ranks
+    from .windows import _sorted_key_ranks
 
     id_cols = [id_cols] if isinstance(id_cols, str) else list(id_cols)
     want = list(dict.fromkeys(id_cols + [group_col, value_col]))
@@ -84,7 +84,7 @@ def grouped_percentile_rank(
         cume[order] = cume_sorted
         return t.append_column("cume_dist", pa.array(cume))
 
-    add_slice = _add_key_slice(group_col, num_slices)
+    add_slice = dataflow.add_slice(group_col, num_slices or dataflow.num_slices())
 
     def prep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -99,36 +99,6 @@ def grouped_percentile_rank(
     )
 
 
-def _sorted_block_offsets(ds, order_cols):
-    """Sorted-block prefix machinery for :func:`row_number_global`: ONE
-    global sort (the unavoidable all-to-all), then O(blocks) driver scalars
-    — each block reports only its row count, the driver prefix-sums
-    offsets, and every block finalizes itself independently. Unlike
-    ``ops.normalize._sorted_refs_and_sizes`` (which projects to the two
-    rank columns), this keeps EVERY input column — row numbering decorates
-    the full row. Schema-less empty sort blocks (Ray 2.49) are skipped.
-
-    Returns ``(refs, offsets, total)`` over the non-empty sorted blocks.
-    """
-    import ray
-
-    sorted_ds = ds.sort(list(order_cols)).materialize()
-    refs = sorted_ds.to_arrow_refs()
-
-    @ray.remote
-    def block_len(t: pa.Table) -> int:
-        return len(t)
-
-    ns = ray.get([block_len.remote(r) for r in refs])
-    keep = [(r, n) for r, n in zip(refs, ns) if n > 0]
-    refs = [r for r, _n in keep]
-    ns = np.asarray([n for _r, n in keep], dtype=np.int64)
-    offsets = (
-        np.concatenate([[0], np.cumsum(ns)[:-1]]) if len(ns) else ns
-    )
-    return refs, offsets, int(ns.sum())
-
-
 def row_number_global(ds, order_cols):
     """Distributed ``row_number() OVER (ORDER BY order_cols)`` — the
     zipWithIndex primitive behind stable global IDs, resumable shard
@@ -139,30 +109,20 @@ def row_number_global(ds, order_cols):
     SQL's. Output = all original columns + 1-based ``row_number`` (int64),
     in sorted order. Cost = one sort + O(blocks) driver scalars (the
     ``percentile_rank`` prefix pattern — no second shuffle)."""
-    import ray
     import ray.data
 
-    refs, offsets, total = _sorted_block_offsets(ds, order_cols)
+    refs, _sizes, offsets = dataflow.sorted_blocks(ds, order_cols)
     if not refs:
-        base = ds.schema()
-        sch = getattr(base, "base_schema", None)
-        t = (
-            sch.empty_table()
-            if sch is not None
-            else pa.table({c: pa.array([], pa.int64()) for c in order_cols})
-        )
-        return ray.data.from_arrow(
-            t.append_column("row_number", pa.array([], pa.int64()))
-        )
+        sch = getattr(ds.schema(), "base_schema", None)
+        if sch is None:
+            sch = pa.schema([(c, pa.int64()) for c in order_cols])
+        return dataflow.typed_empty(sch.append(pa.field("row_number", pa.int64())))
 
-    @ray.remote
     def finalize(t: pa.Table, offset: int) -> pa.Table:
         rn = np.arange(offset + 1, offset + len(t) + 1, dtype=np.int64)
         return t.append_column("row_number", pa.array(rn))
 
-    return ray.data.from_arrow_refs(
-        [finalize.remote(r, int(o)) for r, o in zip(refs, offsets)]
-    )
+    return ray.data.from_arrow_refs(dataflow.on_blocks(finalize, refs, offsets))
 
 
 def percentile_rank(ds, value_col: str, id_col: str = "doc_id"):
@@ -186,40 +146,22 @@ def percentile_rank(ds, value_col: str, id_col: str = "doc_id"):
     import ray
     import ray.data
 
-    sorted_ds = (
-        ds.select_columns(list(dict.fromkeys([id_col, value_col])))
-        .sort([value_col, id_col])
-        .materialize()
+    refs, ns, offsets = dataflow.sorted_blocks(
+        ds, [value_col, id_col], columns=[id_col, value_col]
     )
-    refs = sorted_ds.to_arrow_refs()
+    if not refs:
+        return dataflow.typed_empty(
+            {id_col: pa.int64(), value_col: pa.float64(), "cume_dist": pa.float64()}
+        )
 
-    @ray.remote
     def block_meta(t: pa.Table) -> tuple:
-        # Ray 2.49 sort can emit schema-LESS empty blocks — report n=0
-        if len(t) == 0:
-            return (0, None, 0, None, 0)
         v = t[value_col].to_numpy(zero_copy_only=False)
         n_first = int(np.searchsorted(v, v[0], side="right"))
         n_last = len(v) - int(np.searchsorted(v, v[-1], side="left"))
         return (len(v), v[0], n_first, v[-1], n_last)
 
-    metas = ray.get([block_meta.remote(r) for r in refs])
-    keep = [(r, m) for r, m in zip(refs, metas) if m[0] > 0]
-    if not keep:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    value_col: pa.array([], pa.float64()),
-                    "cume_dist": pa.array([], pa.float64()),
-                }
-            )
-        )
-    refs = [r for r, _m in keep]
-    metas = [m for _r, m in keep]
-    ns = np.asarray([m[0] for m in metas], dtype=np.int64)
+    metas = ray.get(dataflow.on_blocks(block_meta, refs))
     total = int(ns.sum())
-    offsets = np.concatenate([[0], np.cumsum(ns)[:-1]])
     # tail extension per block: rows in FOLLOWING blocks continuing the
     # last value's run (range-partitioned sort ⇒ runs are consecutive)
     ext = np.zeros(len(metas), dtype=np.int64)
@@ -234,7 +176,6 @@ def percentile_rank(ds, value_col: str, id_col: str = "doc_id"):
             if not single:
                 break
 
-    @ray.remote
     def finalize(t: pa.Table, offset: int, tail_ext: int) -> pa.Table:
         v = t[value_col].to_numpy(zero_copy_only=False)
         # local index of the LAST row sharing each row's value (sorted)
@@ -249,10 +190,7 @@ def percentile_rank(ds, value_col: str, id_col: str = "doc_id"):
             }
         )
 
-    futures = [
-        finalize.remote(r, int(o), int(e)) for r, o, e in zip(refs, offsets, ext)
-    ]
-    return ray.data.from_arrow_refs(futures)
+    return ray.data.from_arrow_refs(dataflow.on_blocks(finalize, refs, offsets, ext))
 
 
 def rrf_fuse(
@@ -274,14 +212,12 @@ def rrf_fuse(
     (lexsort) than in SQL, and intra-list duplicates would make the fused
     sum 3+ addends, where IEEE addition order starts to matter.)"""
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     def tag(src: int):
         def fn(batch: pa.Table) -> pa.Table:
             q = batch[query_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            sl = np.asarray(
-                [_md5_u64(str(v)) % num_slices for v in q], dtype=np.int32
-            )
+            sl = dataflow.slice_of(num_slices, q)
             return pa.table(
                 {
                     "q": pa.array(q),

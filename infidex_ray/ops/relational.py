@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
 from .agg import grouped_agg
 from .joins import broadcast_join, hash_join
 
@@ -215,14 +216,12 @@ def top_customer_revenue(lineitem, orders, customer, k: int = 10, num_slices=Non
         if t.num_rows
     ]
     if not parts:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "c_custkey": pa.array([], pa.int64()),
-                    "c_name": pa.array([], pa.string()),
-                    "revenue": pa.array([], pa.float64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {
+                "c_custkey": pa.int64(),
+                "c_name": pa.string(),
+                "revenue": pa.float64(),
+            }
         )
     merged = pa.concat_tables(
         [t.select(["o_custkey", "rev_e4"]) for t in parts]

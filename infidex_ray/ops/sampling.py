@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
 from .dedup import _md5_u64
 
 # Modulus for the hash-bucket decision; 1e6 gives ppm-granular rates.
@@ -104,19 +105,10 @@ def top_k_per_group(
     re-ranks ALL its groups with one lexsort. A group's k rows must fit in
     one worker — true by construction since k is small.
     """
+    add_slice = dataflow.add_slice(group_col, dataflow.num_slices())
 
     def partial(batch: pa.Table) -> pa.Table:
-        from .dedup import _default_num_slices, _md5_u64
-
-        import numpy as np
-
-        t = _group_topk_table(batch, group_col, score_col, id_col, k)
-        num_slices = _default_num_slices()
-        sl = np.asarray(
-            [_md5_u64(str(v)) % num_slices for v in t[group_col].to_pylist()],
-            dtype=np.int32,
-        )
-        return t.append_column("slice", pa.array(sl))
+        return add_slice(_group_topk_table(batch, group_col, score_col, id_col, k))
 
     def final(group: pa.Table) -> pa.Table:
         import numpy as np
@@ -384,36 +376,19 @@ def budget_select(
     the cut order-dependent)."""
     import ray
 
-    sorted_ds = ds.select_columns(
-        list(dict.fromkeys([id_col, score_col, cost_col]))
-    ).sort([score_col, id_col], descending=[True, False]).materialize()
-    refs = sorted_ds.to_arrow_refs()
-
-    @ray.remote
-    def block_sum(t: pa.Table) -> tuple:
-        # Ray 2.49 sort can emit schema-LESS empty blocks (same quirk the
-        # dedup joins guard against) — report rows so they are skipped
-        if len(t) == 0:
-            return (0, 0)
-        return (
-            len(t),
-            int(np.sum(t[cost_col].to_numpy(zero_copy_only=False).astype(np.int64))),
-        )
-
-    stats = ray.get([block_sum.remote(r) for r in refs])
-    refs = [r for r, (n, _) in zip(refs, stats) if n > 0]
-    sums = [s for (n, s) in stats if n > 0]
-    offsets = np.concatenate([[0], np.cumsum(sums, dtype=np.int64)[:-1]]) if sums else []
+    cols = list(dict.fromkeys([id_col, score_col, cost_col]))
+    refs, _sizes, _offsets = dataflow.sorted_blocks(
+        ds, [score_col, id_col], columns=cols, descending=[True, False]
+    )
     if not refs:  # empty corpus: keep the (id, score, cost, cum) shape
+        sch = ds.select_columns(cols).schema().base_schema
+        return dataflow.typed_empty(sch.append(pa.field("cum", pa.int64())))
 
-        def add_cum(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "cum", pa.array(np.zeros(len(t), dtype=np.int64))
-            )
+    def cost_sum(t: pa.Table) -> int:
+        return int(np.sum(t[cost_col].to_numpy(zero_copy_only=False).astype(np.int64)))
 
-        return sorted_ds.map_batches(add_cum, batch_format="pyarrow")
+    sums = np.asarray(ray.get(dataflow.on_blocks(cost_sum, refs)), dtype=np.int64)
 
-    @ray.remote
     def cut(t: pa.Table, start: int) -> pa.Table:
         cost = t[cost_col].to_numpy(zero_copy_only=False).astype(np.int64)
         cum = start + np.cumsum(cost, dtype=np.int64)
@@ -428,8 +403,9 @@ def budget_select(
             }
         )
 
-    futures = [cut.remote(r, int(o)) for r, o in zip(refs, offsets)]
-    return ray.data.from_arrow_refs(futures)
+    return ray.data.from_arrow_refs(
+        dataflow.on_blocks(cut, refs, np.cumsum(sums) - sums)
+    )
 
 
 def quota_sample(ds, group_col: str, id_col: str, n: int, seed: int = 0):

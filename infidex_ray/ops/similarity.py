@@ -18,6 +18,8 @@ from .dedup import round_half_up4
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
+
 
 def _to_matrix(batch: pa.Table, vec_col: str) -> np.ndarray:
     """(n, dim) float64 matrix from a list<float> / fixed_size_list column.
@@ -455,7 +457,6 @@ def knn_graph(
 
     refs = ds.select_columns([id_col, vec_col]).materialize().to_arrow_refs()
 
-    @ray.remote
     def block_topk(tq: pa.Table, all_refs: list) -> pa.Table:
         ids_q = np.asarray(tq[id_col].to_pylist(), dtype=np.int64)
         empty = pa.table(
@@ -511,8 +512,9 @@ def knn_graph(
             }
         )
 
-    futures = [block_topk.remote(r, refs) for r in refs]
-    return ray.data.from_arrow_refs(futures)
+    return ray.data.from_arrow_refs(
+        dataflow.on_blocks(block_topk, refs, [refs] * len(refs))
+    )
 
 
 def knn_graph_lsh(
@@ -537,23 +539,17 @@ def knn_graph_lsh(
 
     Output matches :func:`knn_graph`: (vec_id, rank, nbr_id, cosine),
     tie-break (cosine desc, nbr_id asc), round-half-away-4."""
-    import ray
-
     from .dedup import round_half_up4_arr
 
     probe = ds.select_columns([vec_col]).limit(1).take(1)
     if not probe:
-        import ray.data
-
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "vec_id": pa.array([], pa.int64()),
-                    "rank": pa.array([], pa.int32()),
-                    "nbr_id": pa.array([], pa.int64()),
-                    "cosine": pa.array([], pa.float64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {
+                "vec_id": pa.int64(),
+                "rank": pa.int32(),
+                "nbr_id": pa.int64(),
+                "cosine": pa.float64(),
+            }
         )
     dim = len(probe[0][vec_col])
     planes = [_hyperplanes(dim, n_bits, seed + t) for t in range(n_tables)]
@@ -624,11 +620,7 @@ def knn_graph_lsh(
         .map_groups(group_topk, batch_format="pyarrow")
     )
 
-    def add_slice(batch: pa.Table) -> pa.Table:
-        v = batch["vec_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "slice", pa.array((v % n_slices).astype(np.int32))
-        )
+    add_slice = dataflow.add_slice("vec_id", n_slices)
 
     def merge_slice(group: pa.Table) -> pa.Table:
         v = group["vec_id"].to_numpy(zero_copy_only=False)
@@ -699,7 +691,6 @@ def margin_mine(
     refs_s = ds_src.select_columns([id_col, vec_col]).materialize().to_arrow_refs()
     refs_t = ds_tgt.select_columns([id_col, vec_col]).materialize().to_arrow_refs()
 
-    @ray.remote
     def block_stats(tq: pa.Table, other_refs: list) -> pa.Table:
         """Per query row: best other-side id/cosine + mean of top-k cosines."""
         ids_q = np.asarray(tq[id_col].to_pylist(), dtype=np.int64)
@@ -752,7 +743,9 @@ def margin_mine(
         )
 
     # reverse pass: one (id, avg) row per target vector — the broadcast side
-    rev_tables = ray.get([block_stats.remote(r, refs_s) for r in refs_t])
+    rev_tables = ray.get(
+        dataflow.on_blocks(block_stats, refs_t, [refs_s] * len(refs_t))
+    )
     rev_ids = np.concatenate(
         [t["qid"].to_numpy(zero_copy_only=False) for t in rev_tables]
         or [np.empty(0, np.int64)]
@@ -764,7 +757,9 @@ def margin_mine(
     order = np.argsort(rev_ids)
     rev_ref = ray.put((rev_ids[order], rev_avg[order]))
 
-    fwd = ray.data.from_arrow_refs([block_stats.remote(r, refs_t) for r in refs_s])
+    fwd = ray.data.from_arrow_refs(
+        dataflow.on_blocks(block_stats, refs_s, [refs_t] * len(refs_s))
+    )
 
     def attach(batch: pa.Table) -> pa.Table:
         rid, ravg = ray.get(rev_ref)
@@ -807,13 +802,10 @@ def knn_recall(
     union is hash-partitioned by a coarse vec-id SLICE (never a per-vector
     groupby) and each slice counts matches vectorized (lexsort + adjacent-
     pair detection). Nothing but 17-byte edge rows ever shuffles."""
-    import ray
-
-    from .dedup import _MIX1 as mix
-    from .dedup import _default_num_slices, round_half_up4_arr
+    from .dedup import round_half_up4_arr
 
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     exact = knn_graph(ds, k=k, id_col=id_col, vec_col=vec_col)
     approx = knn_graph_lsh(
@@ -831,7 +823,7 @@ def knn_recall(
         def fn(batch: pa.Table) -> pa.Table:
             v = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
             n = np.asarray(batch["nbr_id"].to_pylist(), dtype=np.int64)
-            sl = ((v.view(np.uint64) * mix) % np.uint64(num_slices)).astype(np.int32)
+            sl = dataflow.slice_of(num_slices, v)
             return pa.table(
                 {
                     "v": pa.array(v),
@@ -1403,9 +1395,7 @@ def pair_eval(pred_ds, truth_ds, id_a: str = "id_a", id_b: str = "id_b"):
     Returns a one-row pa.Table ``(n_pred, n_truth, tp, fp, fn, precision,
     recall, f1)`` (NULL metrics when a denominator is 0).
     """
-    from .dedup import _default_num_slices
-
-    num_slices = _default_num_slices()
+    num_slices = dataflow.num_slices()
 
     def tag(kind: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -1421,11 +1411,7 @@ def pair_eval(pred_ds, truth_ds, id_a: str = "id_a", id_b: str = "id_b"):
             x = batch[id_a].cast(pa.int64()).to_numpy(zero_copy_only=False)
             y = batch[id_b].cast(pa.int64()).to_numpy(zero_copy_only=False)
             lo, hi = np.minimum(x, y), np.maximum(x, y)
-            with np.errstate(over="ignore"):
-                sl = (
-                    (lo.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                    ^ hi.view(np.uint64)
-                ) % np.uint64(num_slices)
+            sl = dataflow.slice_of(num_slices, lo, hi)
             return pa.table(
                 {
                     "a": pa.array(lo),
@@ -1433,7 +1419,7 @@ def pair_eval(pred_ds, truth_ds, id_a: str = "id_a", id_b: str = "id_b"):
                     "kind": pa.array(
                         np.full(len(lo), kind, dtype=np.int8), pa.int8()
                     ),
-                    "slice": pa.array(sl.astype(np.int32)),
+                    "slice": pa.array(sl),
                 }
             )
 

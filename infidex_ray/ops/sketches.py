@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import dataflow
 from .dedup import _md5_u64
 
 __all__ = [
@@ -261,10 +262,10 @@ def kmv_distinct(ds, keys, col: str, k: int = 1024, salt: str = "kmv"):
     the md5 parity hash, so the DuckDB oracle reproduces the approximation
     error bit-for-bit.
     """
-    from .dedup import _default_num_slices, round_half_up4
+    from .dedup import round_half_up4
 
     keys = list(keys)
-    num_slices = _default_num_slices()
+    num_slices = dataflow.num_slices()
     # key field types for the empty-group guard (Ray 2.49 emits schema-less
     # empty groups; the guard must still type its columns like real groups)
     try:
@@ -300,13 +301,11 @@ def kmv_distinct(ds, keys, col: str, k: int = 1024, salt: str = "kmv"):
         kept = t.take(pa.array(keep, pa.int64()))
         hk = h[keep]
         # route by GROUP, not hash: all of a group's partials must meet
-        gsl = np.asarray(
-            [
-                _md5_u64("gs:" + "\x1f".join(map(str, row))) % num_slices
-                for row in zip(*(kept[kc].to_pylist() for kc in keys))
-            ],
-            dtype=np.int32,
-        ) if keys else np.zeros(len(keep), dtype=np.int32)
+        gsl = (
+            dataflow.slice_of(num_slices, *(kept[kc] for kc in keys))
+            if keys
+            else np.zeros(len(keep), dtype=np.int32)
+        )
         out = {kc: kept[kc] for kc in keys}
         out["h"] = pa.array(hk.view(np.int64))
         out["slice"] = pa.array(gsl)
@@ -508,9 +507,9 @@ def kmv_set_ops(ds, source_col: str, col: str, k: int = 256, salt: str = "kmv"):
     Output: ``(src_a, src_b, union_est, inter_est)`` with src_a < src_b,
     estimates rounded half-away 4dp.
     """
-    from .dedup import _default_num_slices, round_half_up4
+    from .dedup import round_half_up4
 
-    num_slices = _default_num_slices()
+    num_slices = dataflow.num_slices()
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select([source_col, col])
@@ -538,9 +537,7 @@ def kmv_set_ops(ds, source_col: str, col: str, k: int = 256, salt: str = "kmv"):
         pos = np.arange(len(ss)) - np.repeat(starts, lens)
         keep = pos < k
         ss, hs = ss[keep], hs[keep]
-        sl = np.asarray(
-            [_md5_u64("ks:" + s) % num_slices for s in ss], dtype=np.int32
-        )
+        sl = dataflow.slice_of(num_slices, ss)
         return pa.table(
             {
                 "src": pa.array(ss, pa.string()),

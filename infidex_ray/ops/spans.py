@@ -19,7 +19,7 @@ Scale shape (100 TB honest):
   the gram), and each slice detects duplicated grams and emits per-doc
   partial dup sums vectorized — a fine-grained ``groupby("gram")`` pays
   Ray's per-group cost on ~one group per row (142 s vs ~7 s at 29M rows);
-* one doc-keyed left join attaches totals (``_join_partitions``,
+* one doc-keyed left join attaches totals (``ops.dataflow.join``,
   non-chained); no driver-side state at any point.
 
 Tokenization is the oracle-parity ASCII-whitespace split
@@ -35,13 +35,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import (
-    _MIX1,
-    _MIX2,
-    _hash64,
-    _join_partitions,
-    round_half_up4_arr,
-)
+from . import dataflow
+from .dataflow import _MIX1, _MIX2
+from .dedup import _hash64, round_half_up4_arr
 
 __all__ = ["duplicate_spans"]
 
@@ -166,20 +162,7 @@ def duplicate_spans(
     # almost every gram is unique); the slice pass plus a doc-scale sum is
     # ~20×, and it removes the gram-keyed join entirely.
     if num_slices is None:
-        import ray
-
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 4))
-            if ray.is_initialized()
-            else 4
-        )
-        num_slices = max(64, cpus * 32)
-
-    def add_slice(batch: pa.Table) -> pa.Table:
-        g = batch["gram"].to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            sl = (g.view(np.uint64) * _MIX1) % np.uint64(num_slices)
-        return batch.append_column("slice", pa.array(sl.astype(np.int32)))
+        num_slices = dataflow.num_slices(mult=32, floor=64)
 
     def dup_partials(group: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -216,15 +199,15 @@ def duplicate_spans(
         )
 
     per_doc = (
-        emissions.map_batches(add_slice, batch_format="pyarrow")
+        emissions.map_batches(
+            dataflow.add_slice("gram", num_slices), batch_format="pyarrow"
+        )
         .groupby("slice")
         .map_groups(dup_partials, batch_format="pyarrow")
         .groupby("doc_id")
         .sum("dup_m")
         .materialize()
     )
-    parts = _join_partitions(num_partitions, chained=False)
-
     def finish(batch: pa.Table) -> pa.Table:
         tot = batch["total_ngrams"].to_numpy(zero_copy_only=False)
         dup = batch["dup_ngrams"].to_numpy(zero_copy_only=False)
@@ -240,8 +223,7 @@ def duplicate_spans(
         )
 
     if per_doc.count() == 0:
-        # no duplicated grams anywhere (and a join against a schema-less
-        # empty side crashes on Ray 2.49 — see ops/dedup)
+        # no duplicated grams anywhere: every doc scores zero
         def zeros(batch: pa.Table) -> pa.Table:
             z = pa.array(np.zeros(len(batch), dtype=np.int64))
             return pa.table(
@@ -258,12 +240,13 @@ def duplicate_spans(
     def rename(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(["doc_id", "dup_ngrams"])
 
-    per_doc = (
-        per_doc.map_batches(rename, batch_format="pyarrow")
-        .repartition(parts)
-        .materialize()
-    )
-    joined = tot_ds.join(
-        per_doc, "left_outer", parts, on=("doc_id",), right_on=("doc_id",)
+    joined = dataflow.join(
+        tot_ds,
+        per_doc.map_batches(rename, batch_format="pyarrow"),
+        "left_outer",
+        "doc_id",
+        num_partitions,
+        chained=False,
+        stream="left",
     )
     return joined.map_batches(finish, batch_format="pyarrow")

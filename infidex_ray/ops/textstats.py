@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
 from ..analyzer import _word_splitter, normalize
 from ..config import DEFAULT_DELIMITERS
 from .asciiws import split_ascii_ws
@@ -321,9 +322,7 @@ def heavy_hitters(ds, k: int = 100, text_col: str = "text"):
     """
     import pyarrow.compute as pc
 
-    from .dedup import _default_num_slices, _slice_hash_strings
-
-    num_slices = _default_num_slices()
+    num_slices = dataflow.num_slices()
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -333,7 +332,7 @@ def heavy_hitters(ds, k: int = 100, text_col: str = "text"):
         flat = flat.filter(pc.not_equal(flat, ""))
         vc = pc.value_counts(flat)
         tokens = vc.field("values").cast(pa.string())
-        sl = _slice_hash_strings(tokens, num_slices)
+        sl = dataflow.slice_of(num_slices, tokens)
         return pa.table(
             {
                 "token": tokens,
@@ -838,9 +837,7 @@ def token_spectrum(ds, text_col: str = "text") -> pa.Table:
     """
     import pyarrow.compute as pc
 
-    from .dedup import _default_num_slices, _slice_hash_strings
-
-    num_slices = _default_num_slices()
+    num_slices = dataflow.num_slices()
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -850,7 +847,7 @@ def token_spectrum(ds, text_col: str = "text") -> pa.Table:
         flat = flat.filter(pc.not_equal(flat, ""))
         vc = pc.value_counts(flat)
         tokens = vc.field("values").cast(pa.string())
-        sl = _slice_hash_strings(tokens, num_slices)
+        sl = dataflow.slice_of(num_slices, tokens)
         return pa.table(
             {
                 "token": tokens,
@@ -937,10 +934,8 @@ def token_burstiness(
     """
     import pyarrow.compute as pc
 
-    from .dedup import _default_num_slices, _md5_u64
-
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
     n_docs = ds.count()
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -977,9 +972,7 @@ def token_burstiness(
         sc = np.add.reduceat(c, tstarts)
         sc2 = np.add.reduceat(c * c, tstarts)
         toks_out = wt[tstarts]
-        sl = np.asarray(
-            [_md5_u64(t) % num_slices for t in toks_out], dtype=np.int32
-        )
+        sl = dataflow.slice_of(num_slices, toks_out)
         return pa.table(
             {
                 "token": pa.array(toks_out, pa.string()),
@@ -1058,10 +1051,8 @@ def ngram_diversity(
     import pyarrow.compute as pc
     import ray
 
-    from .dedup import _default_num_slices, _slice_hash_strings
-
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
     # dedupe: a repeated n would double-count totals (one total row per
     # occurrence per batch) while distinct merges — halving the ratio
     ns = tuple(sorted({int(n) for n in ns}))
@@ -1098,7 +1089,7 @@ def ngram_diversity(
                     *parts, pa.scalar(" ", pa.large_string())
                 )
             uniq = grams.unique()
-            sl = _slice_hash_strings(uniq, num_slices)
+            sl = dataflow.slice_of(num_slices, uniq)
             gram_rows["n"].append(np.full(len(uniq), n, dtype=np.int64))
             gram_rows["gram"].append(uniq.cast(pa.large_string()))
             gram_rows["slice"].append(sl)

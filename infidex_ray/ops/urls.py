@@ -19,6 +19,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import dataflow
+
 __all__ = ["URL_PATTERN", "url_parse", "domain_stats", "filter_domains", "politeness_order"]
 
 # scheme optional; host = up to the first /?#; path = up to ?#; query after ?
@@ -193,7 +195,7 @@ def politeness_order(ds, domain_col: str = "domain", url_col: str = "url"):
     import pyarrow as pa
 
     from ..ops.ranking import row_number_global
-    from .windows import _add_key_slice, _sorted_key_ranks
+    from .windows import _sorted_key_ranks
 
     def rank_slice(group: pa.Table) -> pa.Table:
         t = group.drop_columns(["slice"])
@@ -213,7 +215,10 @@ def politeness_order(ds, domain_col: str = "domain", url_col: str = "url"):
 
     ranked = (
         ds.select_columns([domain_col, url_col])
-        .map_batches(_add_key_slice(domain_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(domain_col, dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(rank_slice, batch_format="pyarrow")
     )

@@ -31,6 +31,7 @@ import re
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
 from .dedup import _md5_u64
 
 __all__ = ["hashed_bow", "hashed_bow_dense", "hashed_bow_batch"]
@@ -454,10 +455,8 @@ def token_label_chi2(
     """
     import pyarrow.compute as pc
 
-    from .dedup import _default_num_slices
-
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -488,9 +487,7 @@ def token_label_chi2(
             .aggregate([("t", "sum"), ("t", "count")])
         )
         token = agg["token"].cast(pa.string())
-        sl = np.asarray(
-            [_md5_u64(s) % num_slices for s in token.to_pylist()], dtype=np.int32
-        )
+        sl = dataflow.slice_of(num_slices, token)
         return pa.table(
             {
                 "token": token,

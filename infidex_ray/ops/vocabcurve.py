@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
 from .asciiws import flat_tokens_arrow
 
 
@@ -35,23 +36,19 @@ def vocab_growth(
     max_doc_id, vocab_size)``."""
     import ray
 
-    from .dedup import _default_num_slices, _slice_hash_strings
-
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if num_slices is None:
-        num_slices = _default_num_slices()
+        num_slices = dataflow.num_slices()
 
     max_id = ds.max(id_col)
     if max_id is None:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "step": pa.array([], pa.int64()),
-                    "max_doc_id": pa.array([], pa.int64()),
-                    "vocab_size": pa.array([], pa.int64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {
+                "step": pa.int64(),
+                "max_doc_id": pa.int64(),
+                "vocab_size": pa.int64(),
+            }
         )
     bounds = np.asarray(
         [max_id * i // steps for i in range(1, steps + 1)], dtype=np.int64
@@ -78,7 +75,7 @@ def vocab_growth(
             {
                 "tok": toks,
                 "fd": pa.array(first[seen], pa.int64()),
-                "slice": pa.array(_slice_hash_strings(toks, num_slices)),
+                "slice": pa.array(dataflow.slice_of(num_slices, toks)),
             }
         )
 

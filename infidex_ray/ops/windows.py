@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import dataflow
 from .dedup import round_half_up4, round_half_up4_arr
 
 
@@ -59,46 +60,6 @@ def _sorted_key_ranks(col) -> np.ndarray:
     return rank_of[
         enc.indices.fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
     ]
-
-
-def _add_key_slice(key_col: str, num_slices: int | None = None):
-    """map_batches fn appending a coarse slice of ``key_col`` — the
-    shuffle key that keeps a key's rows together without a per-key group.
-    Slice ids are internal routing only (never oracle-recomputed), so the
-    hash is the VECTORIZED dispatch — multiply-mix for numerics, one
-    reduceat byte hash for strings — not a per-row Python md5 (the same
-    per-row-Python class the round-4 sweeps removed elsewhere; every
-    window op paid it per EVENT)."""
-    from .dedup import _MIX1, _MIX2, _default_num_slices, _md5_u64, _slice_hash_strings
-
-    if num_slices is None:
-        num_slices = _default_num_slices()
-
-    def fn(batch: pa.Table) -> pa.Table:
-        col = batch[key_col].combine_chunks()
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            sl = _slice_hash_strings(col, num_slices)
-        elif pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
-            if pa.types.is_integer(col.type):
-                # nullable int → float NaN → astype(int64) is UB; nulls
-                # just need SOME consistent slice (routing only)
-                raw = col.fill_null(0).to_numpy(zero_copy_only=False)
-                bits = raw.astype(np.int64).view(np.uint64)
-            else:
-                raw = col.to_numpy(zero_copy_only=False)
-                bits = raw.astype(np.float64).view(np.uint64)
-            with np.errstate(over="ignore"):
-                sl = (((bits * _MIX1) ^ _MIX2) % np.uint64(num_slices)).astype(
-                    np.int32
-                )
-        else:  # exotic key types: per-row fallback
-            sl = np.asarray(
-                [_md5_u64(str(v)) % num_slices for v in col.to_pylist()],
-                dtype=np.int32,
-            )
-        return batch.append_column("slice", pa.array(sl))
-
-    return fn
 
 
 def sessionize(
@@ -176,7 +137,10 @@ def sessionize(
 
     return (
         events.select_columns(cols)
-        .map_batches(_add_key_slice(user_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(user_col, dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(split_slice, batch_format="pyarrow")
     )
@@ -394,7 +358,10 @@ def event_order(
 
     return (
         events.select_columns([user_col, ts_col, id_col])
-        .map_batches(_add_key_slice(user_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(user_col, dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(order_slice, batch_format="pyarrow")
     )
@@ -423,21 +390,7 @@ def funnel(
 
     cols = [user_col, type_col, ts_col]
 
-    def add_slice(batch: pa.Table) -> pa.Table:
-        # md5-derived slice: must be IDENTICAL across worker processes so a
-        # user's rows co-locate (Python hash() is per-process-seeded — unsafe
-        # here). Hash once per distinct user in the batch, not per row.
-        from ..ops.dedup import _md5_u64
-
-        uarr = batch[user_col].combine_chunks()
-        enc = uarr.dictionary_encode()
-        dh = np.fromiter(
-            (_md5_u64(str(v)) % n_slices for v in enc.dictionary.to_pylist()),
-            dtype=np.int32,
-            count=len(enc.dictionary),
-        )
-        idx = np.asarray(enc.indices.to_numpy(zero_copy_only=False), np.int64)
-        return batch.append_column("slice", pa.array(dh[idx]))
+    add_slice = dataflow.add_slice(user_col, n_slices)
 
     def funnel_slice(group: pa.Table) -> pa.Table:
         uarr = group[user_col].combine_chunks()
@@ -498,18 +451,7 @@ def retention(
     period_us = int(round(period_s * 1_000_000))
     cols = [user_col, ts_col]
 
-    def add_slice(batch: pa.Table) -> pa.Table:
-        from ..ops.dedup import _md5_u64
-
-        uarr = batch[user_col].combine_chunks()
-        enc = uarr.dictionary_encode()
-        dh = np.fromiter(
-            (_md5_u64(str(v)) % n_slices for v in enc.dictionary.to_pylist()),
-            dtype=np.int32,
-            count=len(enc.dictionary),
-        )
-        idx = np.asarray(enc.indices.to_numpy(zero_copy_only=False), np.int64)
-        return batch.append_column("slice", pa.array(dh[idx]))
+    add_slice = dataflow.add_slice(user_col, n_slices)
 
     def retention_slice(group: pa.Table) -> pa.Table:
         enc = group[user_col].combine_chunks().dictionary_encode()
@@ -590,11 +532,8 @@ def keep_latest(
     duplicate_spans) and each slice repeats the same vectorized reduction.
     ``ts_col`` is normalized to epoch-us int64 (``ts_us``) at the edge, like
     every windows op."""
-    from .dedup import _default_num_slices, _md5_u64
-
     if num_slices is None:
-        num_slices = _default_num_slices()
-    mix = np.uint64(0xBF58476D1CE4E5B9)
+        num_slices = dataflow.num_slices()
 
     def _key_ranks(col) -> np.ndarray:
         """Total order on key values WITHIN one table: integers compare
@@ -635,16 +574,9 @@ def keep_latest(
                 pa.array(_ts_us(batch[ts_col]), pa.int64()),
             )
         red = _latest(batch)
-        kc = red[key_col].combine_chunks()
-        if pa.types.is_integer(kc.type):
-            keys = kc.to_numpy(zero_copy_only=False).astype(np.int64)
-            sl = ((keys.view(np.uint64) * mix) % np.uint64(num_slices)).astype(np.int32)
-        else:
-            sl = np.asarray(
-                [_md5_u64(str(v)) % num_slices for v in kc.to_pylist()],
-                dtype=np.int32,
-            )
-        return red.append_column("slice", pa.array(sl))
+        return red.append_column(
+            "slice", pa.array(dataflow.slice_of(num_slices, red[key_col]))
+        )
 
     def final(group: pa.Table) -> pa.Table:
         return _latest(group).drop_columns(["slice"])
@@ -702,7 +634,7 @@ def rolling_window(
     import pyarrow as pa
 
     proj = list(dict.fromkeys([key_col, ts_col, *id_cols, value_col]))
-    _slicer = _add_key_slice(key_col, num_slices)
+    _slicer = dataflow.add_slice(key_col, num_slices or dataflow.num_slices())
 
     def add_slice(batch: pa.Table) -> pa.Table:
         return _slicer(batch.select(proj))
@@ -832,7 +764,10 @@ def lag_values(
 
     return (
         events.select_columns([user_col, ts_col, id_col, value_col])
-        .map_batches(_add_key_slice(user_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(user_col, dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(order_slice, batch_format="pyarrow")
     )
@@ -857,17 +792,13 @@ def activity_streaks(
     lengths come from ``reduceat``. Integer outputs — exact vs the SQL
     gaps-and-islands oracle (``day - row_number()`` grouping).
     """
-    from .dedup import _default_num_slices, _md5_u64
-
-    num_slices = _default_num_slices()
+    num_slices = dataflow.num_slices()
 
     def partial(t: pa.Table) -> pa.Table:
         u = t[user_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
         day = _ts_us(t[ts_col]) // day_us
         pairs = np.unique(np.stack([u, day], axis=1), axis=0)
-        sl = np.asarray(
-            [_md5_u64(str(v)) % num_slices for v in pairs[:, 0]], dtype=np.int32
-        )
+        sl = dataflow.slice_of(num_slices, pairs[:, 0])
         return pa.table(
             {
                 "u": pa.array(pairs[:, 0], pa.int64()),
@@ -994,7 +925,10 @@ def event_transitions(
 
     partials = (
         events.select_columns([user_col, ts_col, id_col, type_col])
-        .map_batches(_add_key_slice(user_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(user_col, dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(pairs_slice, batch_format="pyarrow")
     )
@@ -1129,7 +1063,10 @@ def coalesce_latest(
     return (
         events.select_columns([key_col, ts_col, id_col] + value_cols)
         .map_batches(partial, batch_format="pyarrow")
-        .map_batches(_add_key_slice(key_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(key_col, dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(merge, batch_format="pyarrow")
     )
@@ -1247,7 +1184,10 @@ def merge_intervals(
 
     return (
         spans.select_columns([key_col, start_col, end_col, id_col])
-        .map_batches(_add_key_slice(key_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(key_col, dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(merge_slice, batch_format="pyarrow")
     )
@@ -1332,7 +1272,7 @@ def ewma(
             }
         )
 
-    add_slice = _add_key_slice(key_col, num_slices)
+    add_slice = dataflow.add_slice(key_col, num_slices or dataflow.num_slices())
 
     def prep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1427,7 +1367,7 @@ def rolling_active_users(
             }
         )
 
-    add_slice = _add_key_slice(user_col, num_slices)
+    add_slice = dataflow.add_slice(user_col, num_slices or dataflow.num_slices())
     partials = (
         ds.select_columns([user_col, ts_col])
         .map_batches(pairs, batch_format="pyarrow")
@@ -1460,7 +1400,10 @@ def rolling_active_users(
         )
 
     return (
-        partials.map_batches(_add_key_slice("day", num_slices), batch_format="pyarrow")
+        partials.map_batches(
+            dataflow.add_slice("day", num_slices or dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(finish, batch_format="pyarrow")
     )
@@ -1547,7 +1490,7 @@ def time_weighted_avg(
             }
         )
 
-    add_slice = _add_key_slice(key_col, num_slices)
+    add_slice = dataflow.add_slice(key_col, num_slices or dataflow.num_slices())
 
     def prep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1665,7 +1608,10 @@ def resample_locf(
 
     return (
         events.select_columns([user_col, ts_col, id_col, value_col])
-        .map_batches(_add_key_slice(user_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(user_col, dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(resample_slice, batch_format="pyarrow")
     )
@@ -1735,7 +1681,10 @@ def state_durations(
 
     return (
         events.select_columns([user_col, ts_col, id_col, state_col])
-        .map_batches(_add_key_slice(user_col), batch_format="pyarrow")
+        .map_batches(
+            dataflow.add_slice(user_col, dataflow.num_slices()),
+            batch_format="pyarrow",
+        )
         .groupby("slice")
         .map_groups(per_slice, batch_format="pyarrow")
     )
@@ -1792,16 +1741,14 @@ def period_compare(
         if t.num_rows
     ]
     if not parts:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    type_col: pa.array([], pa.string()),
-                    "period": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "prev_n": pa.array([], pa.int64()),
-                    "ratio": pa.array([], pa.float64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {
+                type_col: pa.string(),
+                "period": pa.int64(),
+                "n": pa.int64(),
+                "prev_n": pa.int64(),
+                "ratio": pa.float64(),
+            }
         )
     tbl = pa.concat_tables(parts).combine_chunks()
     types = np.asarray(tbl[type_col].to_pylist(), dtype=object)

@@ -134,8 +134,8 @@ def curate_webtext(
 
     from .ops.chunking import chunk_text
     from .ops.decontam import decontaminate
+    from .ops import dataflow
     from .ops.dedup import (
-        _join_partitions,
         dedup_corpus_ds,
         exact_dup_pairs,
         minhash_lsh_pairs,
@@ -234,19 +234,15 @@ def curate_webtext(
         """Typed empty result in the packed-output schema — returned when a
         gate empties the corpus (feeding joins a limit(0) dataset trips a
         Ray 2.49 planner assertion, so short-circuit instead)."""
-        import ray.data
-
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    "chunk_id": pa.array([], pa.int64()),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "chunk": pa.array([], pa.string()),
-                    "bucket": pa.array([], pa.int64()),
-                    "bin": pa.array([], pa.int64()),
-                }
-            )
+        return dataflow.typed_empty(
+            {
+                id_col: pa.int64(),
+                "chunk_id": pa.int64(),
+                "n_tokens": pa.int64(),
+                "chunk": pa.string(),
+                "bucket": pa.int64(),
+                "bin": pa.int64(),
+            }
         )
 
     docs = _checkpoint(
@@ -278,8 +274,8 @@ def curate_webtext(
             id_col,
             n=max_per_domain,
         ).select_columns([id_col])
-        docs = docs.join(
-            kept_ids, "left_semi", _join_partitions(chained=False), on=(id_col,)
+        docs = dataflow.join(
+            docs, kept_ids, "left_semi", id_col, chained=False, stream="left"
         )
 
     # --- exact then near dedup (the two all-to-alls) ----------------------
@@ -329,16 +325,12 @@ def curate_webtext(
             bad = batch.filter(batch["contaminated"])
             return pa.table({id_col: bad[id_col]})
 
-        bad_ids = rep.map_batches(
+        bad_ids = rep.map_batches(  # id-only, contamination-bounded
             contaminated_ids, batch_format="pyarrow"
-        ).materialize()  # id-only, contamination-bounded — the small side
-        if bad_ids.count() > 0:
-            docs = docs.join(
-                bad_ids,
-                "left_anti",
-                _join_partitions(chained=False),
-                on=(id_col,),
-            )
+        )
+        docs = dataflow.join(
+            docs, bad_ids, "left_anti", id_col, chained=False, stream="left"
+        )
 
     # --- optional DSIR importance filter (Xie et al. 2023) -------------------
     # hashed-n-gram target-vs-corpus bucket LMs; the whole model is one
@@ -427,12 +419,10 @@ def curate_webtext(
             .select_columns([id_col])
             .materialize()  # id-only, budget-bounded — the small side
         )
-        if kept.count() == 0:
-            # budget below the smallest doc: joining an empty side trips the
-            # Ray 2.49 schema-less-empty-partition crash — short-circuit
+        if kept.count() == 0:  # budget below the smallest doc
             return _empty_packed()
-        docs = docs.join(
-            kept, "left_semi", _join_partitions(chained=False), on=(id_col,)
+        docs = dataflow.join(
+            docs, kept, "left_semi", id_col, chained=False, stream="left"
         )
 
     # --- chunk + pack --------------------------------------------------------
@@ -533,21 +523,20 @@ def build_frontier(
     import numpy as np
     import pyarrow as pa
 
-    from .ops.dedup import _default_num_slices, _md5_u64
+    from .ops import dataflow
+    from .ops.dedup import _md5_u64
     from .ops.html import extract_links
     from .ops.robots import robots_allowed
     from .ops.urls import canonical_url, politeness_order, url_parse_batch
 
-    num_slices = _default_num_slices()
+    num_slices = dataflow.num_slices()
     links = extract_links(pages, html_col=html_col, id_col=id_col)
     canon = canonical_url(links, url_col="href", out_col="url")
 
     def url_slice(batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        sl = np.asarray(
-            [_md5_u64(u or "") % num_slices for u in urls], dtype=np.int32
+        return pa.table(
+            {"url": batch["url"], "slice": dataflow.slice_of(num_slices, batch["url"])}
         )
-        return pa.table({"url": batch["url"], "slice": pa.array(sl)})
 
     def dedup_slice(group: pa.Table) -> pa.Table:
         t = group.drop_columns(["slice"])
@@ -583,7 +572,7 @@ def build_frontier(
         )
 
     if max_per_domain is not None:
-        from .ops.windows import _add_key_slice, _sorted_key_ranks
+        from .ops.windows import _sorted_key_ranks
 
         def prio(batch: pa.Table) -> pa.Table:
             urls_ = batch["url"].to_pylist()
@@ -617,7 +606,10 @@ def build_frontier(
 
         parsed = (
             parsed.map_batches(prio, batch_format="pyarrow")
-            .map_batches(_add_key_slice("domain"), batch_format="pyarrow")
+            .map_batches(
+                dataflow.add_slice("domain", num_slices),
+                batch_format="pyarrow",
+            )
             .groupby("slice")
             .map_groups(cap_slice, batch_format="pyarrow")
         )

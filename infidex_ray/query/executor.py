@@ -43,7 +43,7 @@ import ray
 
 from .. import vocabstats
 from ..config import EngineConfig
-from ..engine import Engine, config_from_manifest
+from ..engine import Engine, config_from_manifest, read_tombstones
 from . import pipeline as qp
 from . import shortquery as sq
 from . import stage1 as s1
@@ -299,6 +299,7 @@ class DistributedEngine(Engine):
             index_dir, cfg, df_lookup, word_df, stats["total_docs"],
             stats["avg_doc_len"], actors, shard_of_seg,
         )
+        eng.deleted = read_tombstones(index_dir)
         if warm:
             # a bounded wait turns "actors can never schedule" (cluster has
             # fewer free CPUs than num_shards × num_cpus_per_actor — e.g. a
@@ -537,7 +538,7 @@ class DistributedEngine(Engine):
     ):
         """One transparent retry on shard-actor death: actors restart
         automatically (max_restarts=-1) and reload their slice + persisted
-        tombstones from disk in ``__init__``; every piece of cross-RTT
+        tombstones from disk in ``Engine.load``; every piece of cross-RTT
         state (stage-1 scratch, short-query state) is per-query,
         so re-running the whole query from scratch is rank-identical. The
         restart itself takes seconds (index reload), so retries back off

@@ -1,7 +1,7 @@
 """Global index stats on disk, and the df lookup over them. Every path
-under ``<index>/stats/`` is built here:
+under ``<index>/stats/`` is built here (doc count and doc lengths live in
+``manifest.json["stats"]``):
 
-* ``stats.json``: the manifest's ``stats`` (doc count, doc lengths);
 * ``vocab/kind=term/`` (grams and long words) and ``vocab/kind=word/``:
   sorted ``(term, df)`` parquet parts. A Ray build writes range-partitioned
   parts, a local build or an INFDX2 import one ``base.parquet``, and each
@@ -49,12 +49,6 @@ def sum_df(tables: list[pa.Table], col: str) -> pa.Table:
     )
     agg = cat.group_by(col).aggregate([("df", "sum")])
     return df_table(col, agg[col], agg["df_sum"]).sort_by(col).combine_chunks()
-
-
-def write_stats(index_dir: str, stats: dict) -> None:
-    os.makedirs(stats_path(index_dir), exist_ok=True)
-    with open(stats_path(index_dir, "stats.json"), "w") as f:
-        json.dump(stats, f)
 
 
 def new_vocab_dir(index_dir: str) -> str:
@@ -117,7 +111,6 @@ def copy_stats(index_dir: str, out_dir: str, manifest: dict) -> None:
         if folded:
             pq.write_table(sum_df(folded, "term"), os.path.join(dst, _MERGED))
     install_vocab(out_dir, tmp)
-    shutil.copy(stats_path(index_dir, "stats.json"), stats_path(out_dir, "stats.json"))
 
 
 def _counts(name: str, live: set[str]) -> bool:

@@ -36,6 +36,41 @@ def test_soft_delete(small_engine):
     assert 6 not in [h.doc_key for h in eng2.search("batman", top_k=10)]
 
 
+def test_add_does_not_reread_tombstones(ray_session, small_engine, monkeypatch):
+    """An add opens its delta from memory, so it does not parse
+    ``tombstones.json`` again; deleted keys stay hidden after the add, after
+    a fresh load and on a distributed engine."""
+    import builtins
+
+    from infidex_ray.query.executor import DistributedEngine
+
+    eng = small_engine
+    eng.delete_documents([6])
+    opened: list[str] = []
+    real_open = builtins.open
+
+    def tracking_open(file, *a, **kw):
+        opened.append(str(file))
+        return real_open(file, *a, **kw)
+
+    monkeypatch.setattr(builtins, "open", tracking_open)
+    eng.add_documents([(100, "batman returns to gotham")])
+    monkeypatch.undo()
+    assert opened  # the add's own writes
+    assert not [p for p in opened if p.endswith("tombstones.json")]
+    for e in (eng, Engine.load(eng.index_dir)):
+        keys = [h.doc_key for h in e.search("batman", top_k=10)]
+        assert 100 in keys and 6 not in keys
+    deng = DistributedEngine.connect(
+        eng.index_dir, num_shards=2, num_cpus_per_actor=0.5
+    )
+    try:
+        keys = [h.doc_key for h in deng.search("batman", top_k=10)]
+        assert 100 in keys and 6 not in keys
+    finally:
+        deng.shutdown()
+
+
 def test_incremental_add(small_engine):
     eng = small_engine
     n0 = eng.total_docs
@@ -170,6 +205,13 @@ def test_sharded_stats_layout_and_delta_append(ray_session, tmp_path):
     assert lk("nonexistent") == 0
     hits = eng.search("alpha beta", top_k=5)
     assert hits
+    # doc stats live in the manifest only: no write-only stats file
+    from infidex_ray.build import merge_index
+
+    merged = str(tmp_path / "sharded_merged")
+    merge_index(out, merged, use_ray=False)
+    assert set(os.listdir(os.path.join(out, "stats"))) - {"ray_stats.txt"} == {"vocab"}
+    assert os.listdir(os.path.join(merged, "stats")) == ["vocab"]
 
 
 def test_rebuild_clears_stale_stats_layouts(ray_session, tmp_path):
@@ -628,3 +670,5 @@ def test_merge_index_folds_delta_stats(tmp_path):
     assert Engine.load(merged).word_df("zephyr") == got.word_df("zephyr") == 3
     merge_index(merged, str(tmp_path / "twice"), use_ray=False)
     assert Engine.load(str(tmp_path / "twice")).word_df("zephyr") == 3
+    for index in (src, merged, str(tmp_path / "twice")):
+        assert os.listdir(os.path.join(index, "stats")) == ["vocab"]

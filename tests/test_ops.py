@@ -1347,7 +1347,7 @@ def test_multimodal_real_codec_path(ray_session):
 
 def test_chained_join_deadlock_probe():
     """Reproduces the Ray 2.49 chained-Dataset.join deadlock shape (chained
-    joins with num_partitions > ~CPUs/2 hang) so the `_join_partitions` cap
+    joins with num_partitions > ~CPUs/2 hang) so the `join_partitions` cap
     can be deleted once a Ray release passes this probe.
 
     The probe runs in a SUBPROCESS with a kill timeout (a deadlock would
@@ -1391,13 +1391,189 @@ ray.shutdown()
         # deadlock reproduced: the workaround cap is still required
         return
     if res.returncode == 0 and "ROWS" in res.stdout:
-        from infidex_ray.ops.dedup import _ray_chained_join_deadlock
+        from infidex_ray.ops.dataflow import _ray_chained_join_deadlock
 
         assert not _ray_chained_join_deadlock(), (
             "chained-join deadlock no longer reproduces on this Ray — bump "
-            "the version gate in ops/dedup._ray_chained_join_deadlock and "
+            "the version gate in ops/dataflow._ray_chained_join_deadlock and "
             "delete the cap"
         )
+
+
+def test_no_remote_function_defined_per_call():
+    """Every ``ray.remote`` in the package is made once per process: at
+    module level or inside a ``functools.cache``d factory. One made inside
+    a function registers a new task type on every call."""
+    import ast
+    import pathlib
+
+    def is_remote(node) -> bool:
+        if isinstance(node, ast.Call):
+            node = node.func
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "remote"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "ray"
+        )
+
+    def is_cached(fn) -> bool:
+        for d in fn.decorator_list:
+            d = d.func if isinstance(d, ast.Call) else d
+            name = d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", "")
+            if name in ("cache", "lru_cache"):
+                return True
+        return False
+
+    bad = []
+
+    def walk(node, fns, path):
+        for ch in ast.iter_child_nodes(node):
+            if isinstance(ch, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if fns and any(is_remote(d) for d in ch.decorator_list):
+                    bad.append(f"{path}:{ch.lineno}")
+                inner = fns + [ch] if not isinstance(ch, ast.ClassDef) else fns
+                walk(ch, inner, path)
+                continue
+            if isinstance(ch, ast.Call) and is_remote(ch.func) and fns:
+                if not is_cached(fns[-1]):
+                    bad.append(f"{path}:{ch.lineno}")
+            walk(ch, fns, path)
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "infidex_ray"
+    for py in sorted(root.rglob("*.py")):
+        walk(ast.parse(py.read_text()), [], py.relative_to(root.parent))
+    assert not bad, f"ray.remote made per call at: {bad}"
+
+
+def test_slice_of_is_a_function_of_the_key():
+    """Each key gets one slice in [0, n) whatever the batch boundaries and
+    chunking: SQL-equal floats (-0.0/0.0, NaN payloads) and nulls
+    included, for single columns and pairs."""
+    import pyarrow as pa
+
+    from infidex_ray.ops.dataflow import slice_of
+
+    nan2 = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), np.float64)[0]
+    cols = [
+        pa.array(["a", "", None, "héllo", "日本語", "a", "", None, "ab" * 40]),
+        pa.array([0, None, -5, 2**40, 0, None, 7, -5, 3], pa.int64()),
+        pa.array([0.0, -0.0, float("nan"), nan2, 1.5, None, 1.5, -0.0, 2.0]),
+    ]
+    pair = (cols[1], cols[0])
+    for n in (1, 7, 16, 64):
+        for keys in [(c,) for c in cols] + [pair]:
+            whole = slice_of(n, *keys)
+            assert whole.dtype == np.int32
+            assert ((whole >= 0) & (whole < n)).all()
+            for cut in (1, 4, 8):  # two batches, and one chunked column
+                parts = np.concatenate(
+                    [
+                        slice_of(n, *(k[:cut] for k in keys)),
+                        slice_of(n, *(k[cut:] for k in keys)),
+                    ]
+                )
+                chunked = slice_of(
+                    n, *(pa.chunked_array([k[:cut], k[cut:]]) for k in keys)
+                )
+                assert (parts == whole).all() and (chunked == whole).all()
+            # equal keys (by SQL equality for floats) share a slice
+            rows = list(zip(*(k.to_pylist() for k in keys)))
+            canon = [
+                tuple("nan" if v != v else (0.0 if v == 0 else v) for v in r)
+                for r in rows
+            ]
+            for i in range(len(rows)):
+                for j in range(len(rows)):
+                    if canon[i] == canon[j]:
+                        assert whole[i] == whole[j], (keys, i, j)
+        # numpy columns route like their Arrow equivalents
+        as_np = slice_of(n, np.array([3, -1], np.int64))
+        assert (as_np == slice_of(n, pa.array([3, -1]))).all()
+    # strided ids (sharded or paged allocators) still spread: the low bits
+    # of a multiply-mix alone would put multiples of 64 in one slice
+    for stride in (16, 64):
+        ids = np.arange(0, 1000 * stride, stride, dtype=np.int64)
+        for n in (16, 64):
+            assert len(set(slice_of(n, ids))) == n, (stride, n)
+            assert len(set(slice_of(n, ids, ids))) == n, (stride, n)
+
+
+def test_sorted_blocks_skip_empty_sort_blocks(ray_session):
+    """All rows share the sort key, so Ray's sort leaves all but one
+    output block empty; ``sorted_blocks`` returns only the non-empty ones,
+    with sizes and offsets that add up to the row count."""
+    import ray
+    import ray.data
+
+    from infidex_ray.ops.dataflow import on_blocks, sorted_blocks
+
+    ds = ray.data.from_items(
+        [{"k": 1, "id": i} for i in range(12)], override_num_blocks=4
+    )
+    assert ds.sort("k").materialize().num_blocks() > 1
+    refs, sizes, offsets = sorted_blocks(ds, ["k", "id"], columns=["id", "k"])
+    assert len(refs) == len(sizes) == len(offsets) >= 1
+    assert (sizes > 0).all() and int(sizes.sum()) == 12
+    assert offsets.tolist() == (np.cumsum(sizes) - sizes).tolist()
+    firsts = ray.get(on_blocks(lambda t, o: (o, t["id"][0].as_py()), refs, offsets))
+    assert firsts == [(int(o), int(o)) for o in offsets]  # id == row number
+    refs, sizes, offsets = sorted_blocks(ds.filter(lambda r: False), "k")
+    assert refs == [] and len(sizes) == len(offsets) == 0
+
+
+def test_join_with_an_empty_side_is_typed(ray_session):
+    """``dataflow.join`` never hands Ray an empty side: each ``how`` the
+    ops use gives its pyarrow-typed result, whether or not the left side
+    streams."""
+    import pyarrow as pa
+    import ray.data
+
+    from infidex_ray.ops.dataflow import join, typed_empty, uniform
+
+    left = ray.data.from_arrow(
+        pa.table({"k": pa.array([1, 2], pa.int64()), "a": ["x", "y"]})
+    )
+    right = typed_empty({"k2": pa.int64(), "b": pa.float64()})
+    want = {
+        "inner": ([], {"k": pa.int64(), "a": pa.string(), "b": pa.float64()}),
+        "left_semi": ([], {"k": pa.int64(), "a": pa.string()}),
+        "left_anti": ([1, 2], {"k": pa.int64(), "a": pa.string()}),
+        "left_outer": ([1, 2], {"k": pa.int64(), "a": pa.string(), "b": pa.float64()}),
+    }
+    for how, (keys, schema) in want.items():
+        for stream in (None, "left"):  # a streamed corpus side: same result
+            out = join(left, right, how, "k", right_on="k2", stream=stream)
+            got = out.to_arrow_refs()
+            tbl = pa.concat_tables(
+                [ray.get(r) for r in got] or [pa.schema(schema).empty_table()]
+            )
+            assert sorted(tbl["k"].to_pylist()) == keys, (how, stream)
+            assert dict(zip(tbl.schema.names, tbl.schema.types)) == schema, how
+            if how == "left_outer":
+                assert tbl["b"].null_count == 2
+    # nothing to drop: the streamed side comes back as given, not a copy
+    lazy = left.map_batches(lambda t: t, batch_format="pyarrow")
+    assert join(lazy, right, "left_anti", "k", right_on="k2", stream="left") is lazy
+    # a streamed right side joins a non-empty left like a normalized one
+    big = ray.data.from_arrow(pa.table({"k": pa.array([2, 3]), "c": [0.5, 1.5]}))
+    rows = join(left, big, "inner", "k", stream="right").to_pandas()
+    assert rows[["k", "a", "c"]].values.tolist() == [[2, "y", 0.5]]
+    # a sparse groupby leaves empty blocks: uniform rewrites them once, and
+    # a second call copies nothing
+    sparse = ray.data.range(3).groupby("id").count().materialize()
+    u = uniform(sparse, 8)
+    assert sorted(u.to_pandas()["id"]) == [0, 1, 2]
+
+    def block_refs(d):
+        return [r for b in d.iter_internal_ref_bundles() for r, _ in b.blocks]
+
+    assert block_refs(uniform(u, 8)) == block_refs(u)
+    assert block_refs(u) != block_refs(sparse)
+    # empty LEFT side: every how gives no rows, typed
+    out = join(right, left, "inner", "k2", right_on="k")
+    assert out.count() == 0
+    assert out.schema().base_schema.names == ["k2", "b", "a"]
 
 
 def test_char_entropy_brute(ray_session):
